@@ -337,6 +337,10 @@ class ExecutionCore:
         self._exec_ids = itertools.count()
         self._pending: list[tuple[int, int]] = []  # (stage, task), FIFO
         self._pending_head = 0
+        # spill × coordination for the fleet size it was computed at;
+        # recomputed by assign() only when the executor count changes.
+        self._factor_n = -1
+        self._factor = 1.0
         self.running = 0
         self.stages_left = len(plan.durations)
         self.driver_done = False
@@ -502,22 +506,26 @@ class ExecutionCore:
         its ``(stage_id, executor_id)`` identity; the driver must route
         the completion back via :meth:`complete_task`.
         """
-        if not self.driver_done or self.pending_count() == 0:
+        pending = self._pending
+        head = self._pending_head
+        end = len(pending)
+        if not self.driver_done or head == end:
             return
-        spill = spill_factor(
-            self.graph, len(self.executors), self.cluster, self.config
-        )
-        coord = coordination_factor(len(self.executors), self.config)
-        factor = spill * coord
+        n = len(self.executors)
+        if n != self._factor_n:
+            self._factor_n = n
+            spill = spill_factor(self.graph, n, self.cluster, self.config)
+            self._factor = spill * coordination_factor(n, self.config)
+        factor = self._factor
         ctx = self._assign_ctx
         if ctx is not None:
             # Raw-tuple hot-path emission (see
             # repro.obs.trace.RAW_DATA_FIELDS for the flat layout).
             trace_emit, t_pool, t_query, t_qid = ctx
         for executor in self.executors.values():
-            while executor.free_cores > 0 and self.pending_count() > 0:
-                stage_id, task_idx = self._pending[self._pending_head]
-                self._pending_head += 1
+            while executor.free_cores > 0 and head < end:
+                stage_id, task_idx = pending[head]
+                head += 1
                 executor.free_cores -= 1
                 executor.idle_since = None
                 duration = self.plan.durations[stage_id][task_idx] * factor
@@ -549,8 +557,9 @@ class ExecutionCore:
                     )
                 if self.record_log:
                     self.states[stage_id].observed.append(duration)
-            if self.pending_count() == 0:
+            if head == end:
                 break
+        self._pending_head = head
 
     def complete_task(self, now: float, stage_id: int, eid: int) -> bool:
         """One task finished; returns True when the whole query just did.

@@ -6,18 +6,24 @@ The paper's cost metric is the *total executor occupancy*
 Figure 12).  A :class:`Skyline` is a right-continuous step function built
 from executor arrival/removal events.
 
-Point queries (:meth:`Skyline.value_at`) and areas (:meth:`Skyline.auc`)
-binary-search a lazily built index over the recorded breakpoints — prefix
-areas plus a sorted time array — instead of rescanning the step list, so
-repeated queries against a long skyline (the fleet engine's pool skyline
-sees one step per grant/release) are O(log n).  The index is invalidated
-by :meth:`Skyline.record` and rebuilt on the next query.
+:meth:`Skyline.record` folds a running area up to the last breakpoint as
+steps land, so :meth:`Skyline.auc` at or after the last breakpoint — every
+finished query's bill — is O(1) with no numpy: the running area plus the
+open last step.  The fold performs the same IEEE operations in the same
+left-to-right order as the index's ``np.add.accumulate``, so both paths
+agree bit for bit.
+
+Point queries (:meth:`Skyline.value_at`) and areas ending before the last
+breakpoint (the pool and capacity skylines' billing windows, the trace
+analyzer) binary-search a lazily built index over the recorded
+breakpoints — prefix areas plus a sorted time array — so repeated queries
+against a long skyline are O(log n).  The index is invalidated by
+:meth:`Skyline.record` and rebuilt on the next such query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +42,12 @@ class Skyline:
     _index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Area from the first to the last breakpoint, folded left to right.
+    _area: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for (t0, c0), (t1, _) in zip(self.points, self.points[1:]):
+            self._area += float(c0) * (t1 - t0)
 
     def record(self, time: float, count: int) -> None:
         """Append a step; collapses consecutive equal counts."""
@@ -51,6 +63,7 @@ class Skyline:
             if time == last_time:
                 self.points[-1] = (time, count)
                 return
+            self._area += float(last_count) * (time - last_time)
         else:
             self._index = None
         self.points.append((time, count))
@@ -96,6 +109,9 @@ class Skyline:
             raise ValueError("end_time must be >= 0")
         if not self.points:
             return 0.0
+        last_time, last_count = self.points[-1]
+        if end_time >= last_time:
+            return float(self._area + last_count * (end_time - last_time))
         times, _, prefix = self._ensure_index()
         # Rightmost step strictly before end_time; steps at or past the
         # end contribute nothing.
@@ -104,25 +120,6 @@ class Skyline:
             return 0.0
         partial = self.points[idx][1] * (end_time - self.points[idx][0])
         return float(prefix[idx] + partial)
-
-    def auc_batch(self, end_times: np.ndarray | Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`auc` over many end times.
-
-        Evaluating a skyline at a whole grid of horizons (percentile
-        sweeps, animation frames, per-query cutoffs over a shared pool
-        skyline) via repeated ``auc`` calls rescans the breakpoint prefix
-        each time; this resolves every horizon with one ``searchsorted``.
-        """
-        ends = np.asarray(end_times, dtype=float)
-        if ends.size and float(ends.min()) < 0:
-            raise ValueError("end_time must be >= 0")
-        if not self.points:
-            return np.zeros(ends.shape)
-        times, counts, prefix = self._ensure_index()
-        idx = np.searchsorted(times, ends, side="left") - 1
-        clipped = np.clip(idx, 0, None)
-        area = prefix[clipped] + counts[clipped] * (ends - times[clipped])
-        return np.where(idx < 0, 0.0, area)
 
     def truncated(self, end_time: float) -> "Skyline":
         """Copy of this skyline cut off at ``end_time``."""

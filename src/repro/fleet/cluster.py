@@ -203,9 +203,11 @@ class ShardedFleet:
                 cluster=self.cluster,
                 admission=spec.admission,
                 config=config,
+                # Pushes straight onto the heap: one Python frame fewer
+                # on every pool event than going through push().
                 push=(
-                    lambda time, kind, q=-1, payload=None, pool=i: push(
-                        time, kind, pool, q, payload
+                    lambda time, kind, q=-1, payload=None, pool=i: heapq.heappush(
+                        events, (time, 1, next(counter), kind, pool, q, payload)
                     )
                 ),
                 start_ticks=start_ticks,
@@ -220,6 +222,7 @@ class ShardedFleet:
             runtimes.append(runtime)
 
         tracer = self.tracer
+        max_budget = self.max_budget
         decisions: dict[int, tuple[int, bool | None, float, float | None]] = {}
         notes: dict[int, dict] = {}
         pool_of: dict[int, int] = {}
@@ -339,7 +342,7 @@ class ShardedFleet:
                 arrival = payload
                 plan = self.workload.optimized_plan(arrival.query_id)
                 decision = self.allocator(arrival.query_id, plan)
-                decisions[q] = decision_fields(decision, self.max_budget)
+                decisions[q] = decision_fields(decision, max_budget)
                 notes[q] = allocator_annotations(self.allocator, decision)
                 seconds = decisions[q][2]
                 if tracer is not None:

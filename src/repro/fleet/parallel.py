@@ -397,6 +397,7 @@ class ProcessShardExecutor:
         pool_of: dict[int, int] = {}
         placed_qs: list[list[int]] = [[] for _ in feeds]
         anchor_sent = False
+        max_budget = self.max_budget
 
         def flush(limit: float) -> None:
             nonlocal anchor_sent
@@ -448,9 +449,7 @@ class ProcessShardExecutor:
                 send(t_arrive)
             plan = self.workload.optimized_plan(arrival.query_id)
             decision = self.allocator(arrival.query_id, plan)
-            budget, cached, seconds, estimate = decision_fields(
-                decision, self.max_budget
-            )
+            budget, cached, seconds, estimate = decision_fields(decision, max_budget)
             notes = allocator_annotations(self.allocator, decision)
             estimates[pos] = estimate
             delay = seconds if config.charge_prediction_overhead else 0.0

@@ -29,6 +29,7 @@ Endpoints (full request/response schemas in ``docs/serving.md``):
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
@@ -313,7 +314,7 @@ def _parse_features(request: HttpRequest) -> QueryFeatures:
     Raises:
         ProtocolError: status 400 with a field-level message on any
             malformed payload — undecodable JSON, a non-object document,
-            a missing/wrong-length/non-numeric feature vector.
+            a missing/wrong-length/non-numeric/non-finite feature vector.
     """
     document = request.json()
     if not isinstance(document, dict):
@@ -334,7 +335,15 @@ def _parse_features(request: HttpRequest) -> QueryFeatures:
             raise ProtocolError(
                 400, f'"features"[{position}] is not a number'
             )
-        values.append(float(entry))
+        try:
+            value = float(entry)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            # json.loads accepts NaN / Infinity / -Infinity; the model
+            # cannot price them.
+            raise ProtocolError(400, f'"features"[{position}] is not finite')
+        values.append(value)
     query_id = document.get("query_id", "")
     if not isinstance(query_id, str):
         raise ProtocolError(400, '"query_id" must be a string when present')

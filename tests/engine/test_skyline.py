@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.allocation import BudgetAllocation
+from repro.engine.cluster import Cluster
+from repro.engine.scheduler import simulate_query
 from repro.engine.skyline import Skyline
+from repro.fleet.arrivals import QueryArrival
+from repro.fleet.engine import FleetConfig, FleetEngine, static_allocator
+from repro.workloads.generator import Workload
 
 
 def linear_value_at(points, time):
@@ -16,6 +22,20 @@ def linear_value_at(points, time):
             break
         count = c
     return count
+
+
+def index_auc(skyline, end_time):
+    """Reference implementation: the breakpoint-index path — the
+    ``np.add.accumulate`` prefix plus the partial last segment — that
+    served every ``auc`` call before the running-area fold."""
+    if not skyline.points:
+        return 0.0
+    times, _, prefix = skyline._ensure_index()
+    idx = int(np.searchsorted(times, end_time, side="left")) - 1
+    if idx < 0:
+        return 0.0
+    t, c = skyline.points[idx]
+    return float(prefix[idx] + c * (end_time - t))
 
 
 def linear_auc(points, end_time):
@@ -135,35 +155,6 @@ class TestBisectIndexRegression:
         assert s.auc(2.0) == pytest.approx(18.0)
 
 
-class TestAucBatch:
-    def make(self):
-        s = Skyline()
-        s.record(0.0, 2)
-        s.record(10.0, 6)
-        s.record(20.0, 1)
-        return s
-
-    def test_matches_scalar_auc_exactly(self):
-        s = self.make()
-        ends = np.array([0.0, 0.5, 10.0, 15.0, 20.0, 99.0])
-        batch = s.auc_batch(ends)
-        assert batch.shape == ends.shape
-        for end, area in zip(ends, batch):
-            assert area == s.auc(float(end))
-
-    def test_before_first_step_is_zero(self):
-        s = Skyline()
-        s.record(5.0, 3)
-        assert s.auc_batch([0.0, 4.9]).tolist() == [0.0, 0.0]
-
-    def test_empty_skyline_all_zero(self):
-        assert Skyline().auc_batch([0.0, 10.0]).tolist() == [0.0, 0.0]
-
-    def test_rejects_negative_end(self):
-        with pytest.raises(ValueError):
-            self.make().auc_batch([5.0, -1.0])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -183,7 +174,6 @@ def test_property_bisect_matches_linear_reference(steps, probe):
         s.record(t, c)
     assert s.value_at(probe) == linear_value_at(s.points, probe)
     assert s.auc(probe) == linear_auc(s.points, probe)
-    assert s.auc_batch([probe, probe + 1.0])[0] == s.auc(probe)
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,3 +207,77 @@ def test_property_auc_monotone_in_end_time(counts, end):
     for i, c in enumerate(counts):
         s.record(float(i), c)
     assert s.auc(end) <= s.auc(end + 5.0) + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1e4),
+    st.lists(
+        st.tuples(
+            # A zero gap records at the same instant (an overwrite); a
+            # narrow count range makes equal-count collapses common.
+            st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=500.0)),
+            st.integers(min_value=0, max_value=6),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.sampled_from(["before", "at", "after"]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_property_running_area_matches_index_bit_for_bit(start, steps, where, frac):
+    """The fold in ``record`` and the lazy index agree exactly — no
+    tolerance — for ends before, at, and after the last breakpoint."""
+    s = Skyline()
+    t = start
+    for gap, count in steps:
+        t += gap
+        s.record(t, count)
+    first, last = s.points[0][0], s.points[-1][0]
+    if where == "before":
+        end = first + frac * (last - first)
+    elif where == "at":
+        end = last
+    else:
+        end = last + frac * 1e3
+    assert s.auc(end) == index_auc(s, end)
+    # The fold also holds for a skyline built from a ready point list.
+    assert Skyline(points=list(s.points)).auc(end) == index_auc(s, end)
+
+
+class TestRunningAreaOnTPCDS:
+    """Every TPC-DS plan's billed AUC equals the index path on its own
+    skyline.
+
+    ``QueryRecord.auc`` ≡ ``simulate_query``'s ``auc`` for all 103 plans
+    is asserted by the fleet-of-one parity suite
+    (``tests/engine/test_execution_parity.py::TestTPCDSParity``); this
+    adds the other half — both now take the fold, so each is also
+    checked against the pre-fold index computation over the same
+    skyline.
+    """
+
+    def test_all_plans_on_an_uncontended_fleet(self):
+        # One pool with room for every grant at once: each query runs as
+        # it would alone, so its record must match simulate_query.
+        workload = Workload(scale_factor=100)
+        cluster = Cluster()
+        qids = list(workload)
+        assert len(qids) == 103
+        arrivals = [QueryArrival(q, qid, 0, 0.0) for q, qid in enumerate(qids)]
+        metrics = FleetEngine(
+            workload,
+            capacity=16 * len(qids),
+            allocator=static_allocator(16),
+            cluster=cluster,
+            config=FleetConfig(idle_release_timeout=5.0),
+        ).serve(arrivals)
+        for qid, record in zip(qids, metrics.records):
+            reference = simulate_query(
+                workload.stage_graph(qid),
+                BudgetAllocation(16, idle_timeout=5.0, min_executors=1),
+                cluster,
+            )
+            assert record.auc == reference.auc
+            assert record.auc == index_auc(record.skyline, record.finish_time)
+            assert reference.auc == index_auc(reference.skyline, reference.runtime)

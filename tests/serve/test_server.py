@@ -202,6 +202,32 @@ class TestValidation:
         assert status == 400
         assert fragment in body["error"]
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "int-overflow"],
+    )
+    def test_non_finite_feature_400(self, stub_scorer, literal):
+        """``json.loads`` parses NaN/Infinity/-Infinity (and an integer
+        past the float range overflows ``float``); none of them can be
+        priced, so the parse rejects them before the batcher."""
+        last = len(FEATURE_NAMES) - 1
+        body = '{"features": [' + "1.0, " * last + literal + "]}"
+
+        async def run():
+            async with serve_stack(stub_scorer) as (_, _, host, port):
+                async with ServeClient(host, port) as client:
+                    reply = await client.request(
+                        "POST", "/v1/recommend", body=body.encode()
+                    )
+                    return reply.status, reply.json()
+
+        status, reply = asyncio.run(run())
+        assert status == 400
+        assert reply["error"] == f'"features"[{last}] is not finite'
+        assert stub_scorer.batch_calls == 0
+        assert stub_scorer.single_calls == 0
+
     def test_malformed_json_400(self, stub_scorer):
         async def run():
             async with serve_stack(stub_scorer) as (_, _, host, port):
