@@ -35,19 +35,12 @@ from repro.engine.execution import (
     SchedulerConfig,
     SimulationResult,
     compile_plan,
-    coordination_factor,
-    spill_factor,
 )
 from repro.engine.faults import FaultPlan
 from repro.engine.stages import StageGraph
 from repro.obs.trace import TraceEvent, Tracer
 
 __all__ = ["SchedulerConfig", "SimulationResult", "simulate_query"]
-
-# Backwards-compatible aliases: the physics moved to repro.engine.execution
-# when the scheduler and the fleet engine were unified behind one core.
-_spill_factor = spill_factor
-_coordination_factor = coordination_factor
 
 
 def simulate_query(

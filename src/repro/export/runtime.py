@@ -3,9 +3,10 @@
 :class:`PortableModelRuntime` is a model *registry + scorer*: it loads
 portable model files from a directory, caches them (the paper caches loaded
 models inside the optimizer because inference is on the live query path),
-and runs inference with its own numpy tree-walker — no dependency on the
-training classes in :mod:`repro.ml`, just as the ONNX runtime is
-independent of scikit-learn.
+and runs inference through the numpy-only packed-forest kernel it shares
+with training (:mod:`repro.ml.packed`), so both sides agree bit for bit.
+It imports no training classes from :mod:`repro.ml`, just as the ONNX
+runtime is independent of scikit-learn.
 
 :class:`PortablePPMScorer` adapts a loaded model to the ``predict_ppm``
 interface :class:`repro.core.autoexecutor.AutoExecutorRule` expects, using
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro.core.ppm import AmdahlPPM, PowerLawPPM, PricePerfModel
 from repro.export.format import load_model_file
+from repro.ml.packed import PackedForest
 
 __all__ = ["PortableModelRuntime", "PortablePPMScorer"]
 
@@ -31,28 +33,15 @@ class _CompiledForest:
     def __init__(self, document: dict) -> None:
         self.kind = document["kind"]
         self.n_features = int(document["n_features"])
-        self.n_outputs = int(document["n_outputs"])
         self.metadata = dict(document.get("metadata", {}))
         if self.kind == "linear":
             self.coef = np.asarray(document["coef"], dtype=float)
             self.intercept = np.asarray(document["intercept"], dtype=float)
-            self.trees: list[tuple[np.ndarray, ...]] = []
         else:
-            self.trees = []
-            for tree in document["trees"]:
-                thresholds = np.array(
-                    [np.nan if t is None else t for t in tree["threshold"]],
-                    dtype=float,
-                )
-                self.trees.append(
-                    (
-                        np.asarray(tree["feature"], dtype=int),
-                        thresholds,
-                        np.asarray(tree["left"], dtype=int),
-                        np.asarray(tree["right"], dtype=int),
-                        np.asarray(tree["value"], dtype=float),
-                    )
-                )
+            keys = ("feature", "threshold", "left", "right", "value")
+            self.forest = PackedForest(
+                [[tree[key] for key in keys] for tree in document["trees"]]
+            )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -67,25 +56,7 @@ class _CompiledForest:
         if self.kind == "linear":
             out = X @ self.coef.T + self.intercept
         else:
-            acc = np.zeros((X.shape[0], self.n_outputs))
-            rows = np.arange(X.shape[0])
-            for features, thresholds, left, right, values in self.trees:
-                idx = np.zeros(X.shape[0], dtype=int)
-                while True:
-                    feats = features[idx]
-                    active = feats >= 0
-                    if not active.any():
-                        break
-                    act_rows = rows[active]
-                    act_idx = idx[active]
-                    go_left = (
-                        X[act_rows, feats[active]] <= thresholds[act_idx]
-                    )
-                    idx[active] = np.where(
-                        go_left, left[act_idx], right[act_idx]
-                    )
-                acc += values[idx]
-            out = acc / len(self.trees)
+            out = self.forest.predict(X)
         return out[0] if single else out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.packed import PackedForest
 from repro.ml.tree import DecisionTreeRegressor
 
 __all__ = ["RandomForestRegressor"]
@@ -57,6 +58,7 @@ class RandomForestRegressor:
         self.n_features_in_: int = 0
         self.n_outputs_: int = 0
         self._y_was_1d = False
+        self._packed: PackedForest | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit ``n_estimators`` trees on bootstrap resamples of (X, y)."""
@@ -79,6 +81,7 @@ class RandomForestRegressor:
         n = X.shape[0]
 
         self.estimators_ = []
+        self._packed = None
         for _ in range(self.n_estimators):
             if self.bootstrap:
                 sample = rng.integers(0, n, size=n)
@@ -96,7 +99,7 @@ class RandomForestRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Average the per-tree predictions."""
+        """Average the per-tree predictions (one packed descent)."""
         if not self.estimators_:
             raise RuntimeError("this RandomForestRegressor is not fitted yet")
         X = np.asarray(X, dtype=float)
@@ -107,13 +110,9 @@ class RandomForestRegressor:
                 f"X has {X.shape[1]} features; the forest was fit with "
                 f"{self.n_features_in_}"
             )
-        acc = np.zeros((X.shape[0], self.n_outputs_))
-        for tree in self.estimators_:
-            pred = tree.predict(X)
-            if pred.ndim == 1:
-                pred = pred[:, None]
-            acc += pred
-        acc /= len(self.estimators_)
+        if self._packed is None:
+            self._packed = PackedForest([t._compile() for t in self.estimators_])
+        acc = self._packed.predict(X)
         if self._y_was_1d:
             return acc[:, 0]
         return acc

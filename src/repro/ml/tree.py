@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.ml.packed import PackedForest
+
 __all__ = ["DecisionTreeRegressor", "TreeNode"]
 
 _LEAF = -1  # sentinel feature index marking leaf nodes
@@ -154,7 +156,7 @@ class DecisionTreeRegressor:
         self.n_features_in_: int = 0
         self.n_outputs_: int = 0
         self._y_was_1d = False
-        self._compiled: tuple[np.ndarray, ...] | None = None
+        self._packed: PackedForest | None = None
 
     # ------------------------------------------------------------------
     # fitting
@@ -204,21 +206,26 @@ class DecisionTreeRegressor:
             stack.append(
                 _Frontier(left_idx, item.depth + 1, parent=node_id, is_left=True)
             )
-        self._compiled = None
+        self._packed = None
         return self
 
     def _compile(self) -> tuple[np.ndarray, ...]:
-        """Flatten the node list into parallel arrays for vectorized apply."""
-        if self._compiled is None:
-            features = np.array([n.feature for n in self.nodes_], dtype=int)
-            thresholds = np.array(
-                [n.threshold for n in self.nodes_], dtype=float
-            )
-            left = np.array([n.left for n in self.nodes_], dtype=int)
-            right = np.array([n.right for n in self.nodes_], dtype=int)
-            values = np.stack([n.value for n in self.nodes_])
-            self._compiled = (features, thresholds, left, right, values)
-        return self._compiled
+        """Flatten the node list into parallel arrays (packing, export)."""
+        nodes = self.nodes_
+        return (
+            np.array([n.feature for n in nodes], dtype=int),
+            np.array([n.threshold for n in nodes], dtype=float),
+            np.array([n.left for n in nodes], dtype=int),
+            np.array([n.right for n in nodes], dtype=int),
+            np.stack([n.value for n in nodes]),
+        )
+
+    def _pack(self) -> PackedForest:
+        """This tree as a one-tree pack for the shared kernel."""
+        self._check_fitted()
+        if self._packed is None:
+            self._packed = PackedForest([self._compile()])
+        return self._packed
 
     def _add_node(self, X: np.ndarray, y: np.ndarray, item: _Frontier) -> int:
         ys = y[item.indices]
@@ -296,8 +303,7 @@ class DecisionTreeRegressor:
                 f"X has {X.shape[1]} features; the tree was fit with "
                 f"{self.n_features_in_}"
             )
-        leaf_ids = self.apply(X)
-        values = self._compile()[4][leaf_ids]
+        values = self._pack().value[self.apply(X)]
         if self._y_was_1d:
             return values[:, 0]
         return values
@@ -305,38 +311,14 @@ class DecisionTreeRegressor:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Return the leaf node index each row of ``X`` lands in.
 
-        Traversal is vectorized: all rows descend one level per iteration,
-        so the cost is ``O(n_rows * depth)`` numpy operations.
+        A one-tree call of the packed kernel (:mod:`repro.ml.packed`).
         """
-        self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        features, thresholds, left, right, _ = self._compile()
-        idx = np.zeros(X.shape[0], dtype=int)
-        rows = np.arange(X.shape[0])
-        while True:
-            feats = features[idx]
-            active = feats != _LEAF
-            if not np.any(active):
-                break
-            act_rows = rows[active]
-            act_idx = idx[active]
-            go_left = X[act_rows, feats[active]] <= thresholds[act_idx]
-            idx[active] = np.where(go_left, left[act_idx], right[act_idx])
-        return idx
+        return self._pack().apply(np.asarray(X, dtype=float))[0]
 
     @property
     def depth_(self) -> int:
         """Depth of the fitted tree (root-only tree has depth 0)."""
-        self._check_fitted()
-        depths = {0: 0}
-        max_depth = 0
-        for node_id, node in enumerate(self.nodes_):
-            d = depths[node_id]
-            if not node.is_leaf:
-                depths[node.left] = d + 1
-                depths[node.right] = d + 1
-                max_depth = max(max_depth, d + 1)
-        return max_depth
+        return self._pack().depth
 
     @property
     def n_leaves_(self) -> int:

@@ -8,6 +8,7 @@ from repro.export.format import save_model_file
 from repro.export.runtime import PortableModelRuntime, PortablePPMScorer
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression
+from repro.ml.packed import NonFiniteFeaturesError
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +30,13 @@ def registry(tmp_path_factory):
 
 class TestRuntime:
     def test_predictions_match_training_library(self, registry):
-        """The runtime's independent tree-walker must agree exactly with
-        the training-side forest — the ONNX fidelity requirement."""
+        """The runtime must agree exactly with the training-side forest —
+        the ONNX fidelity requirement."""
         root, forest, X = registry
         runtime = PortableModelRuntime(root)
         out = runtime.predict("ae_al", X)
-        assert np.allclose(out, forest.predict(X), atol=1e-12)
+        assert np.array_equal(out, forest.predict(X))
+        assert out.tobytes() == forest.predict(X).tobytes()
 
     def test_single_row_prediction(self, registry):
         root, forest, X = registry
@@ -98,6 +100,25 @@ class TestPPMScorer:
         scorer = PortablePPMScorer(PortableModelRuntime(root), "nofam")
         with pytest.raises(ValueError, match="family"):
             scorer.predict_ppm(X[0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_single_row_non_finite_rejected(self, registry, value):
+        root, _, X = registry
+        scorer = PortablePPMScorer(PortableModelRuntime(root), "ae_al")
+        row = X[0].copy()
+        row[4] = value
+        with pytest.raises(NonFiniteFeaturesError, match="row 0"):
+            scorer.predict_ppm(row)
+
+    def test_batch_non_finite_names_first_bad_row(self, registry):
+        root, _, X = registry
+        scorer = PortablePPMScorer(PortableModelRuntime(root), "ae_al")
+        batch = X[:6].copy()
+        batch[2, 0] = np.inf
+        batch[4, 1] = np.nan
+        with pytest.raises(NonFiniteFeaturesError, match="row 2") as info:
+            scorer.predict_ppm_batch(batch)
+        assert info.value.row == 2
 
     def test_integrates_with_autoexecutor_rule(self, registry):
         from repro.core.autoexecutor import AutoExecutorRule

@@ -45,6 +45,7 @@ PUBLIC_MODULES = [
     "repro.ml",
     "repro.ml.tree",
     "repro.ml.forest",
+    "repro.ml.packed",
     "repro.ml.linear",
     "repro.ml.model_selection",
     "repro.ml.metrics",
