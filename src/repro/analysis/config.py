@@ -105,8 +105,8 @@ class AnalysisConfig:
     )
     heap_key_modules: tuple[str, ...] = (
         "repro.engine.scheduler",
-        "repro.fleet.engine",
         "repro.fleet.cluster",
+        "repro.fleet.parallel",
     )
     taxonomy_module: str = "src/repro/obs/trace.py"
     taxonomy_census_modules: tuple[str, ...] = ("repro.*",)
@@ -127,6 +127,9 @@ class AnalysisConfig:
         "latency",
         "queue_delay",
         "run_seconds",
+        # PoolStreamStats' fault ledger: FaultStats.add sums a fixed set
+        # of counters in place.
+        "fault",
     )
 
     #: keys whose pyproject values *extend* the default tuple instead of

@@ -242,17 +242,22 @@ class FaultStats:
         """
         total = cls()
         for part in parts:
-            total.crashes += part.crashes
-            total.reclamations += part.reclamations
-            total.replacements += part.replacements
-            total.tasks_started += part.tasks_started
-            total.tasks_killed += part.tasks_killed
-            total.wasted_task_seconds += part.wasted_task_seconds
-            total.spot_executor_seconds += part.spot_executor_seconds
-            total.ondemand_executor_seconds += part.ondemand_executor_seconds
-            if part.spot_discount != 1.0:
-                total.spot_discount = part.spot_discount
+            total.add(part)
         return total
+
+    def add(self, part: "FaultStats") -> None:
+        """Fold one ledger into this one, in place (see :meth:`merged`
+        for the discount rule)."""
+        self.crashes += part.crashes
+        self.reclamations += part.reclamations
+        self.replacements += part.replacements
+        self.tasks_started += part.tasks_started
+        self.tasks_killed += part.tasks_killed
+        self.wasted_task_seconds += part.wasted_task_seconds
+        self.spot_executor_seconds += part.spot_executor_seconds
+        self.ondemand_executor_seconds += part.ondemand_executor_seconds
+        if part.spot_discount != 1.0:
+            self.spot_discount = part.spot_discount
 
 
 class FaultInjector:

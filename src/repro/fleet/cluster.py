@@ -16,14 +16,13 @@ them:
   cooldown on the way down — and every provisioned executor-second,
   idle or not, lands on the bill.
 
-The parity contract that keeps this layer honest: a sharded fleet of
-**one statically provisioned pool** reproduces
-:meth:`FleetEngine.serve <repro.fleet.engine.FleetEngine.serve>`
-*bit-for-bit* — same records, same skylines, same summary — because both
-drivers issue the identical event sequence to the identical
-:class:`PoolRuntime`.  Asserted in ``tests/fleet/test_cluster.py`` and
-re-checked in CI by the fleet bench gate
-(``benchmarks/perf/run_fleet_bench.py`` / ``compare.py``).
+:meth:`ShardedFleet.serve` is the only in-process fleet event loop:
+:class:`~repro.fleet.engine.FleetEngine` is a facade over a sharded
+fleet of **one statically provisioned pool**, so the two agree
+*bit-for-bit* — records, skylines, summary, trace — by construction.
+``tests/fleet/test_cluster.py`` still asserts that parity, and the
+multiprocess driver (:mod:`repro.fleet.parallel`) replays each pool's
+event subsequence of this loop in a process of its own.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ from repro.fleet.engine import (
     _raise_stalled,
     allocator_annotations,
     decision_fields,
-    validate_stream,
 )
-from repro.fleet.metrics import ClusterMetrics
+from repro.fleet.metrics import ClusterMetrics, cluster_serving_window
 from repro.obs.trace import TraceEvent, Tracer
 from repro.fleet.routing import (
     DEFAULT_RUNTIME_ESTIMATE_S,
@@ -106,7 +104,7 @@ class ShardedFleet:
         pools: per-pool shapes — :class:`PoolSpec` instances, or plain
             ints as shorthand for statically provisioned pools.
         allocator: per-query executor-budget decision, shared by all
-            pools (same contract as :class:`~repro.fleet.engine.FleetEngine`).
+            pools (see :mod:`repro.fleet.engine`).
         router: placement policy (default round-robin).
         cluster: node/executor shapes and provisioning lag (shared).
         config: fleet knobs (shared by every pool).
@@ -169,9 +167,12 @@ class ShardedFleet:
         counter = itertools.count()
         # (time, class, seq, kind, pool, q, payload) — class 0 arrivals
         # keyed by stream position, class 1 everything else keyed by the
-        # push counter.  Identical total order to the old single-counter
-        # heap (arrivals were always pushed first), but correct even when
-        # arrivals enter lazily; see FleetEngine.serve for the argument.
+        # push counter.  Same-instant ties break arrivals-first in stream
+        # order, then everything else in push order: the total order a
+        # single counter gives when every arrival is pushed up front, but
+        # it also holds when arrivals enter the heap lazily, which lets
+        # streaming mode keep O(1) arrivals in flight without perturbing
+        # record mode by a single event.
         events: list[tuple[float, int, int, str, int, int, object]] = []
 
         def push(
@@ -187,8 +188,8 @@ class ShardedFleet:
 
         def start_ticks(now: float) -> None:
             # One tick chain for the whole cluster, anchored at the first
-            # admission anywhere — exactly the single-pool engine's
-            # anchoring when the cluster has one pool.
+            # admission anywhere, matching the single-query scheduler's
+            # ticks at k·tick_interval from query submission.
             nonlocal ticking
             if wants_ticks and not ticking:
                 ticking = True
@@ -231,7 +232,7 @@ class ShardedFleet:
         exhausted = True
 
         if streaming is None:
-            stream = validate_stream(arrivals)
+            stream = _validate_stream(arrivals)
             total = len(stream)
         else:
             arrival_iter = iter(arrivals)
@@ -286,30 +287,10 @@ class ShardedFleet:
                 oldest_submit_time=runtime.arbiter.oldest_submit_time,
             )
 
-        # A state-blind router (uses_pool_state = False) never reads the
-        # dynamic fields, so building live snapshots per submit is pure
-        # overhead — measured at >60 % of round-robin serve time.  Hand
-        # it one frozen set of idle-valued views instead.  Routers that
-        # omit the attribute are conservatively assumed stateful.
+        # Routers that omit uses_pool_state are conservatively assumed
+        # stateful.
         live_views = getattr(self.router, "uses_pool_state", True)
-        static_views = (
-            None
-            if live_views
-            else [
-                PoolView(
-                    index=i,
-                    capacity=runtime.capacity,
-                    max_capacity=runtime.max_capacity,
-                    free=runtime.capacity,
-                    in_use=0,
-                    queue_length=0,
-                    queued_executors=0,
-                    queued_work_seconds=0.0,
-                    active_queries=0,
-                )
-                for i, runtime in enumerate(runtimes)
-            ]
-        )
+        frozen_views = None if live_views else static_views(self.pools)
 
         def scalers_can_act() -> bool:
             """Whether any autoscaler can still unblock queued work —
@@ -383,7 +364,7 @@ class ShardedFleet:
                     (
                         [view(i) for i in range(self.n_pools)]
                         if live_views
-                        else static_views
+                        else frozen_views
                     ),
                 )
                 if not 0 <= chosen < self.n_pools:
@@ -446,36 +427,14 @@ class ShardedFleet:
         if finished < total:
             _raise_cluster_stalled(runtimes, total - finished)
 
+        records = []
+        placed = []
         if streaming is None:
-            records = []
-            placed = []
             for q in range(total):
                 chosen = pool_of[q]
                 records.append(runtimes[chosen].records[q])
                 placed.append(chosen)
-            # Every pool bills the cluster-wide serving window: a pool the
-            # router never picked still pays for its provisioned floor.
-            window = (
-                min(r.arrival_time for r in records),
-                max(r.finish_time for r in records),
-            )
-        else:
-            records = []
-            placed = []
-            # The same cluster-wide window, recovered from the per-pool
-            # streaming accumulators (pools the router never picked have
-            # no observations and contribute nothing).
-            starts = [
-                r.stats.first_arrival
-                for r in runtimes
-                if r.stats is not None and r.stats.first_arrival is not None
-            ]
-            ends = [
-                r.stats.last_finish
-                for r in runtimes
-                if r.stats is not None and r.stats.last_finish is not None
-            ]
-            window = (min(starts), max(ends))
+        window = cluster_serving_window(records, (r.stats for r in runtimes))
         if tracer is not None:
             tracer.emit(
                 TraceEvent(window[1], "serve_end", -1, -1, None, {"queries": total})
@@ -493,6 +452,41 @@ class ShardedFleet:
             if callable(snapshot):
                 metrics.adaptive = snapshot()
         return metrics
+
+
+def static_views(specs: Sequence[PoolSpec]) -> list[PoolView]:
+    """Frozen idle-valued pool snapshots for state-blind routers.
+
+    A ``uses_pool_state = False`` router may read only the static shape
+    fields (``index``, ``capacity``, ``max_capacity``) and the pool
+    count, so building live snapshots per submit is pure overhead —
+    measured at >60 % of round-robin serve time.  Both the in-process
+    and the multiprocess drivers hand such a router these views instead.
+    """
+    return [
+        PoolView(
+            index=i,
+            capacity=spec.capacity,
+            max_capacity=spec.max_capacity,
+            free=spec.capacity,
+            in_use=0,
+            queue_length=0,
+            queued_executors=0,
+            queued_work_seconds=0.0,
+            active_queries=0,
+        )
+        for i, spec in enumerate(specs)
+    ]
+
+
+def _validate_stream(arrivals: Sequence[QueryArrival]) -> list[QueryArrival]:
+    """Record mode's eager arrival-stream checks."""
+    stream = list(arrivals)
+    if not stream:
+        raise ValueError("cannot serve an empty arrival stream")
+    if len({a.index for a in stream}) != len(stream):
+        raise ValueError("arrival stream has duplicate indices")
+    return stream
 
 
 def _raise_cluster_stalled(runtimes: Sequence[PoolRuntime], unfinished: int) -> None:

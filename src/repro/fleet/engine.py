@@ -10,21 +10,20 @@ may start.
 
 Both simulators drive the same per-query state machine, the shared
 :class:`~repro.engine.execution.ExecutionCore`; this module contributes
-only the fleet-specific parts — the shared event heap, admission through
-the :class:`~repro.fleet.admission.CapacityArbiter`, and per-query
-capacity accounting against the pool.  Those parts live in
-:class:`PoolRuntime`, *one pool's* serving state machine, deliberately
-separated from the event loop that drives it: :class:`FleetEngine` runs
-one runtime on its own heap, and :class:`repro.fleet.cluster.ShardedFleet`
-multiplexes N runtimes (plus routing and autoscaling) on one shared heap.
-The contracts that keep every path honest: a fleet of one query on an
-uncontended pool reproduces ``simulate_query`` under
-:class:`~repro.engine.allocation.BudgetAllocation` *bit-for-bit* —
+only the fleet-specific parts — admission through the
+:class:`~repro.fleet.admission.CapacityArbiter` and per-query capacity
+accounting against the pool.  Those parts live in :class:`PoolRuntime`,
+*one pool's* serving state machine, deliberately separated from the
+event loop that drives it: :meth:`repro.fleet.cluster.ShardedFleet.serve`
+is the one in-process loop, multiplexing N runtimes (plus routing and
+autoscaling) on one shared heap, and :class:`FleetEngine` is a facade
+over a sharded fleet of one static pool — so sharded-of-one parity
+holds by construction.  The contract that keeps the runtime honest: a
+fleet of one query on an uncontended pool reproduces ``simulate_query``
+under :class:`~repro.engine.allocation.BudgetAllocation` *bit-for-bit* —
 runtime, AUC, and skyline — a property asserted across the whole TPC-DS
-workload in ``tests/engine/test_execution_parity.py``, and a sharded
-fleet of one static pool reproduces ``FleetEngine.serve`` bit-for-bit
-(``tests/fleet/test_cluster.py``); both are re-checked by the CI bench
-gates.
+workload in ``tests/engine/test_execution_parity.py`` and re-checked by
+the CI bench gates.
 
 Allocators decide each query's *admission budget*.  Three are provided: a
 :func:`static_allocator` (the default-configuration baseline), the online
@@ -46,8 +45,6 @@ way.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -298,9 +295,9 @@ class PoolRuntime:
     the *driver* owns the heap, the clock, and the tick chain.  Event
     handlers push follow-up events through the ``push`` callback the
     driver supplies, so every event in a multi-pool cluster still lands
-    on one totally ordered heap; keeping each handler's push order
-    identical to the original single-pool engine is what makes a
-    sharded fleet of one pool bit-identical to :class:`FleetEngine`.
+    on one totally ordered heap, and the multiprocess driver
+    (:mod:`repro.fleet.parallel`) can replay one pool's subsequence on
+    a heap of its own.
 
     Args:
         workload: supplies plans and compiled stage graphs per query id.
@@ -322,7 +319,7 @@ class PoolRuntime:
             :class:`~repro.engine.execution.ExecutionCore`, its
             execution events.  ``None`` is the zero-cost off switch.
         pool_index: identity stamped on emitted events (a sharded fleet
-            numbers its pools; a standalone engine is pool 0).
+            numbers its pools; a :class:`FleetEngine` is pool 0).
     """
 
     def __init__(
@@ -560,11 +557,11 @@ class PoolRuntime:
             # Queued, not admitted.  The tick chain must run anyway: an
             # autoscaled pool may need a scale-up before it can admit
             # *anything* (a budget above its current capacity), and the
-            # autoscaler only acts on ticks.  A single-pool FleetEngine
-            # never reaches this branch before its first admission (its
-            # budgets are clamped to the pool's capacity, so the first
-            # submit on an empty pool always admits), which keeps the
-            # tick anchoring — and bit-for-bit parity — unchanged.
+            # autoscaler only acts on ticks.  A statically provisioned
+            # pool never reaches this branch before its first admission
+            # (budgets are clamped to its capacity, so the first submit
+            # on an empty pool always admits): its tick chain stays
+            # anchored at the first admission.
             self.start_ticks(now)
 
     def drain_admissions(self, now: float) -> None:
@@ -892,6 +889,11 @@ class PoolRuntime:
 class FleetEngine:
     """Serve an arrival stream through a shared executor pool.
 
+    A facade over a one-pool :class:`~repro.fleet.cluster.ShardedFleet`:
+    the cluster's event loop is the only in-process fleet loop, so a
+    fleet engine and a sharded fleet of one static pool agree by
+    construction — records, skylines, summary and trace alike.
+
     Args:
         workload: supplies plans and compiled stage graphs per query id.
         capacity: pool size in executors — the arbiter's hard budget.
@@ -902,10 +904,9 @@ class FleetEngine:
         admission: queueing policy (default FIFO).
         config: fleet knobs.
         tracer: optional :class:`~repro.obs.trace.Tracer` receiving the
-            run's full event stream — serve/arrival/prediction events
-            from this driver, lifecycle events from the pool runtime,
-            execution events from every query's core.  ``None`` (the
-            default) serves bit-identically to an untraced engine.
+            run's full event stream, exactly as the one-pool cluster
+            emits it.  ``None`` (the default) serves bit-identically to
+            an untraced engine.
     """
 
     def __init__(
@@ -918,6 +919,9 @@ class FleetEngine:
         config: FleetConfig = FleetConfig(),
         tracer: Tracer | None = None,
     ) -> None:
+        # cluster.py imports this module, hence the local import.
+        from repro.fleet.cluster import PoolSpec, ShardedFleet
+
         self.workload = workload
         self.capacity = int(capacity)
         self.allocator = allocator
@@ -925,212 +929,30 @@ class FleetEngine:
         self.admission = admission
         self.config = config
         self.tracer = tracer
-        # Compile-once memo, keyed like the prediction service's
-        # plan-signature cache: the workload hands out one stage graph per
-        # query id, so the id keys its compiled form across runs.
-        self._compiled: dict[str, CompiledPlan] = {}
+        # Built once, so its compile-once memo persists across serves.
+        self._fleet = ShardedFleet(
+            workload,
+            [PoolSpec(self.capacity, admission)],
+            allocator,
+            cluster=cluster,
+            config=config,
+            tracer=tracer,
+        )
 
     def serve(self, arrivals: Iterable[QueryArrival]) -> FleetMetrics:
-        """Play out the whole stream; returns the fleet's metrics.
+        """Play out the whole stream; returns the pool's metrics.
 
         In streaming mode (:attr:`FleetConfig.streaming`) ``arrivals``
         may be any time-ordered iterable — a generator is consumed
         lazily, one arrival ahead of the clock, so the stream never
         materializes.  Record mode keeps the eager list semantics (and
-        its duplicate-index validation) unchanged.
+        its duplicate-index validation).
         """
-        # Queries are keyed internally by *stream position*, never by the
-        # user-supplied ``QueryArrival.index`` field — an earlier version
-        # mixed the two, silently mismatching allocator decisions with
-        # queries whenever index fields did not equal list positions.
-        config = self.config
-        streaming = config.streaming
-        ticking = False
-
-        counter = itertools.count()
-        # Heap entries are (time, class, seq, kind, q, payload): class 0
-        # is an arrival (seq = stream position), class 1 everything else
-        # (seq = push counter).  Same total order the single-counter
-        # scheme produced when all arrivals were pushed up front — same-
-        # instant ties break arrivals-first in stream order, then
-        # everything else in push order — but it also holds when
-        # arrivals enter the heap lazily, which is what lets streaming
-        # mode keep O(1) arrivals in flight without perturbing record
-        # mode by a single event.
-        events: list[tuple[float, int, int, str, int, object]] = []
-
-        def push(
-            time: float, kind: str, q: int = -1, payload: object = None
-        ) -> None:
-            heapq.heappush(events, (time, 1, next(counter), kind, q, payload))
-
-        def start_ticks(now: float) -> None:
-            # The tick chain is anchored at the first admission, matching
-            # the single-query scheduler's ticks at k·tick_interval from
-            # query submission.
-            nonlocal ticking
-            if config.wants_ticks and not ticking:
-                ticking = True
-                push(now + config.tick_interval, "tick")
-
-        runtime = PoolRuntime(
-            workload=self.workload,
-            capacity=self.capacity,
-            cluster=self.cluster,
-            admission=self.admission,
-            config=config,
-            push=push,
-            start_ticks=start_ticks,
-            compiled=self._compiled,
-            tracer=self.tracer,
-            pool_index=0,
-        )
-        tracer = self.tracer
-        decisions: dict[
-            int,
-            tuple[QueryArrival, int, bool | None, float, float | None, dict],
-        ] = {}
-        total = 0
-        finished = 0
-        exhausted = True
-        now = 0.0
-
-        if streaming is None:
-            stream = validate_stream(arrivals)
-            total = len(stream)
-            for pos, arrival in enumerate(stream):
-                heapq.heappush(
-                    events, (arrival.arrival_time, 0, pos, "arrive", pos, arrival)
-                )
-        else:
-            arrival_iter = iter(arrivals)
-            last_arrival_t = 0.0
-
-            def pull_arrival() -> None:
-                # Keep exactly one unprocessed arrival in the heap; the
-                # next is pulled when this one's arrive event fires.
-                nonlocal total, exhausted, last_arrival_t
-                for arrival in arrival_iter:
-                    t = arrival.arrival_time
-                    if t < last_arrival_t:
-                        raise ValueError(
-                            "streaming arrival streams must be time-ordered"
-                        )
-                    last_arrival_t = t
-                    heapq.heappush(events, (t, 0, total, "arrive", total, arrival))
-                    total += 1
-                    return
-                exhausted = True
-
-            exhausted = False
-            pull_arrival()
-            if total == 0:
-                raise ValueError("cannot serve an empty arrival stream")
-
-        if tracer is not None:
-            tracer.emit(
-                TraceEvent(
-                    0.0, "serve_begin", -1, -1, None, {"pools": [self.capacity]}
-                )
-            )
-
-        # --- main loop ---------------------------------------------------
-        while events:
-            now, _, _, kind, q, payload = heapq.heappop(events)
-            if kind == "arrive":
-                arrival = payload
-                plan = self.workload.optimized_plan(arrival.query_id)
-                decision = self.allocator(arrival.query_id, plan)
-                budget, cached, seconds, estimate = decision_fields(
-                    decision, self.capacity
-                )
-                notes = allocator_annotations(self.allocator, decision)
-                decisions[q] = (arrival, budget, cached, seconds, estimate, notes)
-                if tracer is not None:
-                    tracer.emit(
-                        TraceEvent(now, "query_arrive", 0, q, arrival.query_id)
-                    )
-                    tracer.emit(
-                        TraceEvent(
-                            now,
-                            "query_predict",
-                            0,
-                            q,
-                            arrival.query_id,
-                            {
-                                "executors": notes["predicted_executors"],
-                                "cached": cached,
-                                "seconds": seconds,
-                                "estimated_runtime_s": estimate,
-                                "policy": notes["policy"],
-                            },
-                        )
-                    )
-                delay = seconds if config.charge_prediction_overhead else 0.0
-                push(now + delay, "submit", q)
-                if not exhausted:
-                    pull_arrival()
-            elif kind == "submit":
-                arrival, budget, cached, seconds, estimate, notes = decisions.pop(q)
-                runtime.submit(
-                    now, q, arrival, budget, cached, seconds, notes, estimate
-                )
-            elif kind == "driver_done":
-                runtime.handle_driver_done(now, q)
-            elif kind == "exec_arrive":
-                runtime.handle_exec_arrive(now, q)
-            elif kind == "task_done":
-                if runtime.handle_task_done(now, q, payload):
-                    finished += 1
-            elif kind == "exec_fail":
-                runtime.handle_exec_fail(now, q, payload)
-            elif kind == "tick":
-                runtime.on_tick(now)
-                if finished < total or not exhausted:
-                    if not events:
-                        # Stall guard: the tick chain is the only thing
-                        # left, so no run will ever release or acquire
-                        # capacity again.  Without this check the ticks
-                        # would spin forever.  (Unreachable while the
-                        # arrival stream is live: its next arrive event
-                        # is in the heap.)
-                        _raise_stalled(runtime.arbiter, total - finished)
-                    push(now + config.tick_interval, "tick")
-
-        if finished < total:
-            unfinished = total - finished
-            if runtime.arbiter.queue_length > 0:
-                _raise_stalled(runtime.arbiter, unfinished)
-            raise RuntimeError(
-                f"fleet run ended with {unfinished} unfinished queries "
-                f"(running: {runtime.unfinished_queries()}, "
-                f"queued: {runtime.arbiter.queue_length})"
-            )
-
-        if tracer is not None:
-            tracer.emit(
-                TraceEvent(now, "serve_end", -1, -1, None, {"queries": total})
-            )
-        metrics = runtime.finalize()
-        feedback = config.feedback
-        if feedback is not None:
-            # A sink that keeps ledger state (AdaptiveController) hands
-            # its end-of-run snapshot to the metrics; plain sinks without
-            # one leave the field None.
-            snapshot = getattr(feedback, "stats_snapshot", None)
-            if callable(snapshot):
-                metrics.adaptive = snapshot()
+        served = self._fleet.serve(arrivals)
+        metrics = served.pools[0]
+        # The one pool is the whole fleet, so it carries the ledger.
+        metrics.adaptive = served.adaptive
         return metrics
-
-
-def validate_stream(arrivals: Sequence[QueryArrival]) -> list[QueryArrival]:
-    """The shared arrival-stream checks all fleet drivers apply."""
-    stream = list(arrivals)
-    if not stream:
-        raise ValueError("cannot serve an empty arrival stream")
-    if len({a.index for a in stream}) != len(stream):
-        raise ValueError("arrival stream has duplicate indices")
-    return stream
 
 
 def _raise_stalled(arbiter: CapacityArbiter, unfinished: int) -> None:

@@ -17,7 +17,9 @@ executor-second is paid for, whether a query occupied it or not.
 :class:`ClusterMetrics` rolls many pools' :class:`FleetMetrics` up into
 the sharded-fleet view (:mod:`repro.fleet.cluster`): cluster-wide
 latency percentiles and queue delays over all served queries, plus
-summed occupancy, idle-capacity, and dollar costs.
+summed occupancy, idle-capacity, and dollar costs.  Both types derive
+their distributions, fault counters, summary, and report from one
+accounting core; only the cost roll-ups are per type.
 
 **Streaming mode.**  A record-backed :class:`FleetMetrics` is exact but
 O(n) memory per serve.  Under :attr:`FleetConfig.streaming
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -308,19 +311,9 @@ class PoolStreamStats(StreamingFleetStats):
             self.billed_occupancy_seconds += record.auc
         else:
             self.billed_occupancy_seconds += stats.billed_executor_seconds
-            acc = self.fault
-            if acc is None:
-                acc = self.fault = FaultStats()
-            acc.crashes += stats.crashes
-            acc.reclamations += stats.reclamations
-            acc.replacements += stats.replacements
-            acc.tasks_started += stats.tasks_started
-            acc.tasks_killed += stats.tasks_killed
-            acc.wasted_task_seconds += stats.wasted_task_seconds
-            acc.spot_executor_seconds += stats.spot_executor_seconds
-            acc.ondemand_executor_seconds += stats.ondemand_executor_seconds
-            if stats.spot_discount != 1.0:
-                acc.spot_discount = stats.spot_discount
+            if self.fault is None:
+                self.fault = FaultStats()
+            self.fault.add(stats)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoolStreamStats):
@@ -400,24 +393,6 @@ class AdaptiveStats:
         }
 
 
-def _latency_percentile(records: Sequence[QueryRecord], q: float) -> float:
-    if not records:
-        return 0.0
-    return float(np.percentile([r.latency for r in records], q))
-
-
-def _mean_queue_delay(records: Sequence[QueryRecord]) -> float:
-    if not records:
-        return 0.0
-    return float(np.mean([r.queue_delay for r in records]))
-
-
-def _max_queue_delay(records: Sequence[QueryRecord]) -> float:
-    if not records:
-        return 0.0
-    return max(r.queue_delay for r in records)
-
-
 def _serving_window(records: Sequence[QueryRecord]) -> tuple[float, float]:
     """First arrival to last completion — the span capacity is billed over."""
     if not records:
@@ -427,17 +402,282 @@ def _serving_window(records: Sequence[QueryRecord]) -> tuple[float, float]:
     return (start, end)
 
 
-def _cache_hit_rate(records: Sequence[QueryRecord]) -> float:
-    flagged = [
-        r.prediction_cached for r in records if r.prediction_cached is not None
-    ]
-    if not flagged:
-        return 0.0
-    return float(np.mean(flagged))
+def cluster_serving_window(
+    records: Sequence[QueryRecord], pool_stats: Iterable[PoolStreamStats | None]
+) -> tuple[float, float]:
+    """The cluster-wide span every pool of a sharded serve bills — a
+    pool the router never picked still pays for its provisioned floor.
+
+    Record mode reads the served records; a streaming serve (no records)
+    recovers the same span from the pools' accumulators, where a pool
+    that served nothing contributes nothing.
+    """
+    if records:
+        return _serving_window(records)
+    stats = [s for s in pool_stats if s is not None]
+    starts = [s.first_arrival for s in stats if s.first_arrival is not None]
+    ends = [s.last_finish for s in stats if s.last_finish is not None]
+    return (min(starts), max(ends))
+
+
+class _Accounting(ABC):
+    """The accounting core :class:`FleetMetrics` and
+    :class:`ClusterMetrics` share.
+
+    Distributions read the served ``records``, or — on a streaming serve
+    — the sketches ``_stats()`` returns (``None`` for a record-backed
+    run); fault counters read ``fault_stats``.  Each subclass supplies
+    the abstract members below, cost roll-ups included, so every float
+    is still summed in its own type's order.
+    """
+
+    records: list[QueryRecord]
+    adaptive: AdaptiveStats | None
+
+    @abstractmethod
+    def _stats(self) -> StreamingFleetStats | None: ...
+
+    @property
+    @abstractmethod
+    def fault_stats(self) -> FaultStats: ...
+
+    @abstractmethod
+    def _faulted(self) -> bool: ...
+
+    @abstractmethod
+    def _dollars(self, executor_seconds: float) -> float: ...
+
+    @abstractmethod
+    def _occupancy_lines(self, s: dict[str, float]) -> list[str]: ...
+
+    @property
+    @abstractmethod
+    def total_executor_seconds(self) -> float: ...
+
+    @property
+    @abstractmethod
+    def idle_capacity_seconds(self) -> float: ...
+
+    @property
+    @abstractmethod
+    def provisioned_executor_seconds(self) -> float: ...
+
+    @property
+    @abstractmethod
+    def reserved_executor_seconds(self) -> float: ...
+
+    @property
+    @abstractmethod
+    def total_dollar_cost(self) -> float: ...
+
+    @property
+    @abstractmethod
+    def idle_capacity_dollar_cost(self) -> float: ...
+
+    @property
+    @abstractmethod
+    def provisioned_dollar_cost(self) -> float: ...
+
+    @property
+    @abstractmethod
+    def spot_dollar_cost(self) -> float: ...
+
+    @property
+    @abstractmethod
+    def ondemand_dollar_cost(self) -> float: ...
+
+    @property
+    def n_queries(self) -> int:
+        stats = self._stats()
+        if stats is not None:
+            return stats.n_queries
+        return len(self.records)
+
+    @property
+    def makespan(self) -> float:
+        """First arrival to last completion."""
+        stats = self._stats()
+        if stats is not None:
+            return stats.makespan
+        start, end = _serving_window(self.records)
+        return end - start
+
+    def latency_percentile(self, q: float) -> float:
+        """The ``q``-th percentile of end-to-end query latency (a
+        sketch estimate within ``relative_accuracy`` in streaming
+        mode)."""
+        stats = self._stats()
+        if stats is not None:
+            return stats.latency.quantile(q)
+        if not self.records:
+            return 0.0
+        return float(np.percentile([r.latency for r in self.records], q))
+
+    @property
+    def p50_latency(self) -> float:
+        return self.latency_percentile(50)
+
+    @property
+    def p95_latency(self) -> float:
+        return self.latency_percentile(95)
+
+    @property
+    def p99_latency(self) -> float:
+        return self.latency_percentile(99)
+
+    @property
+    def mean_queue_delay(self) -> float:
+        stats = self._stats()
+        if stats is not None:
+            return stats.queue_delay.mean
+        if not self.records:
+            return 0.0
+        return float(np.mean([r.queue_delay for r in self.records]))
+
+    @property
+    def max_queue_delay(self) -> float:
+        stats = self._stats()
+        if stats is not None:
+            return stats.queue_delay.max or 0.0
+        if not self.records:
+            return 0.0
+        return max(r.queue_delay for r in self.records)
+
+    def prediction_cache_hit_rate(self) -> float:
+        """Fraction of predictive decisions served from the memo cache."""
+        stats = self._stats()
+        if stats is not None:
+            return stats.prediction_cache_hit_rate()
+        flagged = [
+            r.prediction_cached
+            for r in self.records
+            if r.prediction_cached is not None
+        ]
+        if not flagged:
+            return 0.0
+        return float(np.mean(flagged))
+
+    # --- faults ----------------------------------------------------------
+    @property
+    def wasted_work_seconds(self) -> float:
+        """Task progress destroyed by executor failures (re-executed at
+        full price — the skyline billed it, then billed the retry)."""
+        return self.fault_stats.wasted_task_seconds
+
+    @property
+    def task_retries(self) -> int:
+        """Tasks re-executed after a crash or spot reclamation."""
+        return self.fault_stats.task_retries
+
+    @property
+    def executor_failures(self) -> int:
+        """Executor losses of either cause (crash or reclamation)."""
+        return self.fault_stats.failures
+
+    @property
+    def spot_executor_seconds(self) -> float:
+        return self.fault_stats.spot_executor_seconds
+
+    @property
+    def ondemand_executor_seconds(self) -> float:
+        return self.fault_stats.ondemand_executor_seconds
+
+    # --- continual learning ----------------------------------------------
+    @property
+    def retrain_executor_seconds(self) -> float:
+        """Modeled executor-seconds spent retraining (zero when frozen)."""
+        if self.adaptive is None:
+            return 0.0
+        return self.adaptive.retrain_executor_seconds
+
+    @property
+    def retrain_dollar_cost(self) -> float:
+        """The retraining bill, at the pool's core-hour rate."""
+        return self._dollars(self.retrain_executor_seconds)
+
+    def utilization(self) -> float:
+        """Reserved over provisioned executor-seconds across the run."""
+        provisioned = self.provisioned_executor_seconds
+        if provisioned <= 0:
+            return 0.0
+        return self.reserved_executor_seconds / provisioned
+
+    # --- reporting -------------------------------------------------------
+    def summary(self) -> dict[str, float]:
+        """The headline numbers as a flat dict (benchmark-friendly).
+
+        Adaptive serves gain the continual-learning keys
+        (:meth:`AdaptiveStats.as_summary`); frozen serves keep the
+        pre-adaptive key set bit-identically.
+        """
+        stats = self.fault_stats
+        out = {
+            "n_queries": float(self.n_queries),
+            "makespan_s": self.makespan,
+            "p50_latency_s": self.p50_latency,
+            "p95_latency_s": self.p95_latency,
+            "p99_latency_s": self.p99_latency,
+            "mean_queue_delay_s": self.mean_queue_delay,
+            "max_queue_delay_s": self.max_queue_delay,
+            "utilization": self.utilization(),
+            "total_executor_seconds": self.total_executor_seconds,
+            "idle_capacity_seconds": self.idle_capacity_seconds,
+            "provisioned_executor_seconds": self.provisioned_executor_seconds,
+            "total_dollar_cost": self.total_dollar_cost,
+            "provisioned_dollar_cost": self.provisioned_dollar_cost,
+            "prediction_cache_hit_rate": self.prediction_cache_hit_rate(),
+            "executor_failures": float(stats.failures),
+            "task_retries": float(stats.task_retries),
+            "wasted_work_seconds": float(stats.wasted_task_seconds),
+            "spot_executor_seconds": float(stats.spot_executor_seconds),
+            "spot_dollar_cost": self.spot_dollar_cost,
+        }
+        if self.adaptive is not None:
+            out.update(self.adaptive.as_summary(self.retrain_dollar_cost))
+        return out
+
+    def describe(self) -> str:
+        """A human-readable one-run report."""
+        s = self.summary()
+        lines = [
+            f"queries served        {self.n_queries}",
+            f"makespan              {s['makespan_s']:10.1f} s",
+            f"latency p50/p95/p99   {s['p50_latency_s']:.1f} / "
+            f"{s['p95_latency_s']:.1f} / {s['p99_latency_s']:.1f} s",
+            f"mean queueing delay   {s['mean_queue_delay_s']:10.1f} s",
+            f"max queueing delay    {s['max_queue_delay_s']:10.1f} s",
+            *self._occupancy_lines(s),
+            f"executor-seconds      {s['total_executor_seconds']:10.0f}",
+            f"idle capacity cost    ${self.idle_capacity_dollar_cost:9.2f}",
+            f"total cost            ${s['total_dollar_cost']:9.2f}",
+            f"provisioned cost      ${s['provisioned_dollar_cost']:9.2f}",
+            f"prediction cache hit  {s['prediction_cache_hit_rate']:10.1%}",
+        ]
+        if self.adaptive is not None:
+            a = self.adaptive
+            lines.append(
+                f"continual learning    gen {a.model_generation}, "
+                f"{a.retrains} retrains ({a.promotions} promoted, "
+                f"{a.rejections} rejected), {a.drift_alarms} drift alarms, "
+                f"retrain cost ${self.retrain_dollar_cost:.2f}"
+            )
+        if self._faulted():
+            stats = self.fault_stats
+            lines += [
+                f"executor failures     {stats.crashes} crashes, "
+                f"{stats.reclamations} reclamations",
+                f"task retries          {stats.task_retries} "
+                f"({s['wasted_work_seconds']:.0f} task-seconds wasted)",
+                f"spot / on-demand      {stats.spot_executor_seconds:.0f} / "
+                f"{stats.ondemand_executor_seconds:.0f} executor-seconds "
+                f"(${self.spot_dollar_cost:.2f} / "
+                f"${self.ondemand_dollar_cost:.2f})",
+            ]
+        return "\n".join(lines)
 
 
 @dataclass
-class FleetMetrics:
+class FleetMetrics(_Accounting):
     """Aggregate outcome of one fleet run.
 
     Attributes:
@@ -494,51 +734,8 @@ class FleetMetrics:
             return (self.stats.first_arrival, self.stats.last_finish)
         return _serving_window(self.records)
 
-    @property
-    def n_queries(self) -> int:
-        if self.stats is not None:
-            return self.stats.n_queries
-        return len(self.records)
-
-    @property
-    def makespan(self) -> float:
-        """First arrival to last completion."""
-        if self.stats is not None:
-            return self.stats.makespan
-        start, end = _serving_window(self.records)
-        return end - start
-
-    def latency_percentile(self, q: float) -> float:
-        """The ``q``-th percentile of end-to-end query latency (a
-        sketch estimate within ``relative_accuracy`` in streaming
-        mode)."""
-        if self.stats is not None:
-            return self.stats.latency.quantile(q)
-        return _latency_percentile(self.records, q)
-
-    @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency(self) -> float:
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99)
-
-    @property
-    def mean_queue_delay(self) -> float:
-        if self.stats is not None:
-            return self.stats.queue_delay.mean
-        return _mean_queue_delay(self.records)
-
-    @property
-    def max_queue_delay(self) -> float:
-        if self.stats is not None:
-            return self.stats.queue_delay.max or 0.0
-        return _max_queue_delay(self.records)
+    def _stats(self) -> PoolStreamStats | None:
+        return self.stats
 
     @property
     def peak_pool_usage(self) -> int:
@@ -642,29 +839,10 @@ class FleetMetrics:
             )
         return self._fault_stats
 
-    @property
-    def wasted_work_seconds(self) -> float:
-        """Task progress destroyed by executor failures (re-executed at
-        full price — the skyline billed it, then billed the retry)."""
-        return self.fault_stats.wasted_task_seconds
-
-    @property
-    def task_retries(self) -> int:
-        """Tasks re-executed after a crash or spot reclamation."""
-        return self.fault_stats.task_retries
-
-    @property
-    def executor_failures(self) -> int:
-        """Executor losses of either cause (crash or reclamation)."""
-        return self.fault_stats.failures
-
-    @property
-    def spot_executor_seconds(self) -> float:
-        return self.fault_stats.spot_executor_seconds
-
-    @property
-    def ondemand_executor_seconds(self) -> float:
-        return self.fault_stats.ondemand_executor_seconds
+    def _faulted(self) -> bool:
+        if self.stats is not None:
+            return self.stats.fault is not None
+        return any(r.fault_stats is not None for r in self.records)
 
     @property
     def billed_occupancy_seconds(self) -> float:
@@ -709,18 +887,6 @@ class FleetMetrics:
         )
 
     @property
-    def retrain_executor_seconds(self) -> float:
-        """Modeled executor-seconds spent retraining (zero when frozen)."""
-        if self.adaptive is None:
-            return 0.0
-        return self.adaptive.retrain_executor_seconds
-
-    @property
-    def retrain_dollar_cost(self) -> float:
-        """The retraining bill, at the pool's own core-hour rate."""
-        return self._dollars(self.retrain_executor_seconds)
-
-    @property
     def total_dollar_cost(self) -> float:
         """Occupancy cost plus the bill for autoscaled-but-idle capacity
         and (for adaptive serves) model retraining.
@@ -749,19 +915,6 @@ class FleetMetrics:
         against autoscaling."""
         return self._dollars(self.provisioned_executor_seconds)
 
-    def utilization(self) -> float:
-        """Mean fraction of provisioned capacity reserved over the run."""
-        provisioned = self.provisioned_executor_seconds
-        if provisioned <= 0:
-            return 0.0
-        return self.reserved_executor_seconds / provisioned
-
-    def prediction_cache_hit_rate(self) -> float:
-        """Fraction of predictive decisions served from the memo cache."""
-        if self.stats is not None:
-            return self.stats.prediction_cache_hit_rate()
-        return _cache_hit_rate(self.records)
-
     def streaming(self, relative_accuracy: float = 0.01) -> StreamingFleetStats:
         """The bounded-memory streaming view of this run.
 
@@ -786,88 +939,21 @@ class FleetMetrics:
         )
 
     def summary(self) -> dict[str, float]:
-        """The headline numbers as a flat dict (benchmark-friendly).
-
-        Adaptive serves gain the continual-learning keys
-        (:meth:`AdaptiveStats.as_summary`); frozen serves keep the
-        pre-adaptive key set bit-identically.
-        """
-        stats = self.fault_stats
-        out = {
-            "n_queries": float(self.n_queries),
-            "makespan_s": self.makespan,
-            "p50_latency_s": self.p50_latency,
-            "p95_latency_s": self.p95_latency,
-            "p99_latency_s": self.p99_latency,
-            "mean_queue_delay_s": self.mean_queue_delay,
-            "max_queue_delay_s": self.max_queue_delay,
-            "peak_pool_usage": float(self.peak_pool_usage),
-            "utilization": self.utilization(),
-            "total_executor_seconds": self.total_executor_seconds,
-            "idle_capacity_seconds": self.idle_capacity_seconds,
-            "provisioned_executor_seconds": self.provisioned_executor_seconds,
-            "total_dollar_cost": self.total_dollar_cost,
-            "provisioned_dollar_cost": self.provisioned_dollar_cost,
-            "prediction_cache_hit_rate": self.prediction_cache_hit_rate(),
-            "executor_failures": float(stats.failures),
-            "task_retries": float(stats.task_retries),
-            "wasted_work_seconds": float(stats.wasted_task_seconds),
-            "spot_executor_seconds": float(stats.spot_executor_seconds),
-            "spot_dollar_cost": self.spot_dollar_cost,
-        }
-        if self.adaptive is not None:
-            out.update(self.adaptive.as_summary(self.retrain_dollar_cost))
+        """The shared headline keys plus this pool's peak usage."""
+        out = super().summary()
+        out["peak_pool_usage"] = float(self.peak_pool_usage)
         return out
 
-    def describe(self) -> str:
-        """A human-readable one-run report."""
-        s = self.summary()
-        lines = [
-            f"queries served        {self.n_queries}",
-            f"makespan              {s['makespan_s']:10.1f} s",
-            f"latency p50/p95/p99   {s['p50_latency_s']:.1f} / "
-            f"{s['p95_latency_s']:.1f} / {s['p99_latency_s']:.1f} s",
-            f"mean queueing delay   {s['mean_queue_delay_s']:10.1f} s",
-            f"max queueing delay    {s['max_queue_delay_s']:10.1f} s",
+    def _occupancy_lines(self, s: dict[str, float]) -> list[str]:
+        return [
             f"peak pool usage       {self.peak_pool_usage}/{self.capacity} "
             f"executors",
             f"pool utilization      {s['utilization']:10.1%}",
-            f"executor-seconds      {s['total_executor_seconds']:10.0f}",
-            f"idle capacity cost    ${self.idle_capacity_dollar_cost:9.2f}",
-            f"total cost            ${s['total_dollar_cost']:9.2f}",
-            f"provisioned cost      ${s['provisioned_dollar_cost']:9.2f}",
-            f"prediction cache hit  {s['prediction_cache_hit_rate']:10.1%}",
         ]
-        if self.adaptive is not None:
-            a = self.adaptive
-            lines.append(
-                f"continual learning    gen {a.model_generation}, "
-                f"{a.retrains} retrains ({a.promotions} promoted, "
-                f"{a.rejections} rejected), {a.drift_alarms} drift alarms, "
-                f"retrain cost ${self.retrain_dollar_cost:.2f}"
-            )
-        faulted = (
-            self.stats.fault is not None
-            if self.stats is not None
-            else any(r.fault_stats is not None for r in self.records)
-        )
-        if faulted:
-            stats = self.fault_stats
-            lines += [
-                f"executor failures     {stats.crashes} crashes, "
-                f"{stats.reclamations} reclamations",
-                f"task retries          {stats.task_retries} "
-                f"({s['wasted_work_seconds']:.0f} task-seconds wasted)",
-                f"spot / on-demand      {stats.spot_executor_seconds:.0f} / "
-                f"{stats.ondemand_executor_seconds:.0f} executor-seconds "
-                f"(${self.spot_dollar_cost:.2f} / "
-                f"${self.ondemand_dollar_cost:.2f})",
-            ]
-        return "\n".join(lines)
 
 
 @dataclass
-class ClusterMetrics:
+class ClusterMetrics(_Accounting):
     """Aggregate outcome of one sharded-fleet run.
 
     Attributes:
@@ -918,53 +1004,6 @@ class ClusterMetrics:
         return len(self.pools)
 
     @property
-    def n_queries(self) -> int:
-        stats = self._stats()
-        if stats is not None:
-            return stats.n_queries
-        return len(self.records)
-
-    @property
-    def makespan(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.makespan
-        start, end = _serving_window(self.records)
-        return end - start
-
-    def latency_percentile(self, q: float) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.latency.quantile(q)
-        return _latency_percentile(self.records, q)
-
-    @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency(self) -> float:
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99)
-
-    @property
-    def mean_queue_delay(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.queue_delay.mean
-        return _mean_queue_delay(self.records)
-
-    @property
-    def max_queue_delay(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.queue_delay.max or 0.0
-        return _max_queue_delay(self.records)
-
-    @property
     def capacity_respected(self) -> bool:
         """Every pool honoured its (possibly time-varying) capacity."""
         return all(pool.capacity_respected for pool in self.pools)
@@ -987,19 +1026,16 @@ class ClusterMetrics:
         return sum(pool.provisioned_executor_seconds for pool in self.pools)
 
     @property
-    def retrain_executor_seconds(self) -> float:
-        """Modeled retraining executor-seconds (zero when frozen)."""
-        if self.adaptive is None:
-            return 0.0
-        return self.adaptive.retrain_executor_seconds
+    def reserved_executor_seconds(self) -> float:
+        return sum(pool.reserved_executor_seconds for pool in self.pools)
 
-    @property
-    def retrain_dollar_cost(self) -> float:
-        """The cluster's one retraining bill (priced at pool 0's rate —
-        all pools in a fleet share an executor shape and rate)."""
-        if self.adaptive is None or not self.pools:
+    def _dollars(self, executor_seconds: float) -> float:
+        """Priced at pool 0's rate — all pools in a fleet share an
+        executor shape and rate (the one retraining bill is the only
+        cluster-level charge)."""
+        if not self.pools:
             return 0.0
-        return self.pools[0]._dollars(self.retrain_executor_seconds)
+        return self.pools[0]._dollars(executor_seconds)
 
     @property
     def total_dollar_cost(self) -> float:
@@ -1017,25 +1053,8 @@ class ClusterMetrics:
         """Merged fault ledger across every pool's served queries."""
         return FaultStats.merged(pool.fault_stats for pool in self.pools)
 
-    @property
-    def wasted_work_seconds(self) -> float:
-        return sum(pool.wasted_work_seconds for pool in self.pools)
-
-    @property
-    def task_retries(self) -> int:
-        return sum(pool.task_retries for pool in self.pools)
-
-    @property
-    def executor_failures(self) -> int:
-        return sum(pool.executor_failures for pool in self.pools)
-
-    @property
-    def spot_executor_seconds(self) -> float:
-        return sum(pool.spot_executor_seconds for pool in self.pools)
-
-    @property
-    def ondemand_executor_seconds(self) -> float:
-        return sum(pool.ondemand_executor_seconds for pool in self.pools)
+    def _faulted(self) -> bool:
+        return any(pool._faulted() for pool in self.pools)
 
     @property
     def spot_dollar_cost(self) -> float:
@@ -1048,20 +1067,6 @@ class ClusterMetrics:
     @property
     def provisioned_dollar_cost(self) -> float:
         return sum(pool.provisioned_dollar_cost for pool in self.pools)
-
-    def utilization(self) -> float:
-        """Reserved over provisioned executor-seconds, cluster-wide."""
-        provisioned = self.provisioned_executor_seconds
-        if provisioned <= 0:
-            return 0.0
-        reserved = sum(pool.reserved_executor_seconds for pool in self.pools)
-        return reserved / provisioned
-
-    def prediction_cache_hit_rate(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.prediction_cache_hit_rate()
-        return _cache_hit_rate(self.records)
 
     def streaming(self, relative_accuracy: float = 0.01) -> StreamingFleetStats:
         """Cluster-wide streaming stats: each pool folded, then merged —
@@ -1078,79 +1083,15 @@ class ClusterMetrics:
         return [pool.n_queries for pool in self.pools]
 
     def summary(self) -> dict[str, float]:
-        """The cluster's headline numbers as a flat dict (adaptive
-        serves gain the continual-learning keys, like
-        :meth:`FleetMetrics.summary`)."""
-        out = {
-            "n_pools": float(self.n_pools),
-            "n_queries": float(self.n_queries),
-            "makespan_s": self.makespan,
-            "p50_latency_s": self.p50_latency,
-            "p95_latency_s": self.p95_latency,
-            "p99_latency_s": self.p99_latency,
-            "mean_queue_delay_s": self.mean_queue_delay,
-            "max_queue_delay_s": self.max_queue_delay,
-            "utilization": self.utilization(),
-            "total_executor_seconds": self.total_executor_seconds,
-            "idle_capacity_seconds": self.idle_capacity_seconds,
-            "provisioned_executor_seconds": self.provisioned_executor_seconds,
-            "total_dollar_cost": self.total_dollar_cost,
-            "provisioned_dollar_cost": self.provisioned_dollar_cost,
-            "prediction_cache_hit_rate": self.prediction_cache_hit_rate(),
-            "executor_failures": float(self.executor_failures),
-            "task_retries": float(self.task_retries),
-            "wasted_work_seconds": float(self.wasted_work_seconds),
-            "spot_executor_seconds": float(self.spot_executor_seconds),
-            "spot_dollar_cost": self.spot_dollar_cost,
-        }
-        if self.adaptive is not None:
-            out.update(self.adaptive.as_summary(self.retrain_dollar_cost))
-        return out
+        """The pool count plus the shared headline keys."""
+        return {"n_pools": float(self.n_pools), **super().summary()}
+
+    def _occupancy_lines(self, s: dict[str, float]) -> list[str]:
+        return [f"cluster utilization   {s['utilization']:10.1%}"]
 
     def describe(self) -> str:
         """A human-readable cluster report with a per-pool breakdown."""
-        s = self.summary()
-        lines = [
-            f"pools                 {self.n_pools}",
-            f"queries served        {self.n_queries}",
-            f"makespan              {s['makespan_s']:10.1f} s",
-            f"latency p50/p95/p99   {s['p50_latency_s']:.1f} / "
-            f"{s['p95_latency_s']:.1f} / {s['p99_latency_s']:.1f} s",
-            f"mean queueing delay   {s['mean_queue_delay_s']:10.1f} s",
-            f"max queueing delay    {s['max_queue_delay_s']:10.1f} s",
-            f"cluster utilization   {s['utilization']:10.1%}",
-            f"executor-seconds      {s['total_executor_seconds']:10.0f}",
-            f"idle capacity cost    ${self.idle_capacity_dollar_cost:9.2f}",
-            f"total cost            ${s['total_dollar_cost']:9.2f}",
-            f"provisioned cost      ${s['provisioned_dollar_cost']:9.2f}",
-            f"prediction cache hit  {s['prediction_cache_hit_rate']:10.1%}",
-        ]
-        if self.adaptive is not None:
-            a = self.adaptive
-            lines.append(
-                f"continual learning    gen {a.model_generation}, "
-                f"{a.retrains} retrains ({a.promotions} promoted, "
-                f"{a.rejections} rejected), {a.drift_alarms} drift alarms, "
-                f"retrain cost ${self.retrain_dollar_cost:.2f}"
-            )
-        faulted = any(
-            pool.stats.fault is not None
-            if pool.stats is not None
-            else any(r.fault_stats is not None for r in pool.records)
-            for pool in self.pools
-        )
-        if faulted:
-            stats = self.fault_stats
-            lines += [
-                f"executor failures     {stats.crashes} crashes, "
-                f"{stats.reclamations} reclamations",
-                f"task retries          {stats.task_retries} "
-                f"({s['wasted_work_seconds']:.0f} task-seconds wasted)",
-                f"spot / on-demand      {stats.spot_executor_seconds:.0f} / "
-                f"{stats.ondemand_executor_seconds:.0f} executor-seconds "
-                f"(${self.spot_dollar_cost:.2f} / "
-                f"${self.ondemand_dollar_cost:.2f})",
-            ]
+        lines = [f"pools                 {self.n_pools}", super().describe()]
         for i, pool in enumerate(self.pools):
             lines.append(
                 f"  pool {i}: {pool.n_queries:4d} queries, "

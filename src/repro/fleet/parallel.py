@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.engine.cluster import Cluster
 from repro.fleet.arrivals import QueryArrival
-from repro.fleet.cluster import PoolSpec
+from repro.fleet.cluster import PoolSpec, static_views
 from repro.fleet.engine import (
     Allocator,
     FleetConfig,
@@ -70,13 +70,8 @@ from repro.fleet.engine import (
     allocator_annotations,
     decision_fields,
 )
-from repro.fleet.metrics import ClusterMetrics, FleetMetrics
-from repro.fleet.routing import (
-    PoolView,
-    Router,
-    RoundRobinRouter,
-    RoutingRequest,
-)
+from repro.fleet.metrics import ClusterMetrics, FleetMetrics, cluster_serving_window
+from repro.fleet.routing import Router, RoundRobinRouter, RoutingRequest
 from repro.workloads.generator import Workload
 
 if TYPE_CHECKING:  # multiprocessing.Queue is a factory method, not a type
@@ -85,29 +80,6 @@ if TYPE_CHECKING:  # multiprocessing.Queue is a factory method, not a type
 __all__ = ["ProcessShardExecutor"]
 
 _INF = float("inf")
-
-
-def _static_views(specs: Sequence[PoolSpec]) -> list[PoolView]:
-    """Placeholder snapshots for state-blind routers.
-
-    A ``uses_pool_state = False`` router may read only the static shape
-    fields (``index``, ``capacity``, ``max_capacity``) and the pool
-    count; the dynamic fields are frozen at their idle values.
-    """
-    return [
-        PoolView(
-            index=i,
-            capacity=spec.capacity,
-            max_capacity=spec.capacity,
-            free=spec.capacity,
-            in_use=0,
-            queue_length=0,
-            queued_executors=0,
-            queued_work_seconds=0.0,
-            active_queries=0,
-        )
-        for i, spec in enumerate(specs)
-    ]
 
 
 def _drive_shard(
@@ -194,7 +166,7 @@ def _drive_shard(
         if not pending and not events:
             break
         if pending and (not events or pending[0][0] <= events[0][0]):
-            now, q, arrival, budget, cached, seconds, notes = pending.popleft()
+            now, _, q, arrival, budget, cached, seconds, notes = pending.popleft()
             submitted += 1
             runtime.submit(now, q, arrival, budget, cached, seconds, notes)
             continue
@@ -387,11 +359,11 @@ class ProcessShardExecutor:
         """Decide, route, and stream every submit to its pool's feed."""
         config = self.config
         record_mode = config.streaming is None
-        views = _static_views(self.pools)
+        views = static_views(self.pools)
         estimates: dict[int, float | None] = {}
         # Submits replayed in global submit order: keyed by
-        # (t_submit, stream position), exactly the shared heap's order
-        # for submit events.
+        # (t_submit, 0, stream position), exactly the shared heap's
+        # order for submit events (positions are unique).
         reorder: list[tuple] = []
         batches: list[list[tuple]] = [[] for _ in feeds]
         pool_of: dict[int, int] = {}
@@ -403,7 +375,7 @@ class ProcessShardExecutor:
             nonlocal anchor_sent
             while reorder and reorder[0][0] < limit:
                 entry = heapq.heappop(reorder)
-                t, pos, arrival, budget, cached, seconds, notes = entry
+                t, _, pos, arrival, budget, cached, seconds, notes = entry
                 if not anchor_sent:
                     # First submit == cluster-wide first admission: the
                     # tick-chain anchor every worker replays from.
@@ -455,7 +427,7 @@ class ProcessShardExecutor:
             delay = seconds if config.charge_prediction_overhead else 0.0
             heapq.heappush(
                 reorder,
-                (t_arrive + delay, pos, arrival, budget, cached, seconds, notes),
+                (t_arrive + delay, 0, pos, arrival, budget, cached, seconds, notes),
             )
             pos += 1
         if pos == 0:
@@ -481,28 +453,14 @@ class ProcessShardExecutor:
                     by_q[q] = record
             records = [by_q[q] for q in range(total)]
             placed = [pool_of[q] for q in range(total)]
-            window = (
-                min(r.arrival_time for r in records),
-                max(r.finish_time for r in records),
-            )
         else:
             records = []
             placed = []
-            starts = [
-                m.stats.first_arrival
-                for m in metrics_by_pool
-                if m.stats is not None and m.stats.first_arrival is not None
-            ]
-            ends = [
-                m.stats.last_finish
-                for m in metrics_by_pool
-                if m.stats is not None and m.stats.last_finish is not None
-            ]
-            window = (min(starts), max(ends))
         # Same cluster-wide billing window the single-process driver
         # imposes; FleetMetrics derives everything lazily, so setting it
         # before first property access is equivalent to passing it into
         # finalize().
+        window = cluster_serving_window(records, (m.stats for m in metrics_by_pool))
         for metrics in metrics_by_pool:
             metrics.serving_window = window
         return ClusterMetrics(pools=metrics_by_pool, records=records, pool_of=placed)

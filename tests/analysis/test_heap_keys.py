@@ -40,25 +40,27 @@ KNOWN_GOOD = textwrap.dedent(
 
 class TestHeapKeys:
     def test_flags_known_bad(self, check_source):
-        findings = check_source(HeapKeyChecker, KNOWN_BAD, "repro.fleet.engine")
+        findings = check_source(HeapKeyChecker, KNOWN_BAD, "repro.fleet.cluster")
         assert len(findings) == 4
         assert {f.rule for f in findings} == {"heap-key"}
         assert "bare expression" in findings[0].message
 
     def test_passes_known_good(self, check_source):
-        assert check_source(HeapKeyChecker, KNOWN_GOOD, "repro.fleet.engine") == []
+        assert check_source(HeapKeyChecker, KNOWN_GOOD, "repro.fleet.cluster") == []
 
     def test_scope_is_the_three_serve_loop_modules(self, check_source):
         for module in (
             "repro.engine.scheduler",
-            "repro.fleet.engine",
             "repro.fleet.cluster",
+            "repro.fleet.parallel",
         ):
             assert check_source(HeapKeyChecker, KNOWN_BAD, module), module
+        # FleetEngine drives a one-pool ShardedFleet: no heap of its own.
+        assert check_source(HeapKeyChecker, KNOWN_BAD, "repro.fleet.engine") == []
         # The vectorized sweep's wave heap is internal to one function
         # and out of scope by design.
         assert check_source(HeapKeyChecker, KNOWN_BAD, "repro.engine.sweep") == []
 
     def test_heappop_is_not_a_push(self, check_source):
         src = "import heapq\n\ndef f(h):\n    return heapq.heappop(h)\n"
-        assert check_source(HeapKeyChecker, src, "repro.fleet.engine") == []
+        assert check_source(HeapKeyChecker, src, "repro.fleet.cluster") == []

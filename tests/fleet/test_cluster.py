@@ -19,6 +19,7 @@ from repro.fleet import (
     static_allocator,
 )
 from repro.engine.allocation import DynamicAllocation
+from repro.obs import RingBufferTracer
 from repro.workloads.generator import Workload
 
 QIDS = ("q1", "q2", "q3", "q5", "q94")
@@ -74,6 +75,26 @@ class TestShardedOfOneParity:
         fleet = FleetEngine(workload, capacity=16, allocator=slow_allocator)
         sharded = ShardedFleet(workload, [16], slow_allocator)
         self.assert_parity(sharded.serve(arrivals), fleet.serve(arrivals))
+
+    def test_traced_event_streams_identical(self, workload, stream):
+        """A traced engine emits the one-pool cluster's event list:
+        arrivals and predictions at cluster level (pool -1), one
+        ``query_route`` per query, and the same ``serve_end`` time."""
+        fleet_trace, sharded_trace = RingBufferTracer(), RingBufferTracer()
+        FleetEngine(
+            workload, capacity=24, allocator=static_allocator(8), tracer=fleet_trace
+        ).serve(stream)
+        ShardedFleet(
+            workload, [PoolSpec(capacity=24)], static_allocator(8), tracer=sharded_trace
+        ).serve(stream)
+        events = fleet_trace.events
+        assert events == sharded_trace.events
+        cluster_level = {"query_arrive", "query_predict"}
+        assert {e.pool for e in events if e.kind in cluster_level} == {-1}
+        assert fleet_trace.counts()["query_route"] == len(stream)
+        assert events[-1].kind == "serve_end"
+        finishes = [e.time for e in events if e.kind == "query_finish"]
+        assert events[-1].time == max(finishes)
 
 
 class TestClusterValidation:
