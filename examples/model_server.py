@@ -67,11 +67,14 @@ async def one_round(
     answers = await asyncio.gather(*(ask(p) for p in payloads))
     print(f"{label}:")
     for answer in answers:
+        if answer["cached"]:
+            source = "cache hit"
+        else:
+            source = f"model inference, batch of {answer['batch_size']}"
         print(
             f"   {answer['query_id']:>4s}: {answer['executors']:2d} "
             f"executors, est {answer['estimated_runtime_s']:7.1f} s  "
-            f"(batch of {answer['batch_size']}, "
-            f"{'cache hit' if answer['cached'] else 'model inference'})"
+            f"({source})"
         )
 
 
@@ -95,7 +98,7 @@ async def serve_and_query(registry: Path, workload: Workload) -> None:
     ]
     # Burst one: every plan is new, so the burst coalesces into one
     # model inference.  Burst two: identical plans, so every answer is
-    # a plan-signature cache hit (still batched through the same path).
+    # a plan-signature cache hit, answered without entering a batch.
     await one_round(host, port, payloads, "first burst (cold cache)")
     print()
     await one_round(host, port, payloads, "second burst (warm cache)")

@@ -99,6 +99,14 @@ class PredictionService:
             arrival — never a wrong answer.
     """
 
+    #: Bound on the plan-signature memo cache, copied to
+    #: ``self.decision_cache_size``.  The cache is an LRU like the
+    #: featurization memo: a hit refreshes its entry, an insert past the
+    #: bound evicts the least recently used signature and counts one
+    #: :attr:`evictions`.  An evicted signature only costs a re-inference
+    #: on its next request.
+    DECISION_CACHE_SIZE = 65536
+
     def __init__(
         self,
         scorer: PPMScorer,
@@ -120,13 +128,18 @@ class PredictionService:
         self.max_executors = int(max_executors)
         self.tracer = tracer
         self.features_memo_size = int(features_memo_size)
+        self.decision_cache_size = self.DECISION_CACHE_SIZE
         #: Model generation: bumped by :meth:`invalidate` (and so by
         #: :meth:`swap_scorer`).  Every memo-cache entry is tagged with
         #: the generation that produced it, so a decision can never be
         #: served from a model that is no longer behind the service.
         self.generation = 0
-        # signature -> (generation, chosen count, predicted runtime)
+        # signature -> (generation, chosen count, predicted runtime); an
+        # LRU (insertion order = recency) bounded by decision_cache_size.
         self._cache: dict[tuple[float, ...], tuple[int, int, float]] = {}
+        #: Decision-cache entries dropped by the ``decision_cache_size``
+        #: bound (reported by the serving layer's ``/metrics``).
+        self.evictions = 0
         # Featurization memo for the fleet path, keyed like the engine's
         # compiled-plan memo: one optimized plan per query id, so the id
         # keys its feature vector and recurring arrivals skip the plan
@@ -161,8 +174,10 @@ class PredictionService:
 
         Two plans with identical Table-2 features get — by construction —
         identical predictions, so they are the same cache entry.
+        ``values`` is a float64 array, so ``tolist`` yields the same
+        Python floats as converting entry by entry, in one C call.
         """
-        return tuple(float(v) for v in features.values)
+        return tuple(features.values.tolist())
 
     @property
     def cache_size(self) -> int:
@@ -204,6 +219,49 @@ class PredictionService:
     def mean_overhead_seconds(self) -> float:
         served = self.hits + self.misses
         return self.total_seconds / served if served else 0.0
+
+    def _live(self, key: tuple[float, ...]) -> tuple[int, float] | None:
+        """The current-generation decision for ``key``, or None.
+
+        A live entry is refreshed as the most recently used.
+        """
+        entry = self._cache.get(key)
+        if entry is None or entry[0] != self.generation:
+            return None
+        del self._cache[key]
+        self._cache[key] = entry
+        return entry[1], entry[2]
+
+    def _remember(
+        self, key: tuple[float, ...], decision: tuple[int, float]
+    ) -> None:
+        """Cache a freshly scored decision, evicting past the bound."""
+        cache = self._cache
+        cache.pop(key, None)
+        cache[key] = (self.generation, *decision)
+        if len(cache) > self.decision_cache_size:
+            del cache[next(iter(cache))]
+            self.evictions += 1
+
+    def lookup(self, features: QueryFeatures) -> Prediction | None:
+        """Answer from the memo cache alone, or None on a miss.
+
+        A hit is counted and returned exactly as :meth:`predict_batch`
+        would return it (``cached=True``, ``seconds=0.0``).  A miss
+        counts nothing: the caller is expected to score it through
+        :meth:`predict_batch`, which counts it, so ``hits + misses``
+        stays the number of decisions served.
+        """
+        decision = self._live(self.signature(features))
+        if decision is None:
+            return None
+        self.hits += 1
+        return Prediction(
+            executors=decision[0],
+            cached=True,
+            seconds=0.0,
+            estimated_runtime_seconds=decision[1],
+        )
 
     def _note_fallback(self, n_misses: int) -> None:
         """Trace the first per-miss inference loop taken in a batch call.
@@ -256,15 +314,15 @@ class PredictionService:
     def _serve(self, features: QueryFeatures, start: float) -> Prediction:
         """Cache lookup + (on miss) inference, timed from ``start``."""
         key = self.signature(features)
-        entry = self._cache.get(key)
-        cached = entry is not None and entry[0] == self.generation
-        if cached and entry is not None:
-            self.hits += 1
-            _, chosen, runtime = entry
-        else:
+        decision = self._live(key)
+        cached = decision is not None
+        if decision is None:
             self.misses += 1
-            chosen, runtime = self._select(self.scorer.predict_ppm(features))
-            self._cache[key] = (self.generation, chosen, runtime)
+            decision = self._select(self.scorer.predict_ppm(features))
+            self._remember(key, decision)
+        else:
+            self.hits += 1
+        chosen, runtime = decision
         elapsed = time.perf_counter() - start
         self.total_seconds += elapsed
         if self.tracer is not None:
@@ -303,14 +361,21 @@ class PredictionService:
         featurized = [self._featurize(p) for p in plans]
         keys = [self.signature(f) for f in featurized]
 
+        # Every row's decision is read from here, never back out of the
+        # cache: a batch with more misses than the cache bound evicts
+        # some of its own answers before they are handed out.
+        decisions: dict[tuple[float, ...], tuple[int, float]] = {}
         miss_order: list[int] = []
-        seen: set[tuple[float, ...]] = set()
+        missed: set[tuple[float, ...]] = set()
         for i, key in enumerate(keys):
-            entry = self._cache.get(key)
-            live = entry is not None and entry[0] == self.generation
-            if not live and key not in seen:
+            if key in decisions or key in missed:
+                continue
+            decision = self._live(key)
+            if decision is None:
                 miss_order.append(i)
-                seen.add(key)
+                missed.add(key)
+            else:
+                decisions[key] = decision
 
         if miss_order:
             batch_scorer = getattr(self.scorer, "predict_ppm_batch", None)
@@ -326,11 +391,11 @@ class PredictionService:
                     for i in miss_order
                 ]
             for i, ppm in zip(miss_order, ppms):
-                self._cache[keys[i]] = (self.generation, *self._select(ppm))
+                decision = decisions[keys[i]] = self._select(ppm)
+                self._remember(keys[i], decision)
 
         elapsed = time.perf_counter() - start
         per_miss = elapsed / len(miss_order) if miss_order else 0.0
-        missed = {keys[i] for i in miss_order}
         out: list[Prediction] = []
         for key in keys:
             cached = key not in missed
@@ -339,7 +404,7 @@ class PredictionService:
             else:
                 self.misses += 1
                 missed.discard(key)  # later repeats in the batch are hits
-            _, chosen, runtime = self._cache[key]
+            chosen, runtime = decisions[key]
             out.append(
                 Prediction(
                     executors=chosen,

@@ -22,7 +22,8 @@ rule; the rest of :mod:`repro.serve` must stay clock-free.
 Endpoints (full request/response schemas in ``docs/serving.md``):
 
 - ``POST /v1/recommend`` — one feature vector in, one executor-count
-  recommendation out (coalesced server-side into batched inference).
+  recommendation out (a memo-cache hit is answered on the spot; misses
+  are coalesced server-side into batched inference).
 - ``GET /metrics`` — JSON self-measurement snapshot.
 - ``GET /healthz`` — liveness + draining state.
 """
@@ -208,17 +209,24 @@ class RecommendApp:
             features = _parse_features(request)
         except ProtocolError as exc:
             return json_response(exc.status, {"error": exc.detail})
-        try:
-            prediction, batch_size = await self.batcher.submit(features)
-        except QueueFullError:
-            self.metrics.counter("serve.shed").inc()
-            return json_response(
-                429,
-                {"error": "request queue is full; retry later"},
-                headers={"Retry-After": "1"},
-            )
-        except BatcherClosedError:
-            return json_response(503, {"error": "server is draining"})
+        # A memo hit needs no inference, so it skips the batching
+        # window.  Once draining it goes through the batcher like a miss
+        # and gets the same 503.
+        prediction = None if self.draining else self.service.lookup(features)
+        if prediction is not None:
+            batch_size = 0
+        else:
+            try:
+                prediction, batch_size = await self.batcher.submit(features)
+            except QueueFullError:
+                self.metrics.counter("serve.shed").inc()
+                return json_response(
+                    429,
+                    {"error": "request queue is full; retry later"},
+                    headers={"Retry-After": "1"},
+                )
+            except BatcherClosedError:
+                return json_response(503, {"error": "server is draining"})
         return json_response(
             200,
             {
@@ -293,6 +301,7 @@ class RecommendApp:
                 "misses": service.misses,
                 "hit_rate": service.hits / decisions if decisions else 0.0,
                 "cache_size": service.cache_size,
+                "evictions": service.evictions,
                 "model_generation": service.generation,
                 "batched": service.batched,
                 "mean_overhead_ms": service.mean_overhead_seconds() * 1e3,

@@ -62,6 +62,13 @@ class TestMemoCache:
         assert not a.cached
         assert b.cached
 
+    def test_signature_is_the_float_feature_vector(self):
+        rng = np.random.default_rng(3)
+        f = QueryFeatures(values=rng.random(len(FEATURE_NAMES)) * 1e9)
+        key = PredictionService.signature(f)
+        assert key == tuple(float(v) for v in f.values)
+        assert all(type(v) is float for v in key)
+
     def test_clamps_to_range(self):
         # The fixed curve's elbow would land mid-grid; a tight clamp wins.
         service = PredictionService(
@@ -236,6 +243,98 @@ class TestFeaturesMemoLRU:
     def test_validation(self):
         with pytest.raises(ValueError):
             PredictionService(CountingScorer(), features_memo_size=0)
+
+
+class TestLookup:
+    """``lookup`` answers from the memo cache alone, for the HTTP fast
+    path; a miss is left to ``predict_batch`` to score and count."""
+
+    def test_hit_matches_a_batch_hit(self):
+        service = PredictionService(CountingScorer())
+        service.predict_batch([features(1.0)])
+        hit = service.lookup(features(1.0))
+        batch_hit = service.predict_batch([features(1.0)])[0]
+        assert hit == batch_hit
+        assert hit is not None and hit.cached and hit.seconds == 0.0
+        assert (service.hits, service.misses) == (2, 1)
+
+    def test_miss_counts_nothing(self):
+        scorer = CountingScorer()
+        service = PredictionService(scorer)
+        assert service.lookup(features(1.0)) is None
+        assert (service.hits, service.misses) == (0, 0)
+        assert scorer.calls == 0
+        assert service.cache_size == 0
+
+    def test_stale_generation_entry_is_not_a_hit(self):
+        service = PredictionService(CountingScorer())
+        service.predict(features(1.0))
+        key, entry = next(iter(service._cache.items()))
+        service.invalidate()
+        service._cache[key] = entry  # resurrect a generation-0 entry
+        assert service.lookup(features(1.0)) is None
+        assert service.hits == 0
+
+
+class TestDecisionCacheLRU:
+    """The unbounded-cache fix: ``_cache`` is a bounded LRU."""
+
+    def test_bound_enforced_with_lru_eviction(self):
+        service = PredictionService(CountingScorer())
+        service.decision_cache_size = 3
+        for seed in range(6):
+            service.predict(features(float(seed)))
+        assert service.cache_size == 3
+        assert service.evictions == 3
+        assert [key[0] for key in service._cache] == [3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("path", ["lookup", "predict", "predict_batch"])
+    def test_every_hit_path_refreshes_recency(self, path):
+        service = PredictionService(CountingScorer())
+        service.decision_cache_size = 2
+        service.predict(features(1.0))
+        service.predict(features(2.0))
+        if path == "predict_batch":
+            service.predict_batch([features(1.0)])
+        else:
+            getattr(service, path)(features(1.0))
+        service.predict(features(3.0))  # evicts 2.0, not the refreshed 1.0
+        assert [key[0] for key in service._cache] == [1.0, 3.0]
+        assert service.evictions == 1
+
+    def test_eviction_only_costs_reinference(self):
+        scorer = CountingScorer()
+        service = PredictionService(scorer)
+        service.decision_cache_size = 1
+        first = service.predict(features(1.0))
+        service.predict(features(2.0))  # evicts 1.0
+        again = service.predict(features(1.0))
+        assert again.cached is False
+        assert again.executors == first.executors
+        assert scorer.calls == 3
+
+    def test_batch_with_more_misses_than_the_bound(self):
+        class ScaledScorer(CountingScorer):
+            def predict_ppm(self, features):
+                self.calls += 1
+                b = 100.0 * (1.0 + features.values[0])
+                return PowerLawPPM(a=-0.8, b=b, m=10.0)
+
+        rows = [features(float(i % 7)) for i in range(12)]
+        bounded = PredictionService(ScaledScorer())
+        bounded.decision_cache_size = 2
+        unbounded = PredictionService(ScaledScorer())
+        out = bounded.predict_batch(rows)
+        reference = unbounded.predict_batch(rows)
+        assert [
+            (p.executors, p.estimated_runtime_seconds, p.cached) for p in out
+        ] == [
+            (p.executors, p.estimated_runtime_seconds, p.cached)
+            for p in reference
+        ]
+        assert bounded.cache_size == 2
+        assert bounded.evictions == 5
+        assert (bounded.hits, bounded.misses) == (5, 7)
 
 
 class TestBatching:

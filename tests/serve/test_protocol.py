@@ -4,9 +4,12 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     MAX_HEADER_BYTES,
+    REASON_PHRASES,
     HttpRequest,
     HttpResponse,
     ProtocolError,
@@ -119,6 +122,57 @@ class TestMalformedRequests:
     def test_transfer_encoding_501(self):
         raw = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
         assert parse_error(raw).status == 501
+
+
+#: Pieces of real requests; spliced between arbitrary bytes they steer
+#: the fuzzer past the request line into headers and bodies, which
+#: uniformly random bytes almost never reach.
+_HTTP_FRAGMENTS = (
+    b"GET",
+    b"POST",
+    b" ",
+    b"/",
+    b"/v1/recommend",
+    b"HTTP/1.1",
+    b"HTTP/1.0",
+    b"\r\n",
+    b"\n",
+    b":",
+    b"Content-Length: ",
+    b"Transfer-Encoding: chunked",
+    b"Connection: close",
+    b"0",
+    b"17",
+    b"-1",
+    b"9" * 40,
+)
+
+_raw_requests = st.one_of(
+    st.binary(max_size=2048),
+    st.lists(
+        st.one_of(st.sampled_from(_HTTP_FRAGMENTS), st.binary(max_size=16)),
+        max_size=48,
+    ).map(b"".join),
+)
+
+
+class TestFuzzedRequests:
+    @given(raw=_raw_requests, max_body_bytes=st.integers(0, 64))
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_bytes_parse_or_raise_protocol_error(
+        self, raw, max_body_bytes
+    ):
+        """Whatever a peer sends before hanging up, ``read_request``
+        returns a request, returns None, or raises ProtocolError —
+        never anything the server would answer with a 500."""
+        try:
+            request = parse(raw, max_body_bytes=max_body_bytes)
+        except ProtocolError as exc:
+            assert exc.status in REASON_PHRASES
+            return
+        assert request is None or isinstance(request, HttpRequest)
+        if request is not None:
+            assert len(request.body) <= max_body_bytes
 
 
 class TestBodyJson:

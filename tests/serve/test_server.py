@@ -516,7 +516,7 @@ class TestMetricsAndTracing:
         assert latency["count"] == 3
         for field in ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms"):
             assert latency[field] >= 0
-        assert metrics["batch"]["items"] == 3
+        assert metrics["batch"]["items"] == 2  # the hit skipped the batcher
         assert metrics["prediction"]["hits"] == 1
         assert metrics["prediction"]["misses"] == 2
         assert metrics["prediction"]["hit_rate"] == pytest.approx(1 / 3)
@@ -550,6 +550,120 @@ class TestMetricsAndTracing:
             "/v1/recommend",
             "/metrics",
         }
+
+
+class TestCacheHitFastPath:
+    """A memo hit is answered at parse time and never enters the batcher;
+    only misses wait in the batching window."""
+
+    def test_hit_skips_the_batcher(self, stub_scorer):
+        async def run():
+            async with serve_stack(stub_scorer) as (_, app, host, port):
+                async with ServeClient(host, port) as client:
+                    payload = features_payload(1.0)
+                    miss = (await client.post_json("/v1/recommend", payload)).json()
+                    items = app.batcher.n_items
+                    hit = (await client.post_json("/v1/recommend", payload)).json()
+                    return miss, hit, items, app.batcher.n_items
+
+        miss, hit, items_before, items_after = asyncio.run(run())
+        assert miss["cached"] is False
+        assert miss["batch_size"] == 1
+        assert hit["cached"] is True
+        assert hit["batch_size"] == 0  # shared no inference
+        assert items_after == items_before
+        assert hit["executors"] == miss["executors"]
+        assert hit["estimated_runtime_s"] == miss["estimated_runtime_s"]
+
+    def test_hits_plus_misses_count_the_200s(self, stub_scorer):
+        async def run():
+            async with serve_stack(stub_scorer) as (_, app, host, port):
+                async with ServeClient(host, port) as client:
+                    statuses = []
+                    for scale in (1.0, 2.0, 1.0, 1.0, 3.0, 2.0):
+                        reply = await client.post_json(
+                            "/v1/recommend", features_payload(scale)
+                        )
+                        statuses.append(reply.status)
+                    reply = await client.post_json("/v1/recommend", {})
+                    statuses.append(reply.status)
+                    return statuses, app.service
+
+        statuses, service = asyncio.run(run())
+        assert statuses.count(400) == 1
+        assert service.hits + service.misses == statuses.count(200)
+        assert (service.hits, service.misses) == (3, 3)
+
+    def test_swap_scorer_turns_a_cached_vector_into_a_miss(self, stub_scorer):
+        class DoubledScorer(StubScorer):
+            def predict_ppm_batch(self, matrix):
+                matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+                self.batch_calls += 1
+                return [_ppm_for(2.0 * row[0]) for row in matrix]
+
+        async def run():
+            async with serve_stack(stub_scorer) as (_, app, host, port):
+                async with ServeClient(host, port) as client:
+                    payload = features_payload(3.0)
+                    await client.post_json("/v1/recommend", payload)
+                    cached = (await client.post_json("/v1/recommend", payload)).json()
+                    new_scorer = DoubledScorer()
+                    app.service.swap_scorer(new_scorer)
+                    after = (await client.post_json("/v1/recommend", payload)).json()
+                    return cached, after, new_scorer.batch_calls
+
+        cached, after, new_batch_calls = asyncio.run(run())
+        assert cached["cached"] is True
+        assert after["cached"] is False
+        assert after["batch_size"] == 1
+        assert new_batch_calls == 1
+        fresh = PredictionService(StubScorer()).predict(
+            QueryFeatures(np.full(N_FEATURES, 6.0))
+        )
+        assert after["estimated_runtime_s"] == fresh.estimated_runtime_seconds
+        assert after["estimated_runtime_s"] != cached["estimated_runtime_s"]
+
+    def test_hit_after_close_gets_503(self, stub_scorer):
+        async def run():
+            async with serve_stack(stub_scorer) as (_, app, host, port):
+                async with ServeClient(host, port) as client:
+                    payload = features_payload(1.0)
+                    await client.post_json("/v1/recommend", payload)
+                    await app.close()
+                    reply = await client.post_json("/v1/recommend", payload)
+                    return reply.status, reply.json(), app.service.hits
+
+        status, body, hits = asyncio.run(run())
+        assert status == 503
+        assert body == {"error": "server is draining"}
+        assert hits == 0  # a refused request is not a served decision
+
+    def test_concurrent_burst_of_misses_still_coalesces(self, stub_scorer):
+        async def run():
+            kwargs = {"max_wait_s": 0.05}
+            async with serve_stack(stub_scorer, app_kwargs=kwargs) as (
+                _,
+                app,
+                host,
+                port,
+            ):
+
+                async def one(i):
+                    async with ServeClient(host, port) as client:
+                        reply = await client.post_json(
+                            "/v1/recommend", features_payload(i % 4)
+                        )
+                        return reply.status
+
+                statuses = await asyncio.gather(*(one(i) for i in range(16)))
+                return statuses, app.batcher.n_batches, app.service
+
+        statuses, n_batches, service = asyncio.run(run())
+        assert statuses == [200] * 16
+        assert n_batches < 16
+        assert stub_scorer.batch_calls == n_batches
+        assert service.misses == 4  # each distinct vector inferred once
+        assert service.hits == 12
 
 
 class TestRealModelParity:
