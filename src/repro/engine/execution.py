@@ -32,7 +32,15 @@ This module is that single copy:
 Task-completion events are identified by ``(stage_id, executor_id)``
 pairs handed to the driver's ``emit`` callback and stored verbatim in
 its heap (event heaps order on a unique push counter, so payloads are
-never compared).  An earlier encoding packed the pair into
+never compared).  The dedicated scheduler gives each completion its own
+heap entry.  The fleet's heap (:class:`repro.fleet.cluster.EventHeap`)
+appends a completion to the previous entry's list instead when that
+entry was the last push of any kind, is a completion of the same query
+at the same instant, and has not been popped yet.  That preserves the
+order: the appended completion would have taken the very next counter
+value, so no event can sort between the two, and the pool runtime still
+plays each listed completion's ``complete_task`` / ``assign`` step in
+turn.  An earlier encoding packed the pair into
 ``stage_id * 10_000_000 + executor_id`` — executor ids are unbounded
 under idle-release churn, so a long-lived run could collide an executor
 id into the stage field; the pair representation is collision-free by

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.ppm import AmdahlPPM, PowerLawPPM, PricePerfModel
 from repro.export.format import load_model_file
-from repro.ml.packed import PackedForest
+from repro.ml.packed import PackedForest, reject_non_finite
 
 __all__ = ["PortableModelRuntime", "PortablePPMScorer"]
 
@@ -54,6 +54,9 @@ class _CompiledForest:
                 f"{self.n_features}"
             )
         if self.kind == "linear":
+            # A NaN/inf row would price to a NaN/inf curve; refuse it the
+            # way the forest kernel does.
+            reject_non_finite(X)
             out = X @ self.coef.T + self.intercept
         else:
             out = self.forest.predict(X)

@@ -174,6 +174,9 @@ class CapacityArbiter:
         self._app_of: dict[int, int] = {}
         self._app_usage: dict[int, int] = {}
         self.in_use = 0
+        #: Bumped by every mutator, so a caller can tell an unchanged
+        #: pool from its last look without comparing state.
+        self.version = 0
 
     @property
     def free(self) -> int:
@@ -212,6 +215,7 @@ class CapacityArbiter:
         """
         if new_capacity < 1:
             raise ValueError("pool capacity must be at least 1 executor")
+        self.version += 1
         self.capacity = min(max(int(new_capacity), self.in_use, 1), self.max_capacity)
         return self.capacity
 
@@ -234,6 +238,7 @@ class CapacityArbiter:
             raise ValueError(
                 f"query {request.query_index} already holds a grant"
             )
+        self.version += 1
         self._queue.append(request)
 
     def admit(self) -> list[AdmissionRequest]:
@@ -253,6 +258,7 @@ class CapacityArbiter:
             raise RuntimeError(
                 "admission policy granted beyond pool capacity"
             )
+        self.version += 1
         self.in_use += count
         self._granted[query_index] = self._granted.get(query_index, 0) + count
         self._app_of[query_index] = app_id
@@ -291,6 +297,7 @@ class CapacityArbiter:
             )
         if count <= 0:
             return 0
+        self.version += 1
         self.in_use -= count
         app_id = self._app_of[query_index]
         self._app_usage[app_id] -= count

@@ -72,6 +72,7 @@ from repro.fleet.admission import (
 )
 from repro.fleet.arrivals import QueryArrival
 from repro.fleet.metrics import FleetMetrics, PoolStreamStats, QueryRecord, SkylineTracker
+from repro.fleet.routing import DEFAULT_RUNTIME_ESTIMATE_S, PoolView
 from repro.obs.trace import TraceEvent, Tracer
 from repro.workloads.generator import Workload
 
@@ -299,6 +300,13 @@ class PoolRuntime:
     (:mod:`repro.fleet.parallel`) can replay one pool's subsequence on
     a heap of its own.
 
+    A query's :class:`_QueryRun` is freed, in record and streaming mode
+    alike, once the query has finished and no grant of its is still
+    ramping in (``outstanding == 0``): its record already holds the
+    skyline and log.  Ticks, :attr:`active_queries` and
+    :meth:`unfinished_queries` therefore cost O(live queries), not
+    O(queries ever admitted).
+
     Args:
         workload: supplies plans and compiled stage graphs per query id.
         capacity: the pool's (initial) size in executors.
@@ -306,7 +314,10 @@ class PoolRuntime:
         admission: queueing policy (default FIFO).
         config: fleet knobs (shared across pools in a cluster).
         push: ``push(time, kind, q, payload)`` — schedule an event for
-            this pool on the driver's heap.
+            this pool on the driver's heap.  A ``task_done`` push carries
+            one ``(stage_id, executor_id)`` completion; the driver hands
+            :meth:`handle_task_done` a list of them (see
+            :class:`~repro.fleet.cluster.EventHeap`).
         start_ticks: driver callback that starts the (shared) tick chain
             the first time any pool admits a query.
         compiled: compile-once memo mapping query id → compiled plan
@@ -349,6 +360,8 @@ class PoolRuntime:
         self.pool_skyline.record(0.0, 0)
         self.capacity_skyline: Skyline | None = None
         self.runs: dict[int, _QueryRun] = {}
+        #: Admitted queries not yet finished.
+        self.active_queries = 0
         self.records: dict[int, QueryRecord] = {}
         self._pending: dict[
             int,
@@ -356,9 +369,12 @@ class PoolRuntime:
         ] = {}
         self._compiled = compiled
         self._ec = cluster.cores_per_executor
+        # view()'s memo and the (arbiter.version, active_queries) it was
+        # built at.
+        self._view: PoolView | None = None
+        self._view_key = (0, 0)
         # Streaming mode: finished queries fold into bounded accumulators
-        # (and optionally a JSONL spool) instead of self.records, and
-        # their _QueryRun state is freed eagerly.
+        # (and optionally a JSONL spool) instead of self.records.
         self.stats: PoolStreamStats | None = None
         self._spool = None
         streaming = config.streaming
@@ -379,24 +395,44 @@ class PoolRuntime:
         return self.arbiter.capacity
 
     @property
-    def max_capacity(self) -> int:
-        return self.arbiter.max_capacity
-
-    @property
-    def free(self) -> int:
-        return self.arbiter.free
-
-    @property
     def in_use(self) -> int:
         return self.arbiter.in_use
 
-    @property
-    def queue_length(self) -> int:
-        return self.arbiter.queue_length
+    def view(self) -> PoolView:
+        """This pool's snapshot for routers and autoscalers.
 
-    @property
-    def active_queries(self) -> int:
-        return sum(1 for run in self.runs.values() if not run.finished)
+        Every field derives from the arbiter's state, the live-query
+        count and the queued queries' immutable runtime estimates, so
+        the last snapshot is returned again while ``(arbiter.version,
+        active_queries)`` is unchanged — as it is on most ticks.
+        """
+        key = (self.arbiter.version, self.active_queries)
+        view = self._view
+        if view is None or key != self._view_key:
+            view = self._view = self._build_view()
+            self._view_key = key
+        return view
+
+    def _build_view(self) -> PoolView:
+        arbiter = self.arbiter
+        queued_work = 0.0
+        for request in arbiter.queued_requests:
+            estimate = self._pending[request.query_index][4]
+            if estimate is None:
+                estimate = DEFAULT_RUNTIME_ESTIMATE_S
+            queued_work += request.executors * estimate
+        return PoolView(
+            index=self.pool_index,
+            capacity=arbiter.capacity,
+            max_capacity=arbiter.max_capacity,
+            free=arbiter.free,
+            in_use=arbiter.in_use,
+            queue_length=arbiter.queue_length,
+            queued_executors=arbiter.queued_executors,
+            queued_work_seconds=queued_work,
+            active_queries=self.active_queries,
+            oldest_submit_time=arbiter.oldest_submit_time,
+        )
 
     # --- capacity elasticity ---------------------------------------------
     def track_capacity(self) -> None:
@@ -610,6 +646,7 @@ class PoolRuntime:
             outstanding=request.executors,
         )
         self.runs[q] = run
+        self.active_queries += 1
         if self.tracer is not None:
             # The admit payload carries everything the trace analyzer
             # needs to rebuild this query's ExecutionLog without touching
@@ -634,14 +671,16 @@ class PoolRuntime:
         self.start_ticks(now)
         for t in self.cluster.grant_schedule(now, request.executors):
             self.push(t, "exec_arrive", q)
-        self.poll_scaling(now, q)
+        if policy is not None:
+            self.poll_scaling(now, q)
 
     # --- event handlers ---------------------------------------------------
     def handle_driver_done(self, now: float, q: int) -> None:
         run = self.runs[q]
         run.core.mark_driver_done(now)
         run.core.assign(now, run.emit)
-        self.poll_scaling(now, q)
+        if run.policy is not None:
+            self.poll_scaling(now, q)
 
     def handle_exec_arrive(self, now: float, q: int) -> None:
         run = self.runs[q]
@@ -660,9 +699,9 @@ class PoolRuntime:
                 )
             self.record_pool(now)
             self.drain_admissions(now)
-            if self.stats is not None and run.outstanding == 0:
-                # Streaming: the last straggling grant is back; the run
-                # held nothing but this countdown since it finished.
+            if run.outstanding == 0:
+                # The last straggling grant is back; the run held
+                # nothing but this countdown since it finished.
                 del self.runs[q]
         else:
             eid = run.core.add_executor(now)
@@ -679,7 +718,8 @@ class PoolRuntime:
                             {"eid": eid, "fail_at": float(fail_at)},
                         )
             run.core.assign(now, run.emit)
-            self.poll_scaling(now, q)
+            if run.policy is not None:
+                self.poll_scaling(now, q)
 
     def handle_exec_fail(self, now: float, q: int, eid: int) -> None:
         """A drawn executor failure fired: revoke, requeue, re-provision.
@@ -696,7 +736,7 @@ class PoolRuntime:
         run = self.runs.get(q)
         if run is None or run.finished:
             # The query outran its failure; its grant is already back in
-            # the pool (a streaming serve freed the run itself too).
+            # the pool (and the run itself may be freed).
             return
         outcome = run.core.fail_executor(now, eid)
         if outcome is None:
@@ -732,23 +772,46 @@ class PoolRuntime:
             self.record_pool(now)
             self.drain_admissions(now)
         run.core.assign(now, run.emit)
-        self.poll_scaling(now, q)
+        if run.policy is not None:
+            self.poll_scaling(now, q)
 
-    def handle_task_done(self, now: float, q: int, payload: tuple) -> bool:
-        """Returns ``True`` when this completion finished the query."""
-        run = self.runs[q]
-        stage_id, eid = payload
-        if run.core.complete_task(now, stage_id, eid):
-            self._finish_query(now, q)
-            self.drain_admissions(now)
-            return True
-        run.core.assign(now, run.emit)
-        self.poll_scaling(now, q)
+    def handle_task_done(
+        self, now: float, q: int, payload: list[tuple[int, int]]
+    ) -> bool:
+        """Play one same-instant wave of query ``q``'s task completions.
+
+        ``payload`` lists ``(stage_id, executor_id)`` completions in push
+        order.  Each runs the one-completion step — ``complete_task``,
+        then ``assign``, then the policy poll — before the next, exactly
+        as if each had been its own heap entry: one ``assign`` after the
+        whole wave would fill free cores in executor order rather than
+        completion order, a different schedule.
+
+        Returns ``True`` when the wave finished the query.  Completions
+        after the finishing one, and any wave for a freed run, can only
+        be stale ones scheduled by an executor that failed (every task
+        completes live exactly once), so they are no-ops.
+        """
+        run = self.runs.get(q)
+        if run is None:
+            return False
+        core = run.core
+        emit = run.emit
+        poll = run.policy is not None
+        for stage_id, eid in payload:
+            if core.complete_task(now, stage_id, eid):
+                self._finish_query(now, q)
+                self.drain_admissions(now)
+                return True
+            core.assign(now, emit)
+            if poll:
+                self.poll_scaling(now, q)
         return False
 
     def _finish_query(self, now: float, q: int) -> None:
         run = self.runs[q]
         run.finished = True
+        self.active_queries -= 1
         arrived = len(run.core.executors)
         run.core.executors.clear()
         if arrived:
@@ -795,15 +858,16 @@ class PoolRuntime:
             )
         if stats is None:
             self.records[q] = record
-            return
-        # Streaming: fold, optionally spool, and free the run — its
-        # skyline, core, and record all die here.  A run whose grant
-        # ramp is still in flight stays until the last exec_arrive
-        # hands the late executor back (handle_exec_arrive frees it).
-        stats.observe(record)
-        if self._spool is not None:
-            self._spool.write(record.to_json())
-            self._spool.write("\n")
+        else:
+            # Streaming: fold and optionally spool; the skyline, core
+            # and record all die with the run.
+            stats.observe(record)
+            if self._spool is not None:
+                self._spool.write(record.to_json())
+                self._spool.write("\n")
+        # Free the run.  One whose grant ramp is still in flight stays
+        # until the last exec_arrive hands the late executor back
+        # (handle_exec_arrive frees it then).
         if run.outstanding == 0:
             del self.runs[q]
 

@@ -18,8 +18,11 @@ the single-process :meth:`ShardedFleet.serve
 record mode, per-pool streaming accumulators bit-for-bit in streaming
 mode.  The argument: each worker replays exactly the event subsequence
 its pool saw in the shared heap.  Submits arrive in global submit
-order; the worker's local heap uses the same ``(time, class, seq)``
-key; the tick chain is re-anchored at the cluster-wide first admission
+order; the worker's local heap is the same
+:class:`~repro.fleet.cluster.EventHeap`, with its ``(time, class,
+seq)`` key and its task-wave rule (which never reorders events, so
+coalescing that differs with the other pools' pushes is harmless); the
+tick chain is re-anchored at the cluster-wide first admission
 time and advanced by the identical repeated float addition (ticks
 skipped while a pool is empty are no-ops there).  Per-pool metric folds
 run in the pool's own finish order, which is what the single-process
@@ -52,8 +55,8 @@ runs the query.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import multiprocessing
 import traceback
 from collections import deque
@@ -61,7 +64,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.engine.cluster import Cluster
 from repro.fleet.arrivals import QueryArrival
-from repro.fleet.cluster import PoolSpec, static_views
+from repro.fleet.cluster import EventHeap, PoolSpec, static_views
 from repro.fleet.engine import (
     Allocator,
     FleetConfig,
@@ -100,11 +103,8 @@ def _drive_shard(
     below the watermark; anything at or past it waits for the next
     message.
     """
-    counter = itertools.count()
-    events: list[tuple[float, int, int, str, int, object]] = []
-
-    def push(time: float, kind: str, q: int = -1, payload: object = None) -> None:
-        heapq.heappush(events, (time, 1, next(counter), kind, q, payload))
+    heap = EventHeap()
+    events = heap.events
 
     anchor: float | None = None
     last_tick: float | None = None
@@ -129,7 +129,7 @@ def _drive_shard(
         t = (anchor if last_tick is None else last_tick) + config.tick_interval
         while t <= now:
             t += config.tick_interval
-        heapq.heappush(events, (t, 1, next(counter), "tick", -1, None))
+        heap.push(-1, t, "tick")
 
     runtime = PoolRuntime(
         workload=workload,
@@ -137,7 +137,7 @@ def _drive_shard(
         cluster=cluster,
         admission=spec.admission,
         config=config,
-        push=push,
+        push=functools.partial(heap.push, pool_index),
         start_ticks=start_ticks,
         compiled={},
         max_capacity=spec.max_capacity,
@@ -170,14 +170,14 @@ def _drive_shard(
             submitted += 1
             runtime.submit(now, q, arrival, budget, cached, seconds, notes)
             continue
-        now, _, _, kind, q, payload = heapq.heappop(events)
-        if kind == "driver_done":
+        now, _, _, kind, _, q, payload = heap.pop()
+        if kind == "task_done":
+            if runtime.handle_task_done(now, q, payload):
+                finished += 1
+        elif kind == "driver_done":
             runtime.handle_driver_done(now, q)
         elif kind == "exec_arrive":
             runtime.handle_exec_arrive(now, q)
-        elif kind == "task_done":
-            if runtime.handle_task_done(now, q, payload):
-                finished += 1
         elif kind == "exec_fail":
             runtime.handle_exec_fail(now, q, payload)
         elif kind == "tick":
@@ -186,10 +186,7 @@ def _drive_shard(
             if finished < submitted or pending or not end:
                 if end and finished < submitted and not events and not pending:
                     _raise_stalled(runtime.arbiter, submitted - finished)
-                heapq.heappush(
-                    events,
-                    (now + config.tick_interval, 1, next(counter), "tick", -1, None),
-                )
+                heap.push(-1, now + config.tick_interval, "tick")
             else:
                 # Park the chain; a later admission resumes it from
                 # last_tick with the same repeated additions.

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-__all__ = ["NonFiniteFeaturesError", "PackedForest"]
+__all__ = ["NonFiniteFeaturesError", "PackedForest", "reject_non_finite"]
 
 
 class NonFiniteFeaturesError(ValueError):
@@ -25,6 +25,14 @@ class NonFiniteFeaturesError(ValueError):
     def __init__(self, row: int) -> None:
         super().__init__(f"feature row {row} is not finite")
         self.row = row
+
+
+def reject_non_finite(X: np.ndarray) -> None:
+    """Raise :class:`NonFiniteFeaturesError` naming the first row of 2-D
+    ``X`` that holds NaN or ±inf."""
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise NonFiniteFeaturesError(int(np.argmin(finite)))
 
 
 class PackedForest:
@@ -62,9 +70,7 @@ class PackedForest:
         """Packed leaf index per tree and row of 2-D ``X``, shape
         ``(n_trees, n_rows)``; raises :class:`NonFiniteFeaturesError`
         naming the first row that holds NaN or ±inf."""
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise NonFiniteFeaturesError(int(np.argmin(finite)))
+        reject_non_finite(X)
         n_rows, n_cols = X.shape
         flat = X.ravel()
         row_start = np.tile(np.arange(n_rows) * n_cols, len(self.roots))

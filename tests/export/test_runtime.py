@@ -120,6 +120,25 @@ class TestPPMScorer:
             scorer.predict_ppm_batch(batch)
         assert info.value.row == 2
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_linear_single_row_non_finite_rejected(self, registry, value):
+        root, _, X = registry
+        runtime = PortableModelRuntime(root)
+        row = X[0].copy()
+        row[7] = value
+        with pytest.raises(NonFiniteFeaturesError, match="row 0"):
+            runtime.predict("lin", row)
+
+    def test_linear_batch_non_finite_names_first_bad_row(self, registry):
+        root, _, X = registry
+        runtime = PortableModelRuntime(root)
+        batch = X[:6].copy()
+        batch[3, 2] = -np.inf
+        batch[5, 0] = np.nan
+        with pytest.raises(NonFiniteFeaturesError, match="row 3") as info:
+            runtime.predict("lin", batch)
+        assert info.value.row == 3
+
     def test_integrates_with_autoexecutor_rule(self, registry):
         from repro.core.autoexecutor import AutoExecutorRule
         from repro.engine.optimizer import Optimizer

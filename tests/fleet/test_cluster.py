@@ -1,6 +1,10 @@
 """Sharded-fleet tests: parity with the single-pool engine, routing,
 autoscaling behavior under load, and capacity invariants."""
 
+import heapq
+import itertools
+import random
+
 import pytest
 
 from repro.fleet import (
@@ -19,6 +23,8 @@ from repro.fleet import (
     static_allocator,
 )
 from repro.engine.allocation import DynamicAllocation
+from repro.fleet.cluster import EventHeap
+from repro.fleet.engine import PoolRuntime
 from repro.obs import RingBufferTracer
 from repro.workloads.generator import Workload
 
@@ -362,3 +368,113 @@ class TestDeterminism:
         assert first.summary() == second.summary()
         assert first.pool_of == second.pool_of
         assert first.records == second.records
+
+
+class TestEventHeapWaves:
+    """The heap helper's coalescing rule, and that it never reorders."""
+
+    def test_same_query_same_instant_back_to_back_is_one_entry(self):
+        heap = EventHeap()
+        heap.push(0, 5.0, "task_done", 3, (0, 1))
+        heap.push(0, 5.0, "task_done", 3, (0, 2))
+        heap.push(0, 5.0, "task_done", 3, (1, 2))
+        assert len(heap.events) == 1
+        assert heap.pop()[3:] == ("task_done", 0, 3, [(0, 1), (0, 2), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "between",
+        [
+            lambda heap: heap.push(0, 5.0, "task_done", 4, (0, 0)),
+            lambda heap: heap.push(1, 5.0, "task_done", 3, (0, 0)),
+            lambda heap: heap.push(0, 6.0, "task_done", 3, (0, 0)),
+            lambda heap: heap.push(0, 5.0, "exec_arrive", 3),
+            lambda heap: heap.push(-1, 9.0, "tick"),
+            lambda heap: heap.push_arrival(9.0, 0, None),
+        ],
+        ids=["other-query", "other-pool", "other-time", "exec", "tick", "arrival"],
+    )
+    def test_interleaved_push_of_any_kind_splits_the_wave(self, between):
+        heap = EventHeap()
+        heap.push(0, 5.0, "task_done", 3, (0, 1))
+        between(heap)
+        heap.push(0, 5.0, "task_done", 3, (0, 2))
+        waves = [
+            entry[6]
+            for entry in heap.events
+            if entry[3] == "task_done" and entry[4:6] == (0, 3) and entry[0] == 5.0
+        ]
+        assert sorted(waves) == [[(0, 1)], [(0, 2)]]
+
+    def test_push_after_the_entry_was_popped_opens_a_new_entry(self):
+        heap = EventHeap()
+        heap.push(0, 5.0, "task_done", 3, (0, 1))
+        first = heap.pop()
+        heap.push(0, 5.0, "task_done", 3, (0, 2))
+        assert first[6] == [(0, 1)]
+        assert len(heap.events) == 1
+        assert heap.pop()[6] == [(0, 2)]
+
+    def test_flattened_pop_order_equals_one_entry_per_push(self):
+        """Against a plain heap with one entry per completion, under a
+        random mix of pushes and pops, the waves replay the same order."""
+        rng = random.Random(7)
+        heap, plain, counter = EventHeap(), [], itertools.count()
+        got, want = [], []
+        waves = 0
+
+        def pop_wave():
+            nonlocal waves
+            t, _, _, kind, pool, q, payload = heap.pop()
+            items = payload if kind == "task_done" else [payload]
+            waves += len(items) > 1
+            for item in items:
+                got.append((t, kind, pool, q, item))
+                entry = heapq.heappop(plain)
+                want.append((entry[0], *entry[3:]))
+
+        for step in range(4000):
+            if rng.random() < 0.35 and heap.events:
+                pop_wave()
+                continue
+            t = float(rng.randrange(6))
+            kind = rng.choice(("task_done", "task_done", "task_done", "exec_arrive"))
+            pool, q = rng.randrange(2), rng.randrange(2)
+            heap.push(pool, t, kind, q, step)
+            heapq.heappush(plain, (t, 1, next(counter), kind, pool, q, step))
+        while heap.events:
+            pop_wave()
+        assert got == want
+        assert not plain  # every push came back out
+        assert waves > 0  # the rule fired: some entries held several
+
+
+class TestWorkCounts:
+    """Exact, byte-stable work counts of a fixed autoscaled serve: a
+    change that silently stops coalescing task waves fails here.  With
+    one heap entry per completion the same serve made 3,508
+    ``handle_task_done`` calls and 4,120 heap entries."""
+
+    def test_task_waves_and_heap_entries_pinned(self, workload, stream, monkeypatch):
+        counts = {"task_done": 0, "completions": 0, "entries": 0}
+        handle = PoolRuntime.handle_task_done
+        pop = EventHeap.pop
+
+        def counted_handle(self, now, q, payload):
+            counts["task_done"] += 1
+            counts["completions"] += len(payload)
+            return handle(self, now, q, payload)
+
+        def counted_pop(self):
+            counts["entries"] += 1
+            return pop(self)
+
+        monkeypatch.setattr(PoolRuntime, "handle_task_done", counted_handle)
+        monkeypatch.setattr(EventHeap, "pop", counted_pop)
+        metrics = ShardedFleet(
+            workload,
+            [PoolSpec(capacity=8, autoscaler=TestAutoscaling.AUTO)] * 2,
+            static_allocator(8),
+            router=CostAwareRouter(),
+        ).serve(stream)
+        assert metrics.n_queries == len(stream)
+        assert counts == {"task_done": 578, "completions": 3508, "entries": 1190}

@@ -3,16 +3,22 @@ semantics, metrics plumbing."""
 
 import pytest
 
+from repro.engine.allocation import DynamicAllocation
 from repro.fleet import (
+    AutoscalerConfig,
+    CostAwareRouter,
     FairShareAdmission,
     FleetConfig,
     FleetEngine,
+    PoolSpec,
     Prediction,
     QueryArrival,
+    ShardedFleet,
     poisson_arrivals,
     static_allocator,
     trace_arrivals,
 )
+from repro.fleet.engine import PoolRuntime
 from repro.workloads.generator import Workload
 from repro.workloads.production import generate_production_trace
 
@@ -176,6 +182,74 @@ class TestCapacityInvariant:
         assert (
             fair.records[2].queue_delay < fifo.records[2].queue_delay
         )
+
+
+class TestPoolRuntimeState:
+    """What a pool runtime keeps between events, on an autoscaled
+    cost-aware cluster: every tick and submit asks for pool views."""
+
+    AUTO = AutoscalerConfig(
+        min_capacity=8, max_capacity=32, scale_up_step=8, scale_up_lag_s=5.0
+    )
+
+    def serve(self, workload, config=FleetConfig()):
+        arrivals = poisson_arrivals(QIDS, n_queries=40, rate_qps=1.5, seed=4)
+        return ShardedFleet(
+            workload,
+            [PoolSpec(capacity=8, autoscaler=self.AUTO)] * 2,
+            static_allocator(8),
+            router=CostAwareRouter(),
+            config=config,
+        ).serve(arrivals)
+
+    CONFIGS = pytest.mark.parametrize(
+        "config",
+        [
+            FleetConfig(idle_release_timeout=2.0),
+            FleetConfig(
+                scaling=lambda budget: DynamicAllocation(
+                    1, 2 * budget, idle_timeout=2.0
+                )
+            ),
+        ],
+        ids=["idle-release", "dynamic-scaling"],
+    )
+
+    @CONFIGS
+    def test_record_mode_frees_every_run(self, workload, config, monkeypatch):
+        runtimes = []
+        finalize = PoolRuntime.finalize
+
+        def capture(self, *args, **kwargs):
+            runtimes.append(self)
+            return finalize(self, *args, **kwargs)
+
+        monkeypatch.setattr(PoolRuntime, "finalize", capture)
+        metrics = self.serve(workload, config)
+        assert len(metrics.records) == 40
+        assert len(runtimes) == 2
+        for runtime in runtimes:
+            assert runtime.runs == {}
+            assert runtime.active_queries == 0
+
+    @CONFIGS
+    def test_reused_views_equal_fresh_ones(self, workload, config, monkeypatch):
+        seen = {"views": 0, "reused": 0}
+        last = {}
+        view = PoolRuntime.view
+
+        def checked(self):
+            got = view(self)
+            assert got == self._build_view()
+            seen["views"] += 1
+            seen["reused"] += got is last.get(self.pool_index)
+            last[self.pool_index] = got
+            return got
+
+        monkeypatch.setattr(PoolRuntime, "view", checked)
+        metrics = self.serve(workload, config)
+        assert metrics.n_queries == 40
+        assert 0 < seen["reused"] < seen["views"]
 
 
 class TestDeterminism:

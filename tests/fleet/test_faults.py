@@ -21,10 +21,13 @@ import json
 import pytest
 
 from repro.engine.allocation import DynamicAllocation
+from repro.engine.cluster import Cluster
+from repro.engine.execution import ExecutionCore
 from repro.engine.faults import FaultPlan, SpotMarket
+from repro.engine.stages import Stage, StageGraph
 from repro.fleet.arrivals import QueryArrival, poisson_arrivals
 from repro.fleet.cluster import ShardedFleet
-from repro.fleet.engine import FleetConfig, FleetEngine, static_allocator
+from repro.fleet.engine import FleetConfig, FleetEngine, PoolRuntime, static_allocator
 from repro.workloads.generator import Workload
 
 QIDS = ("q1", "q2", "q3", "q5", "q94")
@@ -219,3 +222,82 @@ class TestClusterRollup:
         assert cluster.fault_stats.failures == 0
         assert cluster.summary()["wasted_work_seconds"] == 0.0
         assert "executor failures" not in cluster.describe()
+
+
+class _SpillWorkload:
+    """One 16-task stage whose working set is 8 executors' memory.
+
+    Tasks started on the first executor, alone in the fleet, run at the
+    full 3.5x spill slowdown; executors then arrive one per second and
+    the spill fades.  When the first executor crashes, its killed tasks
+    re-run on a roomier fleet and finish long before the killed attempts
+    would have, so those attempts' completion events outlive the query.
+    """
+
+    def __init__(self, cluster):
+        self.graph = StageGraph(
+            stages=[Stage(stage_id=0, num_tasks=16, task_seconds=10.0)],
+            working_set_bytes=8 * cluster.executor_memory_bytes,
+            query_id="spill",
+        )
+
+    def optimized_plan(self, query_id):
+        return None
+
+    def stage_graph(self, query_id):
+        return self.graph
+
+
+class TestStaleCompletions:
+    """A crash cannot retract its killed tasks' completion events from the
+    heap.  One may land after its query finished and its run was freed
+    (both modes free finished runs); it must be a no-op there."""
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["record", "streaming"])
+    def test_killed_straggler_completing_after_finish_is_a_noop(
+        self, streaming, monkeypatch
+    ):
+        # (q, executor, stage, scheduled finish) of every killed attempt
+        # -> whether that task is a straggler.
+        killed: dict[tuple[int, int, int, float], bool] = {}
+        finished: set[int] = set()
+        late: list[bool] = []
+        fail, finish, handle = (
+            ExecutionCore.fail_executor,
+            PoolRuntime._finish_query,
+            PoolRuntime.handle_task_done,
+        )
+
+        def recording_fail(self, now, eid):
+            for end, stage, task, _ in self._inflight.get(eid, ()):
+                n_tasks = self.plan.durations[stage].shape[0]
+                slowdown = self.faults.task_duration(stage, task, n_tasks, 1.0)
+                killed[(self._trace_query, eid, stage, end)] = slowdown > 1.0
+            return fail(self, now, eid)
+
+        def recording_finish(self, now, q):
+            finished.add(q)
+            return finish(self, now, q)
+
+        def recording_handle(self, now, q, payload):
+            if q in finished:
+                # A KeyError here would be a live completion after finish.
+                late.extend(killed[(q, eid, stage, now)] for stage, eid in payload)
+            return handle(self, now, q, payload)
+
+        monkeypatch.setattr(ExecutionCore, "fail_executor", recording_fail)
+        monkeypatch.setattr(PoolRuntime, "_finish_query", recording_finish)
+        monkeypatch.setattr(PoolRuntime, "handle_task_done", recording_handle)
+        cluster = Cluster(grant_batch=1, grant_interval=1.0)
+        plan = FaultPlan(seed=18, crash_rate=1 / 40.0, straggler_rate=0.25)
+        metrics = FleetEngine(
+            _SpillWorkload(cluster),
+            capacity=8,
+            allocator=static_allocator(8),
+            cluster=cluster,
+            config=FleetConfig(faults=plan, streaming=streaming),
+        ).serve([QueryArrival(i, "spill", 0, 50.0 * i) for i in range(4)])
+        assert metrics.n_queries == 4
+        assert metrics.capacity_respected
+        assert late and any(late), "no killed straggler outlived its query"
+        assert metrics.fault_stats.crashes > 0
