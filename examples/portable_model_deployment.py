@@ -67,10 +67,8 @@ def main() -> None:
         print(f"   model file load     {1e3 * runtime.mean_timing('load'):8.2f} ms (once)")
         print(f"   runtime setup       {1e3 * runtime.mean_timing('setup'):8.2f} ms (once)")
         print(f"   inference per query {1e3 * runtime.mean_timing('inference'):8.2f} ms")
-        featurize = rule.timings["featurize"]
-        select = rule.timings["select"]
-        print(f"   plan featurization  {1e3 * sum(featurize) / len(featurize):8.2f} ms")
-        print(f"   curve + selection   {1e3 * sum(select) / len(select):8.2f} ms")
+        print(f"   plan featurization  {1e3 * rule.timings['featurize'].mean:8.2f} ms")
+        print(f"   curve + selection   {1e3 * rule.timings['select'].mean:8.2f} ms")
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ from repro.core.training import (
 )
 from repro.engine.cluster import Cluster, NodeSpec
 from repro.engine.optimizer import OptimizerContext
+from repro.obs.sketch import QuantileSketch
 from repro.workloads.generator import Workload
 
 __all__ = ["AutoExecutor", "AutoExecutorRule", "SelectionObjective"]
@@ -192,12 +193,11 @@ class AutoExecutorRule:
         self.objective = objective
         self.min_executors = min_executors
         self.max_executors = max_executors
-        #: cumulative timing telemetry (Section 5.6 overheads).
-        self.timings: dict[str, list[float]] = {
-            "model_load": [],
-            "featurize": [],
-            "score": [],
-            "select": [],
+        #: cumulative timing telemetry (Section 5.6 overheads): one
+        #: bounded quantile sketch of seconds per phase.
+        self.timings: dict[str, QuantileSketch] = {
+            phase: QuantileSketch()
+            for phase in ("model_load", "featurize", "score", "select")
         }
 
     def _load_model(self) -> object:
@@ -205,7 +205,7 @@ class AutoExecutorRule:
         if self._model_cache is None:
             start = time.perf_counter()
             self._model_cache = self._model_loader()
-            self.timings["model_load"].append(time.perf_counter() - start)
+            self.timings["model_load"].add(time.perf_counter() - start)
         return self._model_cache
 
     def apply(self, context: OptimizerContext) -> None:
@@ -214,16 +214,16 @@ class AutoExecutorRule:
 
         start = time.perf_counter()
         features = QueryFeatures.from_plan(context.plan)  # step 2
-        self.timings["featurize"].append(time.perf_counter() - start)
+        self.timings["featurize"].add(time.perf_counter() - start)
 
         start = time.perf_counter()
         ppm = model.predict_ppm(features)  # step 3 (single score)
-        self.timings["score"].append(time.perf_counter() - start)
+        self.timings["score"].add(time.perf_counter() - start)
 
         start = time.perf_counter()
         curve = ppm.predict_curve(self.n_grid)  # PPM arithmetic, not scoring
         chosen = self.objective(self.n_grid, curve)  # step 4
-        self.timings["select"].append(time.perf_counter() - start)
+        self.timings["select"].add(time.perf_counter() - start)
 
         chosen = int(np.clip(chosen, self.min_executors, self.max_executors))
         context.request_executors(chosen)  # step 5

@@ -38,9 +38,18 @@ appends a completion to the previous entry's list instead when that
 entry was the last push of any kind, is a completion of the same query
 at the same instant, and has not been popped yet.  That preserves the
 order: the appended completion would have taken the very next counter
-value, so no event can sort between the two, and the pool runtime still
-plays each listed completion's ``complete_task`` / ``assign`` step in
-turn.  An earlier encoding packed the pair into
+value, so no event can sort between the two.
+
+One method, :meth:`ExecutionCore.play_wave`, holds the completion and
+fill physics.  It plays a list of completions, each followed by a fill
+of the free cores, so the fleet plays a whole heap entry in one call;
+:meth:`~ExecutionCore.complete_task` (a completion alone) and
+:meth:`~ExecutionCore.assign` (a fill alone) are one-line calls into
+it, so every driver — faults, tracing and ``record_log`` included — runs
+the same code.  The fill step takes executors from a min-heap of the ids
+that hold a free core instead of scanning every executor; since ids only
+grow, ascending id order is the executor dict's insertion order, the
+order the scan used.  An earlier encoding packed the pair into
 ``stage_id * 10_000_000 + executor_id`` — executor ids are unbounded
 under idle-release churn, so a long-lived run could collide an executor
 id into the stage field; the pair representation is collision-free by
@@ -53,7 +62,9 @@ The simulation is deterministic.  Run-to-run variance (the paper's
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,6 +85,7 @@ __all__ = [
     "ExecutionCore",
     "spill_factor",
     "coordination_factor",
+    "check_tick_interval",
 ]
 
 
@@ -93,6 +105,23 @@ class SchedulerConfig:
     max_spill_factor: float = 3.5
     coordination_coefficient: float = 0.12
     tick_interval: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_tick_interval(self.tick_interval)
+
+
+def check_tick_interval(tick_interval: float) -> None:
+    """Reject a tick period that would stall or corrupt the tick chain.
+
+    A zero or negative period re-pushes each tick at (or before) its own
+    instant, so the event loop never advances; NaN breaks the clock's
+    ordering.  Raises ``ValueError`` unless the period is finite and
+    positive.
+    """
+    if not (math.isfinite(tick_interval) and tick_interval > 0):
+        raise ValueError(
+            f"tick_interval must be finite and > 0, got {tick_interval!r}"
+        )
 
 
 DEFAULT_SCHEDULER_CONFIG = SchedulerConfig()
@@ -271,6 +300,10 @@ class _StageState:
 #: ``emit(finish_time, stage_id, executor_id)`` schedules the completion.
 TaskEmit = Callable[[float, int, int], None]
 
+#: The one-item wave :meth:`ExecutionCore.assign` plays: a fill step
+#: with no completion before it.
+_FILL_ONLY = (None,)
+
 
 class ExecutionCore:
     """Per-query execution state machine shared by both simulators.
@@ -278,6 +311,14 @@ class ExecutionCore:
     The core owns the query-local state — executor slots, the pending
     task queue, per-stage dependency counts, the skyline, the observed
     task log — and exposes the exact transitions the event loops perform.
+    Task completions and the fill of free cores go through one method,
+    :meth:`play_wave`, which plays a list of completions and fills after
+    each; :meth:`complete_task` and :meth:`assign` are its one-item
+    forms.  Free cores are indexed by a min-heap of executor ids: ids
+    are never reused and only grow, so popping the smallest id visits
+    executors in the order a scan of :attr:`executors` would, while
+    skipping those with no free core.  Ids of idle-released or failed
+    executors are left in the heap and dropped when popped.
     The *driver* owns the clock, the event heap, and capacity accounting:
     it decides when executors are granted (allocation policy + cluster
     provisioning on the dedicated path, admission budget + arbiter on the
@@ -342,6 +383,9 @@ class ExecutionCore:
         self._inflight: dict[int, list[tuple[float, int, int, float]]] = {}
         self._failed: set[int] = set()
         self.executors: dict[int, _Executor] = {}
+        # Min-heap of executor ids with a free core (the fill step's
+        # index; stale ids of removed executors are dropped lazily).
+        self._free: list[int] = []
         self._exec_ids = itertools.count()
         self._pending: list[tuple[int, int]] = []  # (stage, task), FIFO
         self._pending_head = 0
@@ -390,6 +434,7 @@ class ExecutionCore:
         eid = next(self._exec_ids)
         ec = self.cluster.cores_per_executor
         self.executors[eid] = _Executor(eid, ec, ec, idle_since=now)
+        heappush(self._free, eid)
         self.skyline.record(now, len(self.executors))
         if self.tracer is not None:
             # Raw form: grant ramps emit one of these per executor.
@@ -433,6 +478,17 @@ class ExecutionCore:
             if self.tracer is not None:
                 self._trace(now, "exec_remove", {"eid": eid})
         return removed
+
+    def oldest_idle(self) -> float:
+        """Earliest ``idle_since`` of a fully idle executor (``inf`` if
+        none): no idle scan can release anything before this instant
+        plus the timeout."""
+        oldest = math.inf
+        for e in self.executors.values():
+            since = e.idle_since
+            if since is not None and e.free_cores == e.cores and since < oldest:
+                oldest = since
+        return oldest
 
     def fail_executor(self, now: float, eid: int) -> tuple[int, float] | None:
         """An executor crashed or was reclaimed: kill its work, requeue.
@@ -506,114 +562,177 @@ class ExecutionCore:
         for sid in range(len(self.states)):
             self.emit_ready(sid, now)
 
-    # --- assignment ------------------------------------------------------
+    # --- completions and assignment -------------------------------------
+    def play_wave(
+        self,
+        now: float,
+        wave: Sequence[tuple[int, int] | None],
+        emit: TaskEmit | None,
+    ) -> bool:
+        """Play a list of same-instant task completions, in order.
+
+        Each ``(stage_id, executor_id)`` item runs the completion step —
+        free the core, retire the task, unlock the stage's dependents —
+        then, when ``emit`` is given, the fill step: drain pending tasks
+        FIFO onto free cores, lowest executor id first, scheduling each
+        started task's completion through ``emit``.  A ``None`` item runs
+        the fill step alone (:meth:`assign`); ``emit=None`` runs the
+        completion step alone (:meth:`complete_task`).  Filling after
+        each completion rather than once per wave is what keeps a wave
+        identical to one event per completion: a single fill after the
+        whole wave would hand freed cores out in executor order instead
+        of completion order.
+
+        Completions scheduled by an executor that has since failed are
+        *stale*: the failure already killed and requeued the task, so the
+        completion step drops them (heaps cannot retract events).
+
+        Returns ``True`` as soon as a completion finishes the whole
+        query; the rest of the wave is not played.
+        """
+        executors = self.executors
+        free = self._free
+        states = self.states
+        pending = self._pending
+        head = self._pending_head
+        running = self.running
+        faults = self.faults
+        factor = None
+        for item in wave:
+            if item is not None:
+                stage_id, eid = item
+                if faults is None or self._settle_inflight(now, stage_id, eid):
+                    running -= 1
+                    executor = executors.get(eid)
+                    if executor is not None:
+                        cores = executor.free_cores + 1
+                        executor.free_cores = cores
+                        if cores == 1:
+                            heappush(free, eid)
+                        if cores == executor.cores:
+                            executor.idle_since = now
+                    # No per-task completion event: the finish instant is
+                    # derivable from the task_assign event (time +
+                    # duration_s) unless a task_kill retracted it — see
+                    # repro.obs.trace.EVENT_KINDS.
+                    state = states[stage_id]
+                    state.remaining_tasks -= 1
+                    if state.remaining_tasks == 0:
+                        self._complete_stage(now, stage_id)
+                        if self.stages_left == 0:
+                            self.running = running
+                            return True
+            # --- the fill step ---
+            end = len(pending)
+            if emit is None or head == end or not free or not self.driver_done:
+                continue
+            if factor is None:
+                # The executor count cannot change within a wave.
+                n = len(executors)
+                if n != self._factor_n:
+                    self._factor_n = n
+                    spill = spill_factor(self.graph, n, self.cluster, self.config)
+                    self._factor = spill * coordination_factor(n, self.config)
+                factor = self._factor
+                durations = self.plan.durations
+                record_log = self.record_log
+                ctx = self._assign_ctx
+                if ctx is not None:
+                    # Raw-tuple hot-path emission (see
+                    # repro.obs.trace.RAW_DATA_FIELDS for the flat layout).
+                    trace_emit, t_pool, t_query, t_qid = ctx
+            while head < end and free:
+                eid = heappop(free)
+                executor = executors.get(eid)
+                if executor is None:
+                    continue  # idle-released or failed since it was pushed
+                take = executor.free_cores
+                if take > end - head:
+                    take = end - head
+                executor.free_cores -= take
+                executor.idle_since = None
+                running += take
+                for stage_id, task_idx in pending[head : head + take]:
+                    duration = durations[stage_id][task_idx] * factor
+                    if faults is not None:
+                        duration = faults.task_duration(
+                            stage_id,
+                            task_idx,
+                            durations[stage_id].shape[0],
+                            duration,
+                        )
+                        self._inflight.setdefault(eid, []).append(
+                            (now + duration, stage_id, task_idx, now)
+                        )
+                    emit(now + duration, stage_id, eid)
+                    if ctx is not None:
+                        trace_emit(
+                            (
+                                now,
+                                "task_assign",
+                                t_pool,
+                                t_query,
+                                t_qid,
+                                stage_id,
+                                task_idx,
+                                eid,
+                                duration,
+                            )
+                        )
+                    if record_log:
+                        states[stage_id].observed.append(duration)
+                head += take
+                if executor.free_cores:
+                    heappush(free, eid)  # the queue ran dry first
+            self._pending_head = head
+        self.running = running
+        return False
+
+    def _settle_inflight(self, now: float, stage_id: int, eid: int) -> bool:
+        """Drop a completion from the fault registry; False if stale."""
+        if eid in self._failed:
+            return False
+        entries = self._inflight.get(eid)
+        if entries:
+            for i, (finish, sid, _, _) in enumerate(entries):
+                if sid == stage_id and finish == now:
+                    entries.pop(i)
+                    break
+        return True
+
+    def _complete_stage(self, now: float, stage_id: int) -> None:
+        """A stage's last task finished: unlock its dependents."""
+        self.stages_left -= 1
+        if self.tracer is not None:
+            # Raw form: fires once per completed stage.
+            self.tracer.emit(
+                (
+                    now,
+                    "stage_done",
+                    self._trace_pool,
+                    self._trace_query,
+                    self._trace_qid,
+                    stage_id,
+                )
+            )
+        for dep_id in self.plan.dependents[stage_id]:
+            self.states[dep_id].remaining_deps -= 1
+            self.emit_ready(dep_id, now)
+
     def assign(self, now: float, emit: TaskEmit) -> None:
-        """Drain pending tasks onto free cores, FIFO.
+        """Drain pending tasks onto free cores, FIFO (a fill step alone).
 
         Each started task's completion is scheduled through ``emit`` with
         its ``(stage_id, executor_id)`` identity; the driver must route
-        the completion back via :meth:`complete_task`.
+        the completion back via :meth:`complete_task` or
+        :meth:`play_wave`.
         """
-        pending = self._pending
-        head = self._pending_head
-        end = len(pending)
-        if not self.driver_done or head == end:
-            return
-        n = len(self.executors)
-        if n != self._factor_n:
-            self._factor_n = n
-            spill = spill_factor(self.graph, n, self.cluster, self.config)
-            self._factor = spill * coordination_factor(n, self.config)
-        factor = self._factor
-        ctx = self._assign_ctx
-        if ctx is not None:
-            # Raw-tuple hot-path emission (see
-            # repro.obs.trace.RAW_DATA_FIELDS for the flat layout).
-            trace_emit, t_pool, t_query, t_qid = ctx
-        for executor in self.executors.values():
-            while executor.free_cores > 0 and head < end:
-                stage_id, task_idx = pending[head]
-                head += 1
-                executor.free_cores -= 1
-                executor.idle_since = None
-                duration = self.plan.durations[stage_id][task_idx] * factor
-                if self.faults is not None:
-                    duration = self.faults.task_duration(
-                        stage_id,
-                        task_idx,
-                        self.plan.durations[stage_id].shape[0],
-                        duration,
-                    )
-                    self._inflight.setdefault(executor.executor_id, []).append(
-                        (now + duration, stage_id, task_idx, now)
-                    )
-                self.running += 1
-                emit(now + duration, stage_id, executor.executor_id)
-                if ctx is not None:
-                    trace_emit(
-                        (
-                            now,
-                            "task_assign",
-                            t_pool,
-                            t_query,
-                            t_qid,
-                            stage_id,
-                            task_idx,
-                            executor.executor_id,
-                            duration,
-                        )
-                    )
-                if self.record_log:
-                    self.states[stage_id].observed.append(duration)
-            if head == end:
-                break
-        self._pending_head = head
+        self.play_wave(now, _FILL_ONLY, emit)
 
     def complete_task(self, now: float, stage_id: int, eid: int) -> bool:
-        """One task finished; returns True when the whole query just did.
-
-        Completions scheduled by an executor that has since failed are
-        *stale*: the failure already killed and requeued the task, so
-        the event is dropped here (heaps cannot retract events).
-        """
-        if self.faults is not None:
-            if eid in self._failed:
-                return False
-            entries = self._inflight.get(eid)
-            if entries:
-                for i, (finish, sid, _, _) in enumerate(entries):
-                    if sid == stage_id and finish == now:
-                        entries.pop(i)
-                        break
-        self.running -= 1
-        executor = self.executors.get(eid)
-        if executor is not None:
-            executor.free_cores += 1
-            if executor.free_cores == executor.cores:
-                executor.idle_since = now
-        # No per-task completion event: the finish instant is derivable
-        # from the task_assign event (time + duration_s) unless a
-        # task_kill retracted it — see repro.obs.trace.EVENT_KINDS.
-        state = self.states[stage_id]
-        state.remaining_tasks -= 1
-        if state.remaining_tasks == 0:
-            self.stages_left -= 1
-            if self.tracer is not None:
-                # Raw form: fires once per completed stage.
-                self.tracer.emit(
-                    (
-                        now,
-                        "stage_done",
-                        self._trace_pool,
-                        self._trace_query,
-                        self._trace_qid,
-                        stage_id,
-                    )
-                )
-            for dep_id in self.plan.dependents[stage_id]:
-                self.states[dep_id].remaining_deps -= 1
-                self.emit_ready(dep_id, now)
-        return self.stages_left == 0
+        """One task finished (a completion step alone); returns True when
+        the whole query just did."""
+        return self.play_wave(now, ((stage_id, eid),), None)
 
     # --- starvation ------------------------------------------------------
     def starved(self) -> bool:

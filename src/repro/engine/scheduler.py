@@ -171,11 +171,10 @@ def simulate_query(
             arrive_executor(now)
             core.assign(now, emit_task)
         elif kind == "task_done":
-            stage_id, eid = payload
-            if core.complete_task(now, stage_id, eid):
+            # One completion, then a fill of the freed core.
+            if core.play_wave(now, (payload,), emit_task):
                 end_time = now
                 break
-            core.assign(now, emit_task)
         elif kind == "exec_fail":
             outcome = core.fail_executor(now, payload)
             if outcome is not None:

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.ppm import AmdahlPPM, PowerLawPPM, PricePerfModel
 from repro.export.format import load_model_file
 from repro.ml.packed import PackedForest, reject_non_finite
+from repro.obs.sketch import QuantileSketch
 
 __all__ = ["PortableModelRuntime", "PortablePPMScorer"]
 
@@ -70,17 +71,18 @@ class PortableModelRuntime:
         registry_dir: directory holding ``<name>.json`` model files (the
             stand-in for the AML/MLflow model registry of Figure 6).
 
-    Timing of loads, compilations, and inferences is collected in
-    :attr:`timings` to reproduce the Section 5.6 overhead table.
+    Timing of loads, compilations, and inferences is folded into one
+    bounded :class:`~repro.obs.sketch.QuantileSketch` per phase in
+    :attr:`timings` (count, mean, quantiles) to reproduce the Section 5.6
+    overhead table; memory stays flat however many inferences a
+    long-lived runtime serves.
     """
 
     def __init__(self, registry_dir: str | Path) -> None:
         self.registry_dir = Path(registry_dir)
         self._cache: dict[str, _CompiledForest] = {}
-        self.timings: dict[str, list[float]] = {
-            "load": [],
-            "setup": [],
-            "inference": [],
+        self.timings: dict[str, QuantileSketch] = {
+            phase: QuantileSketch() for phase in ("load", "setup", "inference")
         }
 
     def model_path(self, name: str) -> Path:
@@ -91,10 +93,10 @@ class PortableModelRuntime:
         if name not in self._cache:
             start = time.perf_counter()
             document = load_model_file(self.model_path(name))
-            self.timings["load"].append(time.perf_counter() - start)
+            self.timings["load"].add(time.perf_counter() - start)
             start = time.perf_counter()
             self._cache[name] = _CompiledForest(document)
-            self.timings["setup"].append(time.perf_counter() - start)
+            self.timings["setup"].add(time.perf_counter() - start)
         return self._cache[name]
 
     def predict(self, name: str, X: np.ndarray) -> np.ndarray:
@@ -102,7 +104,7 @@ class PortableModelRuntime:
         model = self.load(name)
         start = time.perf_counter()
         out = model.predict(X)
-        self.timings["inference"].append(time.perf_counter() - start)
+        self.timings["inference"].add(time.perf_counter() - start)
         return out
 
     def is_cached(self, name: str) -> bool:
@@ -110,8 +112,7 @@ class PortableModelRuntime:
 
     def mean_timing(self, phase: str) -> float:
         """Mean seconds of a phase (``load``/``setup``/``inference``)."""
-        samples = self.timings[phase]
-        return sum(samples) / len(samples) if samples else 0.0
+        return self.timings[phase].mean
 
 
 _FAMILIES: dict[str, type[PricePerfModel]] = {

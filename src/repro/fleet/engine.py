@@ -45,6 +45,7 @@ way.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +60,7 @@ from repro.engine.execution import (
     CompiledPlan,
     ExecutionCore,
     SchedulerConfig,
+    check_tick_interval,
     compile_plan,
 )
 from repro.engine.faults import FaultInjector, FaultPlan
@@ -220,6 +222,7 @@ class FleetConfig:
     feedback: FeedbackSink | None = None
 
     def __post_init__(self) -> None:
+        check_tick_interval(self.tick_interval)
         # Normalize the shorthand: streaming=True means the defaults,
         # False means off.  Frozen dataclass, hence object.__setattr__.
         if self.streaming is True:
@@ -373,6 +376,9 @@ class PoolRuntime:
         # built at.
         self._view: PoolView | None = None
         self._view_key = (0, 0)
+        # (T0, m) of the last full idle scan that released nothing; see
+        # on_tick.
+        self._quiet_since: tuple[float, float] | None = None
         # Streaming mode: finished queries fold into bounded accumulators
         # (and optionally a JSONL spool) instead of self.records.
         self.stats: PoolStreamStats | None = None
@@ -781,11 +787,13 @@ class PoolRuntime:
         """Play one same-instant wave of query ``q``'s task completions.
 
         ``payload`` lists ``(stage_id, executor_id)`` completions in push
-        order.  Each runs the one-completion step — ``complete_task``,
-        then ``assign``, then the policy poll — before the next, exactly
-        as if each had been its own heap entry: one ``assign`` after the
-        whole wave would fill free cores in executor order rather than
-        completion order, a different schedule.
+        order, and the core plays them in one
+        :meth:`~repro.engine.execution.ExecutionCore.play_wave` call:
+        each completion, then a fill of the free cores, before the next —
+        exactly as if each had been its own heap entry.  A run under an
+        :class:`~repro.engine.allocation.AllocationPolicy` plays the wave
+        one completion per call instead, so the policy poll still lands
+        between completions.
 
         Returns ``True`` when the wave finished the query.  Completions
         after the finishing one, and any wave for a freed run, can only
@@ -796,17 +804,19 @@ class PoolRuntime:
         if run is None:
             return False
         core = run.core
-        emit = run.emit
-        poll = run.policy is not None
-        for stage_id, eid in payload:
-            if core.complete_task(now, stage_id, eid):
-                self._finish_query(now, q)
-                self.drain_admissions(now)
-                return True
-            core.assign(now, emit)
-            if poll:
+        if run.policy is None:
+            done = core.play_wave(now, payload, run.emit)
+        else:
+            done = False
+            for item in payload:
+                done = core.play_wave(now, (item,), run.emit)
+                if done:
+                    break
                 self.poll_scaling(now, q)
-        return False
+        if done:
+            self._finish_query(now, q)
+            self.drain_admissions(now)
+        return done
 
     def _finish_query(self, now: float, q: int) -> None:
         run = self.runs[q]
@@ -872,8 +882,48 @@ class PoolRuntime:
             del self.runs[q]
 
     def on_tick(self, now: float) -> None:
-        """Periodic work: idle release, then per-run scaling polls."""
+        """Periodic work: idle release, then per-run scaling polls.
+
+        The idle scan is skipped while it provably cannot release
+        anything.  After a full scan at ``T0`` that released nothing,
+        let ``m`` be the oldest ``idle_since`` of any fully idle executor
+        of any live run.  An executor is released at tick ``T`` only if
+        it has been fully idle since some ``s`` with ``T - s >=
+        timeout``.  Every executor fully idle at ``T0`` has ``s >= m``;
+        every other one went idle at or after ``T0``, so ``s >= T0``.
+        Float subtraction is monotone, so while ``T - T0 < timeout`` and
+        ``T - m < timeout`` no executor qualifies and the scan is a
+        no-op.  With no timeout there is nothing to release at all.
+        Runs under :attr:`FleetConfig.scaling` carry per-policy timeouts
+        and are scanned on every tick, as before.
+        """
+        scaling = self.config.scaling
+        if scaling is None:
+            timeout = self.config.idle_release_timeout
+            quiet = self._quiet_since
+            if timeout is None or (
+                quiet is not None
+                and now - quiet[0] < timeout
+                and now - quiet[1] < timeout
+            ):
+                return
+        if self._scan_idle(now):
+            self.record_pool(now)
+            self.drain_admissions(now)
+        if scaling is not None:
+            for q in self.runs:
+                self.poll_scaling(now, q)
+
+    def _scan_idle(self, now: float) -> bool:
+        """The full idle scan over every live run; True if it released.
+
+        A scan that releases nothing records ``(now, m)`` for the
+        quiet-scan rule in :meth:`on_tick`, ``m`` being the oldest
+        ``idle_since`` of any fully idle executor of any live run.
+        """
         released = False
+        track = self.config.scaling is None
+        oldest = math.inf
         for q, run in self.runs.items():
             if run.finished:
                 continue
@@ -893,12 +943,10 @@ class PoolRuntime:
                 if run.injector is not None:
                     for eid in removed:
                         run.injector.on_removed(now, eid)
-        if released:
-            self.record_pool(now)
-            self.drain_admissions(now)
-        if self.config.scaling is not None:
-            for q in self.runs:
-                self.poll_scaling(now, q)
+            elif track and not released:
+                oldest = min(oldest, run.core.oldest_idle())
+        self._quiet_since = (now, oldest) if track and not released else None
+        return released
 
     # --- completion -------------------------------------------------------
     def unfinished_queries(self) -> list[int]:

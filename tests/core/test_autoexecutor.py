@@ -134,7 +134,7 @@ class TestRule:
         rule = AutoExecutorRule(model_loader=_FixedScorer)
         rule.apply(self.make_context())
         rule.apply(self.make_context())
-        assert len(rule.timings["model_load"]) == 1
-        assert len(rule.timings["featurize"]) == 2
-        assert len(rule.timings["score"]) == 2
-        assert len(rule.timings["select"]) == 2
+        assert rule.timings["model_load"].count == 1
+        assert rule.timings["featurize"].count == 2
+        assert rule.timings["score"].count == 2
+        assert rule.timings["select"].count == 2

@@ -19,6 +19,7 @@ floors respected).
 
 import heapq
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -294,6 +295,71 @@ class TestTaskPayloads:
         assert [
             (t, c) for t, c in huge_core.skyline.points
         ] == small_core.skyline.points
+
+
+class TestFreeCoreIndex:
+    """The fill step's free-core heap starts tasks exactly where the scan
+    over every executor it replaced did: executors in dict order, each
+    filled before the next, ids of released executors skipped."""
+
+    @staticmethod
+    def _scan_fill(core):
+        """The replaced fill: ``(stage_id, executor_id)`` of every task a
+        scan over all executors, in dict order, would start."""
+        pending = core._pending[core._pending_head :]
+        starts = []
+        for executor in core.executors.values():
+            free = executor.free_cores
+            while free and len(starts) < len(pending):
+                starts.append((pending[len(starts)][0], executor.executor_id))
+                free -= 1
+        return starts
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fill_matches_scan_under_executor_churn(self, seed, cluster):
+        rng = random.Random(seed)
+        stages = [
+            Stage(stage_id=0, num_tasks=60, task_seconds=1.0, skew_fraction=0.2),
+            Stage(stage_id=1, num_tasks=25, task_seconds=2.0, dependencies=[0]),
+            Stage(stage_id=2, num_tasks=40, task_seconds=0.5, dependencies=[0]),
+            Stage(stage_id=3, num_tasks=7, task_seconds=3.0, dependencies=[1, 2]),
+        ]
+        graph = StageGraph(stages=stages, driver_seconds=0.5, query_id="churn")
+        core = ExecutionCore(compile_plan(graph), cluster, DEFAULT_SCHEDULER_CONFIG)
+        counter = itertools.count()
+        events, started = [], []
+        tally = {"released": 0, "stale_fills": 0}
+
+        def emit(finish, stage_id, eid):
+            heapq.heappush(events, (finish, next(counter), stage_id, eid))
+            started.append((stage_id, eid))
+
+        def fill(now):
+            want = self._scan_fill(core)
+            if any(eid not in core.executors for eid in core._free):
+                tally["stale_fills"] += 1
+            started.clear()
+            core.assign(now, emit)
+            assert started == want
+
+        for _ in range(3):
+            core.add_executor(0.0)
+        core.mark_driver_done(0.5)
+        fill(0.5)
+        while events:
+            now, _, stage_id, eid = heapq.heappop(events)
+            if core.complete_task(now, stage_id, eid):
+                break
+            roll = rng.random()
+            if roll < 0.15:
+                core.add_executor(now)
+            elif roll < 0.3:
+                tally["released"] += len(core.release_idle(now, 0.0, 1))
+            fill(now)
+        else:
+            raise AssertionError("query never finished")
+        assert core.stages_left == 0
+        assert tally["released"] > 0 and tally["stale_fills"] > 0
 
 
 class TestDynamicScalingInvariants:

@@ -107,3 +107,17 @@ class TestTelemetryConsistency:
         pol = PredictiveAllocation(12, initial_executors=3, request_delay=0.5)
         result = simulate_query(g, pol, Cluster(), NO_FRICTION)
         assert result.max_executors == result.skyline.max_executors
+
+
+class TestTickIntervalValidation:
+    """A zero or negative tick period re-pushes each tick at (or before)
+    its own instant, so ``simulate_query`` never advances; NaN and inf
+    break the clock.  The config refuses them at construction."""
+
+    @pytest.mark.parametrize("tick", [0.0, -1.0, float("nan"), float("inf")], ids=str)
+    def test_bad_tick_interval_rejected(self, tick):
+        with pytest.raises(ValueError, match="tick_interval"):
+            SchedulerConfig(tick_interval=tick)
+
+    def test_positive_tick_interval_accepted(self):
+        assert SchedulerConfig(tick_interval=0.25).tick_interval == 0.25

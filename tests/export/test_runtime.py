@@ -57,18 +57,18 @@ class TestRuntime:
         assert not runtime.is_cached("ae_al")
         runtime.predict("ae_al", X[:1])
         assert runtime.is_cached("ae_al")
-        loads_before = len(runtime.timings["load"])
+        loads_before = runtime.timings["load"].count
         runtime.predict("ae_al", X[:1])
-        assert len(runtime.timings["load"]) == loads_before  # no reload
+        assert runtime.timings["load"].count == loads_before  # no reload
 
     def test_timings_recorded(self, registry):
         root, _, X = registry
         runtime = PortableModelRuntime(root)
         runtime.predict("ae_al", X[:1])
         runtime.predict("ae_al", X[:1])
-        assert len(runtime.timings["load"]) == 1
-        assert len(runtime.timings["setup"]) == 1
-        assert len(runtime.timings["inference"]) == 2
+        assert runtime.timings["load"].count == 1
+        assert runtime.timings["setup"].count == 1
+        assert runtime.timings["inference"].count == 2
         assert runtime.mean_timing("inference") > 0
 
     def test_mean_timing_empty_phase_zero(self, registry):

@@ -1,6 +1,7 @@
 """Sharded-fleet tests: parity with the single-pool engine, routing,
 autoscaling behavior under load, and capacity invariants."""
 
+import copy
 import heapq
 import itertools
 import random
@@ -22,6 +23,7 @@ from repro.fleet import (
     poisson_arrivals,
     static_allocator,
 )
+from repro.engine import execution
 from repro.engine.allocation import DynamicAllocation
 from repro.fleet.cluster import EventHeap
 from repro.fleet.engine import PoolRuntime
@@ -478,3 +480,105 @@ class TestWorkCounts:
         ).serve(stream)
         assert metrics.n_queries == len(stream)
         assert counts == {"task_done": 578, "completions": 3508, "entries": 1190}
+
+    def test_fill_visits_and_idle_scans_pinned(self, workload, stream, monkeypatch):
+        """The fill step takes executors from the free-core heap, so it
+        visits only executors that can take a task, and ticks skip idle
+        scans that cannot release anything.  For comparison, scanning
+        every executor on each fill visits 15,306 on this serve, and a
+        full idle scan on every tick makes 324 scans and 1,322
+        ``release_idle`` calls."""
+        counts = {"visits": 0, "full_scans": 0, "release_idle": 0, "ticks": 0}
+        pop = execution.heappop
+        scan = PoolRuntime._scan_idle
+        tick = PoolRuntime.on_tick
+        release = execution.ExecutionCore.release_idle
+
+        def counted_pop(heap):
+            counts["visits"] += 1
+            return pop(heap)
+
+        def counted(key, method):
+            def wrapper(*args):
+                counts[key] += 1
+                return method(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(execution, "heappop", counted_pop)
+        monkeypatch.setattr(PoolRuntime, "_scan_idle", counted("full_scans", scan))
+        monkeypatch.setattr(PoolRuntime, "on_tick", counted("ticks", tick))
+        monkeypatch.setattr(
+            execution.ExecutionCore, "release_idle", counted("release_idle", release)
+        )
+        metrics = ShardedFleet(
+            workload,
+            [PoolSpec(capacity=8, autoscaler=TestAutoscaling.AUTO)] * 2,
+            static_allocator(8),
+            router=CostAwareRouter(),
+        ).serve(stream)
+        assert metrics.n_queries == len(stream)
+        assert counts == {
+            "visits": 2345,
+            "full_scans": 17,
+            "release_idle": 64,
+            "ticks": 324,
+        }
+
+
+class TestQuietIdleScans:
+    """Debug replay of the quiet-scan rule: every idle scan a tick
+    skips, replayed as a full scan on the live state, releases
+    nothing."""
+
+    @staticmethod
+    def _replay(runtime, now):
+        """Run ``release_idle`` on a copy of every live run's core."""
+        released = []
+        for run in runtime.runs.values():
+            if run.finished:
+                continue
+            timeout, floor = runtime._idle_params(run)
+            shadow = copy.copy(run.core)
+            shadow.executors = dict(run.core.executors)
+            shadow.skyline = copy.deepcopy(run.core.skyline)
+            shadow.tracer = None
+            released += shadow.release_idle(now, timeout, floor)
+        return released
+
+    @pytest.mark.parametrize("timeout", [2.0, 5.0, 30.0])
+    def test_skipped_scans_release_nothing(
+        self, workload, stream, monkeypatch, timeout
+    ):
+        tally = {"skipped": 0, "scanned": 0, "released": 0}
+        tick = PoolRuntime.on_tick
+        scan = PoolRuntime._scan_idle
+
+        def replaying_tick(runtime, now):
+            scanned = tally["scanned"]
+            tick(runtime, now)
+            if tally["scanned"] == scanned:
+                tally["skipped"] += 1
+                assert self._replay(runtime, now) == []
+
+        def counted_scan(runtime, now):
+            tally["scanned"] += 1
+            released = scan(runtime, now)
+            tally["released"] += released
+            return released
+
+        monkeypatch.setattr(PoolRuntime, "on_tick", replaying_tick)
+        monkeypatch.setattr(PoolRuntime, "_scan_idle", counted_scan)
+        metrics = ShardedFleet(
+            workload,
+            [PoolSpec(capacity=8, autoscaler=TestAutoscaling.AUTO)] * 2,
+            static_allocator(8),
+            router=CostAwareRouter(),
+            config=FleetConfig(idle_release_timeout=timeout),
+        ).serve(stream)
+        assert metrics.n_queries == len(stream)
+        assert tally["skipped"] > 0
+        if timeout < 30.0:
+            # The scans that did run still released executors.
+            assert tally["released"] > 0
+

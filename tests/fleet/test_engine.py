@@ -337,6 +337,20 @@ class TestMetrics:
             ).serve([])
 
 
+class TestTickIntervalValidation:
+    """A zero or negative tick period spins the serve's tick chain in
+    place forever; NaN fails deep in the serve.  ``FleetConfig`` refuses
+    them (and inf) at construction."""
+
+    @pytest.mark.parametrize("tick", [0.0, -1.0, float("nan"), float("inf")], ids=str)
+    def test_bad_tick_interval_rejected(self, tick):
+        with pytest.raises(ValueError, match="tick_interval"):
+            FleetConfig(tick_interval=tick)
+
+    def test_positive_tick_interval_accepted(self):
+        assert FleetConfig(tick_interval=0.25).tick_interval == 0.25
+
+
 class TestStallGuard:
     def test_never_admitting_policy_raises_instead_of_hanging(
         self, workload

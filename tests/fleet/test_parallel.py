@@ -29,6 +29,25 @@ def workload():
     return Workload(scale_factor=50, query_ids=QIDS)
 
 
+def idle_releases(metrics):
+    """Executors shed mid-query: every step down in a record's skyline
+    (a finished query's final release is not recorded there, and these
+    serves inject no faults)."""
+    return sum(
+        1
+        for record in metrics.records
+        for (_, before), (_, after) in zip(
+            record.skyline.points, record.skyline.points[1:]
+        )
+        if after < before
+    )
+
+
+#: A short idle timeout, so executors are released mid-query and the
+#: workers' ticks exercise the quiet-scan rule in ``PoolRuntime.on_tick``.
+IDLE_CONFIG = FleetConfig(idle_release_timeout=2.0)
+
+
 def assert_identical_record_mode(multi, single):
     assert multi.pool_of == single.pool_of
     assert len(multi.records) == len(single.records)
@@ -139,6 +158,17 @@ class TestMergeEqualsSingleProcess:
         assert multi.fault_stats.crashes == single.fault_stats.crashes
         assert multi.fault_stats.reclamations == single.fault_stats.reclamations
 
+    def test_idle_release_bit_for_bit(self, workload):
+        arrivals = poisson_arrivals(QIDS, n_queries=80, rate_qps=1.5, seed=17)
+        single = ShardedFleet(
+            workload, [16, 16], static_allocator(8), config=IDLE_CONFIG
+        ).serve(arrivals)
+        assert idle_releases(single) > 0
+        multi = ProcessShardExecutor(
+            workload, [16, 16], static_allocator(8), config=IDLE_CONFIG
+        ).serve(arrivals)
+        assert_identical_record_mode(multi, single)
+
     def test_worker_spools_match_parent_records(self, workload, tmp_path):
         arrivals = poisson_arrivals(QIDS, n_queries=60, rate_qps=1.0, seed=2)
         single = ShardedFleet(workload, [16, 16], static_allocator(8)).serve(
@@ -212,6 +242,20 @@ class TestInProcessDrive:
         )
         multi = self._drive(
             ProcessShardExecutor(workload, [16, 16], static_allocator(8)),
+            arrivals,
+        )
+        assert_identical_record_mode(multi, single)
+
+    def test_idle_release(self, workload):
+        arrivals = poisson_arrivals(QIDS, n_queries=80, rate_qps=1.5, seed=17)
+        single = ShardedFleet(
+            workload, [16, 16], static_allocator(8), config=IDLE_CONFIG
+        ).serve(arrivals)
+        assert idle_releases(single) > 0
+        multi = self._drive(
+            ProcessShardExecutor(
+                workload, [16, 16], static_allocator(8), config=IDLE_CONFIG
+            ),
             arrivals,
         )
         assert_identical_record_mode(multi, single)

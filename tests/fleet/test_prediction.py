@@ -428,9 +428,9 @@ class TestPortableRuntime:
         workload, system, scorer = trained
         service = PredictionService(scorer, n_grid=system.n_grid)
         plans = [workload.optimized_plan(q) for q in workload.query_ids]
-        before = len(scorer.runtime.timings["inference"])
+        before = scorer.runtime.timings["inference"].count
         out = service.predict_batch(plans)
-        after = len(scorer.runtime.timings["inference"])
+        after = scorer.runtime.timings["inference"].count
         assert after - before == 1  # one batched dispatch for all misses
         expected = [system.select_executors(p) for p in plans]
         assert [p.executors for p in out] == expected
