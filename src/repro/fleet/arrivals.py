@@ -16,6 +16,7 @@ Two modes, both seeded and fully deterministic:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -48,6 +49,8 @@ class QueryArrival:
     arrival_time: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_time):
+            raise ValueError("arrival times must be finite")
         if self.arrival_time < 0:
             raise ValueError("arrival times cannot be negative")
 

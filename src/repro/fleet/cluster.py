@@ -16,13 +16,14 @@ them:
   cooldown on the way down — and every provisioned executor-second,
   idle or not, lands on the bill.
 
-:meth:`ShardedFleet.serve` is the only in-process fleet event loop:
+:meth:`ShardedFleet.serve` runs the only fleet event loop.
 :class:`~repro.fleet.engine.FleetEngine` is a facade over a sharded
 fleet of **one statically provisioned pool**, so the two agree
-*bit-for-bit* — records, skylines, summary, trace — by construction.
-``tests/fleet/test_cluster.py`` still asserts that parity, and the
-multiprocess driver (:mod:`repro.fleet.parallel`) replays each pool's
-event subsequence of this loop in a process of its own.
+*bit-for-bit* — records, skylines, summary, trace — by construction
+(``tests/fleet/test_cluster.py`` still asserts that parity).  The
+multiprocess driver (:mod:`repro.fleet.parallel`) runs the same loop in
+each worker process, over that worker's one pool, fed with the submits
+its parent decided and routed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.engine.cluster import Cluster
 from repro.engine.execution import CompiledPlan
@@ -46,7 +47,7 @@ from repro.fleet.engine import (
     allocator_annotations,
     decision_fields,
 )
-from repro.fleet.metrics import ClusterMetrics, cluster_serving_window
+from repro.fleet.metrics import ClusterMetrics, FleetMetrics, cluster_serving_window
 from repro.obs.trace import TraceEvent, Tracer
 from repro.fleet.routing import (
     PoolView,
@@ -69,7 +70,8 @@ class EventHeap:
     single counter gives when every arrival is pushed up front, and it
     also holds when arrivals enter the heap lazily, which lets streaming
     mode keep O(1) arrivals in flight without perturbing record mode by
-    a single event.
+    a single event.  A multiprocess parent orders its submits by the
+    same class-0 key, and its workers push them as class-0 entries.
 
     A ``task_done`` push carries one ``(stage_id, executor_id)``
     completion; its heap entry carries a list of them.  A completion for
@@ -132,10 +134,19 @@ class EventHeap:
             self.events, (time, 1, next(self._counter), kind, pool, q, payload)
         )
 
-    def push_arrival(self, time: float, pos: int, arrival: QueryArrival) -> None:
-        """Schedule the arrival at stream position ``pos`` (class 0)."""
+    def push_arrival(
+        self,
+        time: float,
+        pos: int,
+        payload: object,
+        kind: str = "arrive",
+        pool: int = -1,
+    ) -> None:
+        """Schedule stream position ``pos`` (class 0): an arrival, or in
+        a shard worker a ``"submit"`` its parent already routed to
+        ``pool``."""
         self._wave = None
-        heapq.heappush(self.events, (time, 0, pos, "arrive", -1, pos, arrival))
+        heapq.heappush(self.events, (time, 0, pos, kind, pool, pos, payload))
 
     def pop(self) -> tuple[float, int, int, str, int, int, object]:
         """Remove and return the earliest entry; a popped wave is closed
@@ -248,12 +259,73 @@ class ShardedFleet:
         carries per-pool sketches instead of records.
         """
         config = self.config
-        streaming = config.streaming
+        heap = EventHeap()
+        source: Iterator[tuple] = iter(())
+        if config.streaming is None:
+            for pos, arrival in enumerate(_validate_stream(arrivals)):
+                heap.push_arrival(arrival.arrival_time, pos, arrival)
+        else:
+            source = _arrival_source(arrivals)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(
+                TraceEvent(
+                    0.0,
+                    "serve_begin",
+                    -1,
+                    -1,
+                    None,
+                    {"pools": [spec.capacity for spec in self.pools]},
+                )
+            )
+        runtimes, total, pool_of = self._play(heap, source)
+        if total == 0:
+            raise ValueError("cannot serve an empty arrival stream")
+        metrics = _cluster_metrics([r.finalize() for r in runtimes], pool_of)
+        if tracer is not None:
+            end = metrics.pools[0]._window()[1]
+            tracer.emit(TraceEvent(end, "serve_end", -1, -1, None, {"queries": total}))
+        feedback = config.feedback
+        if feedback is not None:
+            # One cluster-wide sink, so its ledger attaches once at the
+            # cluster level (never per pool — the roll-up would double
+            # count the retraining bill).
+            snapshot = getattr(feedback, "stats_snapshot", None)
+            if callable(snapshot):
+                metrics.adaptive = snapshot()
+        return metrics
+
+    def _play(
+        self,
+        heap: EventHeap,
+        source: Iterator[tuple],
+        first_pool: int = 0,
+        anchor: float | None = None,
+    ) -> tuple[list[PoolRuntime], int, dict[int, int]]:
+        """The fleet event loop: play ``heap`` out over this fleet's pools.
+
+        The stream is the class-0 entries on ``heap`` when the loop
+        starts (record mode), then the :meth:`EventHeap.push_arrival`
+        arguments ``source`` yields, pulled one ahead of the clock:
+        arrivals in streaming mode, or in a multiprocess worker the
+        submits its parent decided and routed.  A worker runs one pool,
+        numbered ``first_pool`` cluster-wide, and starts the tick chain
+        at ``anchor`` when the cluster's first submit went to another
+        pool.
+
+        Returns the pool runtimes, the stream length, and the pool each
+        stream position was routed to (record mode; routed submits are
+        not in it).
+        """
+        config = self.config
+        record_mode = config.streaming is None
         ticking = False
 
-        heap = EventHeap()
         events = heap.events
         push = heap.push
+        total = len(events)
+        finished = 0
+        exhausted = False
 
         # Any autoscaled pool needs the tick chain even when the fleet
         # config itself asks for no idle release or scaling.
@@ -286,7 +358,7 @@ class ShardedFleet:
                 compiled=self._compiled,
                 max_capacity=spec.max_capacity,
                 tracer=self.tracer,
-                pool_index=i,
+                pool_index=first_pool + i,
             )
             if spec.autoscaler is not None:
                 runtime.track_capacity()
@@ -295,45 +367,17 @@ class ShardedFleet:
 
         tracer = self.tracer
         max_budget = self.max_budget
-        decisions: dict[int, tuple[int, bool | None, float, float | None]] = {}
-        notes: dict[int, dict] = {}
+        decide = self._decide
+        route = self._route
         pool_of: dict[int, int] = {}
-        total = 0
-        finished = 0
-        exhausted = True
 
-        if streaming is None:
-            stream = _validate_stream(arrivals)
-            total = len(stream)
-        else:
-            arrival_iter = iter(arrivals)
-            last_arrival_t = 0.0
-
-            def pull_arrival() -> None:
-                nonlocal total, exhausted, last_arrival_t
-                for arrival in arrival_iter:
-                    t = arrival.arrival_time
-                    if t < last_arrival_t:
-                        raise ValueError(
-                            "streaming arrival streams must be time-ordered"
-                        )
-                    last_arrival_t = t
-                    heap.push_arrival(t, total, arrival)
-                    total += 1
-                    return
-                exhausted = True
-
-        if tracer is not None:
-            tracer.emit(
-                TraceEvent(
-                    0.0,
-                    "serve_begin",
-                    -1,
-                    -1,
-                    None,
-                    {"pools": [spec.capacity for spec in self.pools]},
-                )
-            )
+        def pull() -> None:
+            nonlocal total, exhausted
+            for entry in source:
+                heap.push_arrival(*entry)
+                total += 1
+                return
+            exhausted = True
 
         # Routers that omit uses_pool_state are conservatively assumed
         # stateful.
@@ -353,14 +397,9 @@ class ShardedFleet:
             return False
 
         # --- bootstrap ---------------------------------------------------
-        if streaming is None:
-            for pos, arrival in enumerate(stream):
-                heap.push_arrival(arrival.arrival_time, pos, arrival)
-        else:
-            exhausted = False
-            pull_arrival()
-            if total == 0:
-                raise ValueError("cannot serve an empty arrival stream")
+        if anchor is not None:
+            start_ticks(anchor)
+        pull()
 
         # --- main loop ---------------------------------------------------
         pop = heap.pop
@@ -372,15 +411,11 @@ class ShardedFleet:
                 if runtimes[pool].handle_task_done(now, q, payload):
                     finished += 1
             elif kind == "arrive":
-                arrival = payload
-                plan = self.workload.optimized_plan(arrival.query_id)
-                decision = self.allocator(arrival.query_id, plan)
-                decisions[q] = decision_fields(decision, max_budget)
-                notes[q] = allocator_annotations(self.allocator, decision)
-                seconds = decisions[q][2]
+                delay, submit = decide(payload, max_budget)
                 if tracer is not None:
+                    _, _, cached, seconds, estimate, notes = submit
                     tracer.emit(
-                        TraceEvent(now, "query_arrive", -1, q, arrival.query_id)
+                        TraceEvent(now, "query_arrive", -1, q, payload.query_id)
                     )
                     tracer.emit(
                         TraceEvent(
@@ -388,57 +423,49 @@ class ShardedFleet:
                             "query_predict",
                             -1,
                             q,
-                            arrival.query_id,
+                            payload.query_id,
                             {
-                                "executors": notes[q]["predicted_executors"],
-                                "cached": decisions[q][1],
+                                "executors": notes["predicted_executors"],
+                                "cached": cached,
                                 "seconds": seconds,
-                                "estimated_runtime_s": decisions[q][3],
-                                "policy": notes[q]["policy"],
+                                "estimated_runtime_s": estimate,
+                                "policy": notes["policy"],
                             },
                         )
                     )
-                delay = seconds if config.charge_prediction_overhead else 0.0
-                push(-1, now + delay, "submit", q, arrival)
+                push(-1, now + delay, "submit", q, submit)
                 if not exhausted:
-                    pull_arrival()
+                    pull()
             elif kind == "submit":
-                arrival = payload
-                budget, cached, seconds, estimate = decisions.pop(q)
-                chosen = self.router.pick(
-                    RoutingRequest(
-                        query_id=arrival.query_id,
-                        app_id=arrival.app_id,
-                        budget=budget,
-                        estimated_runtime_seconds=estimate,
-                        submit_time=now,
-                    ),
-                    (
-                        [runtime.view() for runtime in runtimes]
-                        if live_views
-                        else frozen_views
-                    ),
-                )
-                if not 0 <= chosen < self.n_pools:
-                    raise ValueError(
-                        f"router {self.router.name!r} picked pool {chosen} "
-                        f"out of {self.n_pools}"
+                arrival, budget, cached, seconds, estimate, notes = payload
+                if pool < 0:
+                    pool = route(
+                        now,
+                        payload,
+                        (
+                            [runtime.view() for runtime in runtimes]
+                            if live_views
+                            else frozen_views
+                        ),
                     )
-                if streaming is None:
-                    pool_of[q] = chosen
-                if tracer is not None:
-                    tracer.emit(
-                        TraceEvent(
-                            now,
-                            "query_route",
-                            chosen,
-                            q,
-                            arrival.query_id,
-                            {"router": self.router.name},
+                    if record_mode:
+                        pool_of[q] = pool
+                    if tracer is not None:
+                        tracer.emit(
+                            TraceEvent(
+                                now,
+                                "query_route",
+                                pool,
+                                q,
+                                arrival.query_id,
+                                {"router": self.router.name},
+                            )
                         )
-                    )
-                runtimes[chosen].submit(
-                    now, q, arrival, budget, cached, seconds, notes.pop(q), estimate
+                elif not exhausted:
+                    # A worker's routed submit is its feed's stream entry.
+                    pull()
+                runtimes[pool].submit(
+                    now, q, arrival, budget, cached, seconds, notes, estimate
                 )
             elif kind == "driver_done":
                 runtimes[pool].handle_driver_done(now, q)
@@ -470,32 +497,44 @@ class ShardedFleet:
 
         if finished < total:
             _raise_cluster_stalled(runtimes, total - finished)
+        return runtimes, total, pool_of
 
-        records = []
-        placed = []
-        if streaming is None:
-            for q in range(total):
-                chosen = pool_of[q]
-                records.append(runtimes[chosen].records[q])
-                placed.append(chosen)
-        window = cluster_serving_window(records, (r.stats for r in runtimes))
-        if tracer is not None:
-            tracer.emit(
-                TraceEvent(window[1], "serve_end", -1, -1, None, {"queries": total})
-            )
-        pool_metrics = [runtime.finalize(serving_window=window) for runtime in runtimes]
-        metrics = ClusterMetrics(
-            pools=pool_metrics, records=records, pool_of=placed
+    def _decide(
+        self, arrival: QueryArrival, max_budget: int
+    ) -> tuple[float, tuple]:
+        """Run the allocator on one arrival.
+
+        Returns the delay from arrival to submit (the selection overhead,
+        when charged) and the submit payload ``(arrival, budget, cached,
+        seconds, estimated_runtime_seconds, annotations)``.
+        """
+        decision = self.allocator(
+            arrival.query_id, self.workload.optimized_plan(arrival.query_id)
         )
-        feedback = config.feedback
-        if feedback is not None:
-            # One cluster-wide sink, so its ledger attaches once at the
-            # cluster level (never per pool — the roll-up would double
-            # count the retraining bill).
-            snapshot = getattr(feedback, "stats_snapshot", None)
-            if callable(snapshot):
-                metrics.adaptive = snapshot()
-        return metrics
+        budget, cached, seconds, estimate = decision_fields(decision, max_budget)
+        delay = seconds if self.config.charge_prediction_overhead else 0.0
+        notes = allocator_annotations(self.allocator, decision)
+        return delay, (arrival, budget, cached, seconds, estimate, notes)
+
+    def _route(self, now: float, submit: tuple, views: Sequence[PoolView]) -> int:
+        """The pool the router places a submit payload on."""
+        arrival, budget, _, _, estimate, _ = submit
+        chosen = self.router.pick(
+            RoutingRequest(
+                query_id=arrival.query_id,
+                app_id=arrival.app_id,
+                budget=budget,
+                estimated_runtime_seconds=estimate,
+                submit_time=now,
+            ),
+            views,
+        )
+        if not 0 <= chosen < self.n_pools:
+            raise ValueError(
+                f"router {self.router.name!r} picked pool {chosen} "
+                f"out of {self.n_pools}"
+            )
+        return chosen
 
 
 def static_views(specs: Sequence[PoolSpec]) -> list[PoolView]:
@@ -533,6 +572,38 @@ def _validate_stream(arrivals: Sequence[QueryArrival]) -> list[QueryArrival]:
     return stream
 
 
+def _cluster_metrics(
+    pools: list[FleetMetrics], pool_of: dict[int, int]
+) -> ClusterMetrics:
+    """Join finalized pool metrics into the cluster's.
+
+    Records return to stream order (each pool's come sorted by stream
+    position), and every pool bills the cluster-wide serving window, so
+    a pool the router never picked still pays for its provisioned floor.
+    Metrics derive lazily, so setting the window now equals passing it
+    to :meth:`~repro.fleet.engine.PoolRuntime.finalize`.
+    """
+    placed = [pool_of[q] for q in range(len(pool_of))]
+    records_of = [iter(metrics.records) for metrics in pools]
+    records = [next(records_of[i]) for i in placed]
+    window = cluster_serving_window(records, (metrics.stats for metrics in pools))
+    for metrics in pools:
+        metrics.serving_window = window
+    return ClusterMetrics(pools=pools, records=records, pool_of=placed)
+
+
+def _arrival_source(arrivals: Iterable[QueryArrival]) -> Iterator[tuple]:
+    """A streamed arrival iterable as :meth:`EventHeap.push_arrival`
+    arguments, checked for time order as it is consumed."""
+    last = 0.0
+    for pos, arrival in enumerate(arrivals):
+        t = arrival.arrival_time
+        if t < last:
+            raise ValueError("streamed arrivals must be time-ordered")
+        last = t
+        yield t, pos, arrival
+
+
 def _raise_cluster_stalled(runtimes: Sequence[PoolRuntime], unfinished: int) -> None:
     queued = sum(runtime.arbiter.queue_length for runtime in runtimes)
     if queued > 0:
@@ -540,8 +611,8 @@ def _raise_cluster_stalled(runtimes: Sequence[PoolRuntime], unfinished: int) -> 
         worst = max(runtimes, key=lambda r: r.arbiter.queue_length)
         _raise_stalled(worst.arbiter, unfinished)
     running = {
-        i: runtime.unfinished_queries()
-        for i, runtime in enumerate(runtimes)
+        runtime.pool_index: runtime.unfinished_queries()
+        for runtime in runtimes
         if runtime.unfinished_queries()
     }
     raise RuntimeError(

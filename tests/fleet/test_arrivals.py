@@ -3,10 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.fleet.arrivals import poisson_arrivals, trace_arrivals
+from repro.fleet.arrivals import QueryArrival, poisson_arrivals, trace_arrivals
 from repro.workloads.production import generate_production_trace
 
 QIDS = ("q1", "q2", "q3", "q94")
+
+
+class TestQueryArrivalValidation:
+    """A non-finite arrival time is refused at construction: ``inf``
+    would keep a serve from ever ending, NaN would poison its
+    percentiles."""
+
+    @pytest.mark.parametrize(
+        "t", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            QueryArrival(1, "q1", 0, t)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            QueryArrival(0, "q1", 0, -1.0)
 
 
 class TestPoissonArrivals:

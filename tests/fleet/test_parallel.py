@@ -2,15 +2,20 @@
 single-process sharded serve bit for bit, per the determinism contract
 in :mod:`repro.fleet.parallel`."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.allocation import DynamicAllocation
 from repro.engine.faults import FaultPlan, SpotMarket
 from repro.fleet import (
     FleetConfig,
     LeastQueuedRouter,
     PoolSpec,
+    Prediction,
     ProcessShardExecutor,
     QueryArrival,
     ShardedFleet,
@@ -46,6 +51,72 @@ def idle_releases(metrics):
 #: A short idle timeout, so executors are released mid-query and the
 #: workers' ticks exercise the quiet-scan rule in ``PoolRuntime.on_tick``.
 IDLE_CONFIG = FleetConfig(idle_release_timeout=2.0)
+
+#: Mid-query scaling: every run polls its policy on every tick.
+SCALING_CONFIG = FleetConfig(scaling=lambda b: DynamicAllocation(1, 2 * b))
+
+#: Selection overheads the delayed allocator cycles through (seconds).
+DELAYS = (0.0, 3.0, 0.5, 7.0)
+
+
+def delayed_allocator():
+    """Budget 8, with a selection overhead cycling through ``DELAYS``.
+
+    The overhead is charged by default, so a query submits ``seconds``
+    after it arrives and submits leave arrival order.  Build one per
+    serve: the cycle is the allocator's state.
+    """
+    delays = itertools.cycle(DELAYS)
+
+    def allocate(query_id, plan):
+        return Prediction(executors=8, cached=False, seconds=next(delays))
+
+    return allocate
+
+
+def reordered_positions(arrivals):
+    """How many stream positions submit out of arrival order under
+    ``delayed_allocator``."""
+    submits = sorted(
+        (a.arrival_time + d, pos)
+        for pos, (a, d) in enumerate(zip(arrivals, itertools.cycle(DELAYS)))
+    )
+    return sum(pos != i for i, (_, pos) in enumerate(submits))
+
+
+def integer_arrivals(n_queries):
+    """Arrivals at integer instants, gaps cycling 1, 2, 3 and 5 s: with a
+    1 s tick, submits, ticks and grant arrivals land on the same floats."""
+    times = itertools.accumulate(itertools.cycle((1, 2, 3, 5)), initial=0)
+    return [
+        QueryArrival(i, QIDS[i % len(QIDS)], i % 4, float(t))
+        for i, t in zip(range(n_queries), times)
+    ]
+
+
+def serve_both(workload, pools, allocator, config, arrivals, streaming):
+    """Serve ``arrivals`` in-process and with one process per pool;
+    ``allocator`` is a factory, called once per serve."""
+    if streaming:
+        config = dataclasses.replace(config, streaming=True)
+    single = ShardedFleet(workload, pools, allocator(), config=config).serve(
+        iter(arrivals) if streaming else arrivals
+    )
+    multi = ProcessShardExecutor(
+        workload, pools, allocator(), config=config
+    ).serve(arrivals)
+    return multi, single
+
+
+def assert_identical(multi, single, streaming):
+    if streaming:
+        assert multi.records == [] and single.records == []
+        for got, want in zip(multi.pools, single.pools):
+            assert got.stats == want.stats
+            assert got.serving_window == want.serving_window
+        assert multi.summary() == single.summary()
+    else:
+        assert_identical_record_mode(multi, single)
 
 
 def assert_identical_record_mode(multi, single):
@@ -101,6 +172,15 @@ class TestRestrictions:
         executor = ProcessShardExecutor(workload, [16, 16], static_allocator(4))
         with pytest.raises(ValueError, match="empty"):
             executor.serve([])
+
+    def test_duplicate_indices_rejected(self, workload):
+        executor = ProcessShardExecutor(workload, [16, 16], static_allocator(4))
+        arrivals = [
+            QueryArrival(0, "q1", 0, 1.0),
+            QueryArrival(0, "q2", 1, 2.0),
+        ]
+        with pytest.raises(ValueError, match="duplicate indices"):
+            executor.serve(arrivals)
 
 
 class TestMergeEqualsSingleProcess:
@@ -210,18 +290,59 @@ class TestMergeEqualsSingleProcess:
         with pytest.raises(RuntimeError, match="boom in worker"):
             executor.serve(arrivals)
 
+class TestReorderedSubmits:
+    """Selection overheads of 0 to 7 s reorder submits against arrivals,
+    which exercises the parent's reorder heap."""
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["record", "streaming"])
+    def test_delayed_submits_bit_for_bit(self, workload, streaming):
+        arrivals = poisson_arrivals(QIDS, n_queries=120, rate_qps=1.5, seed=11)
+        assert reordered_positions(arrivals) > 60
+        multi, single = serve_both(
+            workload, [16, 16, 16], delayed_allocator, FleetConfig(), arrivals, streaming
+        )
+        assert_identical(multi, single, streaming)
+
+
+class TestIntegerTimedStreams:
+    """Integer arrival instants make ticks, submits and grant arrivals
+    collide on exact floats, which Poisson streams never do."""
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["record", "streaming"])
+    @pytest.mark.parametrize("n_pools", [2, 3])
+    @pytest.mark.parametrize(
+        "config", [IDLE_CONFIG, SCALING_CONFIG], ids=["idle-release", "scaling"]
+    )
+    @pytest.mark.parametrize(
+        "allocator",
+        [lambda: static_allocator(8), delayed_allocator],
+        ids=["static", "delayed"],
+    )
+    def test_collisions_bit_for_bit(
+        self, workload, allocator, config, n_pools, streaming
+    ):
+        arrivals = integer_arrivals(48)
+        multi, single = serve_both(
+            workload, [16] * n_pools, allocator, config, arrivals, streaming
+        )
+        assert_identical(multi, single, streaming)
+
+
 class TestInProcessDrive:
-    """Run the worker loop in-process (plain queues, no fork) — the same
-    code path the subprocess runs, but visible to debuggers and to
-    coverage measurement, which cannot see into forked children."""
+    """Run each worker in-process (plain queues, no fork): the parent's
+    dispatch, then ``_drive_shard`` — the one fleet loop over one pool —
+    per pool.  The same code path the subprocess runs, but visible to
+    debuggers and to coverage measurement, which cannot see into forked
+    children."""
 
     def _drive(self, executor, arrivals):
         import queue
 
+        from repro.fleet.cluster import _cluster_metrics
         from repro.fleet.parallel import _drive_shard
 
         feeds = [queue.Queue() for _ in range(executor.n_pools)]
-        pool_of, placed_qs, total = executor._dispatch(arrivals, feeds)
+        pool_of = executor._dispatch(arrivals, feeds)
         metrics_by_pool = [
             _drive_shard(
                 feeds[i],
@@ -233,7 +354,7 @@ class TestInProcessDrive:
             )
             for i in range(executor.n_pools)
         ]
-        return executor._assemble(metrics_by_pool, pool_of, placed_qs, total)
+        return _cluster_metrics(metrics_by_pool, pool_of)
 
     def test_record_mode(self, workload):
         arrivals = poisson_arrivals(QIDS, n_queries=80, rate_qps=1.5, seed=17)
@@ -255,6 +376,19 @@ class TestInProcessDrive:
         multi = self._drive(
             ProcessShardExecutor(
                 workload, [16, 16], static_allocator(8), config=IDLE_CONFIG
+            ),
+            arrivals,
+        )
+        assert_identical_record_mode(multi, single)
+
+    def test_delayed_submits(self, workload):
+        arrivals = integer_arrivals(48)
+        single = ShardedFleet(
+            workload, [16, 16], delayed_allocator(), config=SCALING_CONFIG
+        ).serve(arrivals)
+        multi = self._drive(
+            ProcessShardExecutor(
+                workload, [16, 16], delayed_allocator(), config=SCALING_CONFIG
             ),
             arrivals,
         )
