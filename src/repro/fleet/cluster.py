@@ -586,7 +586,7 @@ def _cluster_metrics(
     placed = [pool_of[q] for q in range(len(pool_of))]
     records_of = [iter(metrics.records) for metrics in pools]
     records = [next(records_of[i]) for i in placed]
-    window = cluster_serving_window(records, (metrics.stats for metrics in pools))
+    window = cluster_serving_window([metrics.stats for metrics in pools])
     for metrics in pools:
         metrics.serving_window = window
     return ClusterMetrics(pools=pools, records=records, pool_of=placed)

@@ -21,18 +21,16 @@ summed occupancy, idle-capacity, and dollar costs.  Both types derive
 their distributions, fault counters, summary, and report from one
 accounting core; only the cost roll-ups are per type.
 
-**Streaming mode.**  A record-backed :class:`FleetMetrics` is exact but
-O(n) memory per serve.  Under :attr:`FleetConfig.streaming
-<repro.fleet.engine.FleetConfig>` the fleet drivers instead fold each
-finished query into a :class:`PoolStreamStats` — latency/queue-delay
-distributions in :class:`~repro.obs.sketch.QuantileSketch` histograms,
-occupancy/billing/fault totals in incremental accumulators, and the
-pool/capacity skylines reduced to O(1) :class:`SkylineTracker` state —
-and every property below answers from that state instead of the (empty)
-record list.  Counts, sums, extrema, windows, and costs are exact;
-percentiles carry the sketch's relative-accuracy bound.  Records are
-opt-in via JSONL spooling (:meth:`QueryRecord.to_json` /
-:func:`read_spooled_records`).
+**One fold, two modes.**  Every count, sum, extremum, window and cost
+answers from a :class:`PoolStreamStats`: distributions in
+:class:`~repro.obs.sketch.QuantileSketch` histograms, totals in
+incremental accumulators, skylines reduced to :class:`SkylineTracker`
+state.  Under :attr:`FleetConfig.streaming
+<repro.fleet.engine.FleetConfig>` the drivers fold each finished query
+as it happens and keep no records (O(1) memory; records are opt-in via
+JSONL spooling, :func:`read_spooled_records`).  Record mode derives the
+same fold from its records and skylines at construction and keeps the
+records for what only they give: exact percentiles and mean queue delay.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import json
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Sequence, cast
 
 import numpy as np
 
@@ -217,42 +215,56 @@ def read_spooled_records(
 
 
 class SkylineTracker:
-    """O(1) streaming stand-in for a recorded :class:`Skyline`.
+    """Bounded-memory stand-in for a recorded :class:`Skyline`.
 
-    A full skyline keeps every ``(time, count)`` step — one per grant or
-    release, unbounded over a long serve.  The streaming serve only ever
-    needs four derived quantities (running integral, current step, peak,
-    and windowed area), so the tracker folds each step into those as it
-    happens and keeps nothing else.
+    A full skyline keeps every ``(time, count)`` step, unbounded over a
+    long serve.  The tracker folds each step into a running integral and
+    peak, and keeps ``(time, value, integral)`` ``steps`` only back to
+    the one in effect at the latest :meth:`settle` — at each finish, so
+    the steps since the pool's latest finish, which a window ending
+    after it (a late grant's release) still reads.  Equal consecutive
+    values are kept: a :class:`Skyline` keeps two after a same-instant
+    replacement, and merging them would round its area differently.
 
     The windowed-area shortcut in :meth:`window_auc` assumes the tracked
-    value is still ``initial`` at ``start`` — true for both uses here:
-    pool usage is zero until the first admission (≥ the first arrival,
-    which opens every serving window) and provisioned capacity first
-    moves on a tick, which is anchored at the first admission.
+    value is still ``initial`` at ``start``, from time 0 on — true for
+    both uses here: pool usage is zero until the first admission (≥ the
+    first arrival, which opens every serving window) and provisioned
+    capacity opens at time 0 and first moves on a tick, which is
+    anchored at the first admission.
     """
 
-    __slots__ = ("initial", "last_time", "last_value", "integral", "peak")
+    __slots__ = ("initial", "peak", "steps")
 
     def __init__(self, time: float = 0.0, value: int = 0) -> None:
-        self.initial = int(value)
-        self.last_time = float(time)
-        self.last_value = int(value)
-        self.integral = 0.0
-        self.peak = int(value)
+        self.initial = self.peak = int(value)
+        self.steps = [(float(time), int(value), 0.0)]
 
     def record(self, time: float, value: int) -> None:
         """Fold one step in (times must be non-decreasing)."""
-        self.integral += self.last_value * (time - self.last_time)
-        self.last_time = float(time)
-        self.last_value = int(value)
+        last_time, last_value, area = self.steps[-1]
+        time, value = float(time), int(value)
+        self.steps.append((time, value, area + last_value * (time - last_time)))
         if value > self.peak:
-            self.peak = int(value)
+            self.peak = value
+
+    def settle(self, finish: float) -> None:
+        """Forget the steps no window ending at or after ``finish``
+        reads: every step followed by one at or before ``finish``."""
+        steps = self.steps
+        keep = len(steps) - 1
+        while keep > 0 and steps[keep][0] > finish:
+            keep -= 1
+        del steps[:keep]
 
     def auc_to(self, time: float) -> float:
-        """Area under the step function from 0 to ``time`` (an instant
-        at or after the last recorded step)."""
-        return self.integral + self.last_value * (time - self.last_time)
+        """Area under the step function from 0 to ``time``, an instant
+        at or after the latest :meth:`settle` — bit for bit
+        :meth:`Skyline.auc` over the same steps."""
+        for step_time, value, area in reversed(self.steps):
+            if step_time <= time:
+                return area + value * (time - step_time)
+        raise ValueError(f"t={time} precedes the tracker's settled steps")
 
     def window_auc(self, start: float, end: float) -> float:
         """Area over ``[start, end]`` (see the class note for when the
@@ -266,32 +278,30 @@ class SkylineTracker:
             return NotImplemented
         return (
             self.initial == other.initial
-            and self.last_time == other.last_time
-            and self.last_value == other.last_value
-            and self.integral == other.integral
             and self.peak == other.peak
+            and self.steps == other.steps
         )
 
     def __repr__(self) -> str:
-        return (
-            f"SkylineTracker(last={self.last_value}@{self.last_time}, "
-            f"peak={self.peak}, integral={self.integral})"
-        )
+        time, value, area = self.steps[-1]
+        return f"SkylineTracker(last={value}@{time}, peak={self.peak}, integral={area})"
 
 
 class PoolStreamStats(StreamingFleetStats):
-    """One pool's O(1)-memory serving state for a streaming serve.
+    """One pool's serving fold, which every :class:`FleetMetrics` total
+    answers from in both modes.
 
     Extends :class:`~repro.obs.metrics.StreamingFleetStats` (latency /
     queue-delay / run-seconds sketches, counts, window extrema) with the
-    pool-level accumulators a :class:`FleetMetrics` needs to answer its
-    full surface without records: the usage and capacity trackers, the
+    pool-level accumulators: the usage and capacity trackers, the
     billed-occupancy total, the incrementally merged fault ledger, and
-    the running capacity-invariant check.
+    the capacity-invariant verdict.
 
-    Fold order is finish order, so two serves that finish queries in the
-    same order produce bit-identical state — the multiprocess merge
-    contract (:mod:`repro.fleet.parallel`) rests on this.
+    A streaming serve folds in finish order, so two serves that finish
+    queries in the same order produce bit-identical state — the
+    multiprocess merge contract (:mod:`repro.fleet.parallel`) rests on
+    this.  Record mode replays in stream order (see
+    :meth:`FleetMetrics._fold`).
     """
 
     def __init__(self, relative_accuracy: float = 0.01) -> None:
@@ -306,6 +316,9 @@ class PoolStreamStats(StreamingFleetStats):
         """Fold one finished query in (latency sketches via the base
         class, then the pool-billing and fault accumulators)."""
         super().observe(record)
+        self.usage.settle(record.finish_time)
+        if self.capacity is not None:
+            self.capacity.settle(record.finish_time)
         stats = record.fault_stats
         if stats is None:
             self.billed_occupancy_seconds += record.auc
@@ -319,16 +332,7 @@ class PoolStreamStats(StreamingFleetStats):
         if not isinstance(other, PoolStreamStats):
             return NotImplemented
         return (
-            self.relative_accuracy == other.relative_accuracy
-            and self.latency == other.latency
-            and self.queue_delay == other.queue_delay
-            and self.run_seconds == other.run_seconds
-            and self.n_queries == other.n_queries
-            and self.total_executor_seconds == other.total_executor_seconds
-            and self.prediction_hits == other.prediction_hits
-            and self.prediction_decisions == other.prediction_decisions
-            and self.first_arrival == other.first_arrival
-            and self.last_finish == other.last_finish
+            super().__eq__(other)
             and self.usage == other.usage
             and self.capacity == other.capacity
             and self.capacity_ok == other.capacity_ok
@@ -393,30 +397,17 @@ class AdaptiveStats:
         }
 
 
-def _serving_window(records: Sequence[QueryRecord]) -> tuple[float, float]:
-    """First arrival to last completion — the span capacity is billed over."""
-    if not records:
-        return (0.0, 0.0)
-    start = min(r.arrival_time for r in records)
-    end = max(r.finish_time for r in records)
-    return (start, end)
-
-
 def cluster_serving_window(
-    records: Sequence[QueryRecord], pool_stats: Iterable[PoolStreamStats | None]
+    pool_stats: Sequence[StreamingFleetStats],
 ) -> tuple[float, float]:
-    """The cluster-wide span every pool of a sharded serve bills — a
-    pool the router never picked still pays for its provisioned floor.
-
-    Record mode reads the served records; a streaming serve (no records)
-    recovers the same span from the pools' accumulators, where a pool
-    that served nothing contributes nothing.
+    """First arrival to last completion over the pools' folds — the span
+    every pool bills, so a pool the router never picked still pays for
+    its provisioned floor.  ``(0.0, 0.0)`` when nothing was served.
     """
-    if records:
-        return _serving_window(records)
-    stats = [s for s in pool_stats if s is not None]
-    starts = [s.first_arrival for s in stats if s.first_arrival is not None]
-    ends = [s.last_finish for s in stats if s.last_finish is not None]
+    starts = [s.first_arrival for s in pool_stats if s.first_arrival is not None]
+    ends = [s.last_finish for s in pool_stats if s.last_finish is not None]
+    if not starts:
+        return (0.0, 0.0)
     return (min(starts), max(ends))
 
 
@@ -424,18 +415,19 @@ class _Accounting(ABC):
     """The accounting core :class:`FleetMetrics` and
     :class:`ClusterMetrics` share.
 
-    Distributions read the served ``records``, or — on a streaming serve
-    — the sketches ``_stats()`` returns (``None`` for a record-backed
-    run); fault counters read ``fault_stats``.  Each subclass supplies
-    the abstract members below, cost roll-ups included, so every float
-    is still summed in its own type's order.
+    Counts, extrema and rates read the fold ``_stats()`` returns;
+    percentiles and the mean queue delay read the ``records`` when there
+    are any, the fold's sketches otherwise; fault counters read
+    ``fault_stats``.  Each subclass supplies the abstract members below,
+    cost roll-ups included, so every float is still summed in its own
+    type's order.
     """
 
     records: list[QueryRecord]
     adaptive: AdaptiveStats | None
 
     @abstractmethod
-    def _stats(self) -> StreamingFleetStats | None: ...
+    def _stats(self) -> StreamingFleetStats: ...
 
     @property
     @abstractmethod
@@ -488,30 +480,20 @@ class _Accounting(ABC):
 
     @property
     def n_queries(self) -> int:
-        stats = self._stats()
-        if stats is not None:
-            return stats.n_queries
-        return len(self.records)
+        return self._stats().n_queries
 
     @property
     def makespan(self) -> float:
         """First arrival to last completion."""
-        stats = self._stats()
-        if stats is not None:
-            return stats.makespan
-        start, end = _serving_window(self.records)
-        return end - start
+        return self._stats().makespan
 
     def latency_percentile(self, q: float) -> float:
         """The ``q``-th percentile of end-to-end query latency (a
         sketch estimate within ``relative_accuracy`` in streaming
         mode)."""
-        stats = self._stats()
-        if stats is not None:
-            return stats.latency.quantile(q)
-        if not self.records:
-            return 0.0
-        return float(np.percentile([r.latency for r in self.records], q))
+        if self.records:
+            return float(np.percentile([r.latency for r in self.records], q))
+        return self._stats().latency.quantile(q)
 
     @property
     def p50_latency(self) -> float:
@@ -527,35 +509,17 @@ class _Accounting(ABC):
 
     @property
     def mean_queue_delay(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.queue_delay.mean
-        if not self.records:
-            return 0.0
-        return float(np.mean([r.queue_delay for r in self.records]))
+        if self.records:
+            return float(np.mean([r.queue_delay for r in self.records]))
+        return self._stats().queue_delay.mean
 
     @property
     def max_queue_delay(self) -> float:
-        stats = self._stats()
-        if stats is not None:
-            return stats.queue_delay.max or 0.0
-        if not self.records:
-            return 0.0
-        return max(r.queue_delay for r in self.records)
+        return self._stats().queue_delay.max or 0.0
 
     def prediction_cache_hit_rate(self) -> float:
         """Fraction of predictive decisions served from the memo cache."""
-        stats = self._stats()
-        if stats is not None:
-            return stats.prediction_cache_hit_rate()
-        flagged = [
-            r.prediction_cached
-            for r in self.records
-            if r.prediction_cached is not None
-        ]
-        if not flagged:
-            return 0.0
-        return float(np.mean(flagged))
+        return self._stats().prediction_cache_hit_rate()
 
     # --- faults ----------------------------------------------------------
     @property
@@ -699,12 +663,11 @@ class FleetMetrics(_Accounting):
             standalone pool) falls back to this pool's own first-arrival
             → last-finish span.
         price_per_core_hour: billing rate for the dollar-cost metrics.
-        stats: the pool's :class:`PoolStreamStats` when the serve ran in
-            streaming mode — ``records`` is then empty and every
-            property below answers from the bounded-memory accumulators
-            instead (percentiles become sketch estimates within the
-            configured relative accuracy; totals, windows, and costs
-            stay exact).  ``None`` for record-backed metrics.
+        stats: the pool's :class:`PoolStreamStats`, which every total
+            below answers from.  A streaming serve hands in its online
+            fold (``records`` is then empty and percentiles are sketch
+            estimates); ``None`` derives it from the records and
+            skylines at construction.
         adaptive: the continual-learning ledger
             (:class:`AdaptiveStats`) when the serve ran with a feedback
             sink that keeps one; ``None`` for frozen serves.  Its
@@ -719,73 +682,79 @@ class FleetMetrics(_Accounting):
     capacity_skyline: Skyline | None = None
     serving_window: tuple[float, float] | None = None
     price_per_core_hour: float = DEFAULT_PRICE_PER_CORE_HOUR
-    stats: PoolStreamStats | None = None
+    # Never None once constructed: __post_init__ derives the default.
+    stats: PoolStreamStats = cast(PoolStreamStats, None)
     adaptive: AdaptiveStats | None = None
-    _fault_stats: FaultStats | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        self.stats = self._fold(self.stats)
+
+    def _fold(self, handed_in: PoolStreamStats | None) -> PoolStreamStats:
+        """The fold a streaming serve handed in, else the replay of the
+        records (stream order, as the exact totals were always summed)
+        and then the skylines point by point.  A capacity skyline is
+        checked pointwise: usage at or below capacity at every step of
+        either skyline, as a streaming serve checks online.
+        """
+        if handed_in is not None:
+            return handed_in
+        pool, provisioned = self.pool_skyline, self.capacity_skyline
+        stats = PoolStreamStats()
+        for record in self.records:
+            stats.observe(record)
+        trackers = [stats.usage]
+        for time, count in pool.points:
+            stats.usage.record(time, count)
+        if provisioned is None:
+            stats.capacity_ok = stats.usage.peak <= self.capacity
+        else:
+            first, *rest = provisioned.points or [(0.0, 0)]
+            tracker = stats.capacity = SkylineTracker(*first)
+            for time, count in rest:
+                tracker.record(time, count)
+            trackers.append(tracker)
+            stats.capacity_ok = all(
+                count <= provisioned.value_at(t) for t, count in pool.points
+            ) and all(pool.value_at(t) <= count for t, count in provisioned.points)
+        if stats.last_finish is not None:
+            for tracker in trackers:
+                tracker.settle(stats.last_finish)
+        return stats
 
     def _window(self) -> tuple[float, float]:
         if self.serving_window is not None:
             return self.serving_window
-        if self.stats is not None:
-            if self.stats.first_arrival is None:
-                return (0.0, 0.0)
-            return (self.stats.first_arrival, self.stats.last_finish)
-        return _serving_window(self.records)
+        return cluster_serving_window([self.stats])
 
-    def _stats(self) -> PoolStreamStats | None:
+    def _stats(self) -> PoolStreamStats:
         return self.stats
 
     @property
     def peak_pool_usage(self) -> int:
         """Most executors ever reserved at one instant."""
-        if self.stats is not None:
-            return self.stats.usage.peak
-        return self.pool_skyline.max_executors
+        return self.stats.usage.peak
 
     @property
     def capacity_respected(self) -> bool:
-        """The fleet's core invariant: grants never exceeded the pool.
-
-        With a time-varying capacity skyline the check is pointwise:
-        reserved capacity must sit at or below provisioned capacity at
-        every step of either skyline.  A streaming serve makes the same
-        pointwise check online, at every usage step, and reports the
-        accumulated verdict.
-        """
-        if self.stats is not None:
-            return self.stats.capacity_ok
-        if self.capacity_skyline is None:
-            return self.peak_pool_usage <= self.capacity
-        return all(
-            count <= self.capacity_skyline.value_at(t)
-            for t, count in self.pool_skyline.points
-        ) and all(
-            self.pool_skyline.value_at(t) <= count
-            for t, count in self.capacity_skyline.points
-        )
+        """The fleet's core invariant: grants never exceeded the
+        (possibly time-varying) pool capacity at any instant."""
+        return self.stats.capacity_ok
 
     @property
     def total_executor_seconds(self) -> float:
         """Summed executor occupancy across all queries (the paper's AUC
         cost metric, fleet-wide)."""
-        if self.stats is not None:
-            return self.stats.total_executor_seconds
-        return sum(r.auc for r in self.records)
+        return self.stats.total_executor_seconds
 
     @property
     def provisioned_executor_seconds(self) -> float:
         """Capacity provisioned over the serving window, in
         executor-seconds — what a pay-for-provisioned bill meters."""
         start, end = self._window()
-        if end <= start:
-            return 0.0
-        if self.stats is not None and self.stats.capacity is not None:
-            return self.stats.capacity.window_auc(start, end)
-        if self.capacity_skyline is None:
-            return self.capacity * (end - start)
-        return self.capacity_skyline.auc(end) - self.capacity_skyline.auc(start)
+        capacity = self.stats.capacity
+        if capacity is None:
+            return self.capacity * max(0.0, end - start)
+        return capacity.window_auc(start, end)
 
     @property
     def reserved_executor_seconds(self) -> float:
@@ -793,11 +762,7 @@ class FleetMetrics(_Accounting):
         skyline's area — reserved from admission, counting executors
         still in their provisioning ramp)."""
         start, end = self._window()
-        if end <= start:
-            return 0.0
-        if self.stats is not None:
-            return self.stats.usage.window_auc(start, end)
-        return self.pool_skyline.auc(end) - self.pool_skyline.auc(start)
+        return self.stats.usage.window_auc(start, end)
 
     @property
     def idle_capacity_seconds(self) -> float:
@@ -810,10 +775,7 @@ class FleetMetrics(_Accounting):
         arrived yet, so occupancy plus this term bills every provisioned
         executor-second.
         """
-        if self.stats is not None:
-            if self.stats.capacity is None:
-                return 0.0
-        elif self.capacity_skyline is None:
+        if self.stats.capacity is None:
             return 0.0
         return max(
             0.0, self.provisioned_executor_seconds - self.total_executor_seconds
@@ -823,26 +785,12 @@ class FleetMetrics(_Accounting):
     @property
     def fault_stats(self) -> FaultStats:
         """Merged fault ledger across all served queries (all-zero when
-        the fleet ran unperturbed).
-
-        Memoized: the metrics object is built after the serve completes,
-        so the records are append-complete and ``summary()`` /
-        ``describe()`` — which read several ledger fields each — merge
-        once instead of once per field.
-        """
-        if self.stats is not None:
-            found = self.stats.fault
-            return FaultStats() if found is None else found
-        if self._fault_stats is None:
-            self._fault_stats = FaultStats.merged(
-                r.fault_stats for r in self.records if r.fault_stats is not None
-            )
-        return self._fault_stats
+        the fleet ran unperturbed)."""
+        found = self.stats.fault
+        return FaultStats() if found is None else found
 
     def _faulted(self) -> bool:
-        if self.stats is not None:
-            return self.stats.fault is not None
-        return any(r.fault_stats is not None for r in self.records)
+        return self.stats.fault is not None
 
     @property
     def billed_occupancy_seconds(self) -> float:
@@ -853,15 +801,7 @@ class FleetMetrics(_Accounting):
         bit); queries served under a fault plan bill their classified
         on-demand seconds plus spot seconds at the spot discount.
         """
-        if self.stats is not None:
-            return self.stats.billed_occupancy_seconds
-        total = 0.0
-        for r in self.records:
-            if r.fault_stats is None:
-                total += r.auc
-            else:
-                total += r.fault_stats.billed_executor_seconds
-        return total
+        return self.stats.billed_occupancy_seconds
 
     def _dollars(self, executor_seconds: float) -> float:
         core_hours = executor_seconds * self.cores_per_executor / 3600.0
@@ -918,25 +858,25 @@ class FleetMetrics(_Accounting):
     def streaming(self, relative_accuracy: float = 0.01) -> StreamingFleetStats:
         """The bounded-memory streaming view of this run.
 
-        A streaming serve already holds it — its :attr:`stats` is
-        returned directly (``relative_accuracy`` must match the serve's:
-        a sketch cannot be re-bucketed after the fact).  A record-backed
-        run folds its records into a fresh
+        A record-backed run (or one that served nothing) folds its
+        records into a fresh
         :class:`~repro.obs.metrics.StreamingFleetStats` whose percentile
         estimates are within ``relative_accuracy`` of the exact
-        sorted-record values this object reports.
+        sorted-record values this object reports.  A streaming serve
+        returns its :attr:`stats` (``relative_accuracy`` must match the
+        serve's: a sketch cannot be re-bucketed after the fact).
         """
-        if self.stats is not None:
-            if relative_accuracy != self.stats.relative_accuracy:
-                raise ValueError(
-                    "a streaming serve's sketch accuracy is fixed at serve "
-                    f"time ({self.stats.relative_accuracy}); it cannot be "
-                    "re-bucketed afterwards"
-                )
-            return self.stats
-        return StreamingFleetStats.from_records(
-            self.records, relative_accuracy=relative_accuracy
-        )
+        if self.records or not self.stats.n_queries:
+            return StreamingFleetStats.from_records(
+                self.records, relative_accuracy=relative_accuracy
+            )
+        if relative_accuracy != self.stats.relative_accuracy:
+            raise ValueError(
+                "a streaming serve's sketch accuracy is fixed at serve "
+                f"time ({self.stats.relative_accuracy}); it cannot be "
+                "re-bucketed afterwards"
+            )
+        return self.stats
 
     def summary(self) -> dict[str, float]:
         """The shared headline keys plus this pool's peak usage."""
@@ -957,13 +897,15 @@ class ClusterMetrics(_Accounting):
     """Aggregate outcome of one sharded-fleet run.
 
     Attributes:
-        pools: per-pool :class:`FleetMetrics`, pool-index order.
-        records: every served query's :class:`QueryRecord`, arrival-stream
-            order, across all pools.  Empty for a streaming serve — the
-            cluster-wide distributions then come from merging the pools'
+        pools: per-pool :class:`FleetMetrics`, pool-index order.  Counts,
+            extrema and rates come from merging the pools'
             :class:`PoolStreamStats` (sketch merge is associative and
             commutative, so the roll-up matches what any grouping of the
-            shards would produce).
+            shards would produce); costs are pool sums.
+        records: every served query's :class:`QueryRecord`, arrival-stream
+            order, across all pools — the exact percentiles and mean
+            queue delay.  Empty for a streaming serve, whose
+            distributions come from the merged sketches.
         pool_of: parallel to ``records`` — which pool served each query
             (empty for a streaming serve).
         price_per_core_hour: billing rate (pools carry their own copy;
@@ -984,20 +926,14 @@ class ClusterMetrics(_Accounting):
         default=None, init=False, repr=False, compare=False
     )
 
-    def _stats(self) -> StreamingFleetStats | None:
-        """The pools' merged streaming stats (``None`` when this is a
-        record-backed run).  Merged once, pool-index order, memoized."""
-        if not self.records and any(p.stats is not None for p in self.pools):
-            if self._merged_stats is None:
-                merged = None
-                for pool in self.pools:
-                    if merged is None:
-                        merged = pool.stats
-                    else:
-                        merged = merged.merge(pool.stats)
-                self._merged_stats = merged
-            return self._merged_stats
-        return None
+    def _stats(self) -> StreamingFleetStats:
+        """The pools' folds merged once, pool-index order, memoized."""
+        if self._merged_stats is None:
+            merged: StreamingFleetStats = self.pools[0].stats
+            for pool in self.pools[1:]:
+                merged = merged.merge(pool.stats)
+            self._merged_stats = merged
+        return self._merged_stats
 
     @property
     def n_pools(self) -> int:

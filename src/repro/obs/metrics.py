@@ -1,14 +1,16 @@
 """Streaming metrics: counters, gauges, and sketch-backed fleet stats.
 
-:class:`~repro.fleet.metrics.FleetMetrics` materializes every
-:class:`~repro.fleet.metrics.QueryRecord` and sorts the lot for
-percentiles — exact, but O(n) memory per serve and impossible to merge
-across shards.  This module is the opt-in streaming alternative: a
-:class:`MetricsRegistry` of named counters/gauges/sketches with an
-associative ``merge``, and :class:`StreamingFleetStats`, a
-bounded-memory accumulator over served queries whose percentile
-estimates carry the :class:`~repro.obs.sketch.QuantileSketch` accuracy
-guarantee.  Build one incrementally (``observe`` each record as it
+Exact percentiles need every :class:`~repro.fleet.metrics.QueryRecord`
+kept — O(n) memory per serve and impossible to merge across shards.
+This module is the bounded alternative: a :class:`MetricsRegistry` of
+named counters/gauges/sketches with an associative ``merge``, and
+:class:`StreamingFleetStats`, a bounded-memory accumulator over served
+queries whose percentile estimates carry the
+:class:`~repro.obs.sketch.QuantileSketch` accuracy guarantee.  Its
+pool-level subclass, :class:`~repro.fleet.metrics.PoolStreamStats`, is
+the fold every :class:`~repro.fleet.metrics.FleetMetrics` total answers
+from in both serving modes; record mode adds exact percentiles from its
+records.  Build one incrementally (``observe`` each record as it
 finishes), from a finished run (``from_records``), or shard-by-shard and
 ``merge`` — all three produce the same histogram state.
 """

@@ -131,12 +131,12 @@ class TestIdleCapacityCharging:
 
 
 class TestClusterRollups:
-    def build(self):
+    def build(self, pool_a_points=((0.0, 0), (0.0, 8), (100.0, 0))):
         pool_a = FleetMetrics(
             capacity=16,
             cores_per_executor=4,
             records=[record(finish=100.0, auc=800.0, cached=True)],
-            pool_skyline=skyline([(0.0, 0), (0.0, 8), (100.0, 0)]),
+            pool_skyline=skyline(pool_a_points),
         )
         pool_b = FleetMetrics(
             capacity=24,
@@ -196,7 +196,11 @@ class TestClusterRollups:
         assert "idle capacity cost" in report
 
     def test_capacity_respected_requires_every_pool(self):
-        pool_a, pool_b, cluster = self.build()
+        _, _, cluster = self.build()
         assert cluster.capacity_respected
-        pool_a.pool_skyline.record(300.0, 99)
+        # pool_a overruns its 16 executors at t=300; pool_b stays fine.
+        overrun = ((0.0, 0), (0.0, 8), (100.0, 0), (300.0, 99))
+        pool_a, pool_b, cluster = self.build(pool_a_points=overrun)
+        assert pool_b.capacity_respected
+        assert not pool_a.capacity_respected
         assert not cluster.capacity_respected

@@ -23,7 +23,7 @@ from repro.fleet import (
     read_spooled_records,
     static_allocator,
 )
-from repro.fleet.metrics import QueryRecord
+from repro.fleet.metrics import QueryRecord, SkylineTracker
 from repro.workloads.generator import Workload
 
 QIDS = ("q1", "q2", "q3", "q5", "q94")
@@ -40,6 +40,10 @@ class MicroWorkload:
 
     def __init__(self):
         self._graphs = {
+            "m0": StageGraph(
+                stages=[Stage(stage_id=0, num_tasks=1, task_seconds=0.5)],
+                query_id="m0",
+            ),
             "m1": StageGraph(
                 stages=[Stage(stage_id=0, num_tasks=2, task_seconds=1.0)],
                 query_id="m1",
@@ -71,8 +75,20 @@ def sketch_bracket(latencies, q, alpha=ALPHA):
     return lo * (1 - 2 * alpha), hi * (1 + 2 * alpha)
 
 
+#: Keys both modes fold from the same steps and extrema: equal, not close.
+EXACT_KEYS = {
+    "makespan_s",
+    "max_queue_delay_s",
+    "utilization",
+    "provisioned_executor_seconds",
+    "peak_pool_usage",
+}
+
+
 def assert_streaming_matches_records(streamed, recorded):
-    """Exact accumulators equal; percentiles inside the sketch bracket."""
+    """Windows, extrema, capacity areas and the capacity check equal;
+    sums equal up to summation order (finish vs stream order);
+    percentiles inside the sketch bracket."""
     sr, ss = recorded.summary(), streamed.summary()
     assert set(sr) == set(ss)
     latencies = [r.latency for r in recorded.records]
@@ -82,9 +98,8 @@ def assert_streaming_matches_records(streamed, recorded):
             q = int(key[1:-10])
             lo, hi = sketch_bracket(latencies, q)
             assert lo <= ss[key] <= hi, (key, ss[key], lo, hi)
-        elif key == "max_queue_delay_s":
-            # Extrema are exact in the streaming accumulators.
-            assert ss[key] == sr[key]
+        elif key in EXACT_KEYS:
+            assert ss[key] == sr[key], key
         elif key == "mean_queue_delay_s":
             # Means are exact sums; only summation order differs.
             assert ss[key] == pytest.approx(sr[key], rel=1e-9, abs=1e-9)
@@ -93,6 +108,8 @@ def assert_streaming_matches_records(streamed, recorded):
             )
         else:
             assert ss[key] == pytest.approx(sr[key], rel=1e-9, abs=1e-12), key
+    assert streamed.reserved_executor_seconds == recorded.reserved_executor_seconds
+    assert streamed.capacity_respected == recorded.capacity_respected
 
 
 class TestConfigNormalization:
@@ -120,7 +137,10 @@ class TestConfigNormalization:
             workload, capacity=16, allocator=static_allocator(4)
         ).serve(poisson_arrivals(QIDS, n_queries=10, rate_qps=1.0, seed=0))
         assert len(metrics.records) == 10
-        assert metrics.stats is None
+        # Records stay the source of the exact percentiles.
+        assert metrics.p95_latency == float(
+            np.percentile([r.latency for r in metrics.records], 95)
+        )
 
 
 class TestStreamValidation:
@@ -173,6 +193,31 @@ class TestEngineParity:
         assert streamed.stats is not None
         assert_streaming_matches_records(streamed, recorded)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_late_grant_after_last_finish(self, seed):
+        """Regression: a grant still in its provisioning ramp when its
+        query finishes comes back after the pool's last finish, so the
+        window ends before the tracker's last step.  Streaming used to
+        integrate to that step and take the overshoot back at the
+        step's own (lower) value, over-billing reserved executor-seconds
+        (680 vs 662 on seed 0)."""
+        arrivals = poisson_arrivals(("m0",), n_queries=20, rate_qps=0.5, seed=seed)
+        runs = [
+            FleetEngine(
+                MicroWorkload(),
+                capacity=16,
+                allocator=static_allocator(8),
+                config=FleetConfig(idle_release_timeout=None, streaming=streaming),
+            ).serve(iter(arrivals))
+            for streaming in (None, True)
+        ]
+        recorded, streamed = runs
+        # The repro: the last pool step lands after the last finish.
+        last_step = recorded.pool_skyline.points[-1][0]
+        assert last_step > max(r.finish_time for r in recorded.records)
+        assert_streaming_matches_records(streamed, recorded)
+        assert streamed.utilization() == recorded.utilization()
+
     def test_generator_and_list_streams_agree(self, workload):
         config = FleetConfig(streaming=True)
         stream = list(
@@ -206,6 +251,7 @@ class TestEngineParity:
             allocator=static_allocator(8),
             config=FleetConfig(faults=plan, streaming=True),
         ).serve(iter(arrivals))
+        assert_streaming_matches_records(streamed, recorded)
         rf, sf = recorded.fault_stats, streamed.fault_stats
         assert rf.crashes == sf.crashes
         assert rf.reclamations == sf.reclamations
@@ -275,15 +321,9 @@ class TestClusterParity:
             static_allocator(8),
             config=FleetConfig(streaming=True),
         ).serve(iter(arrivals))
-        sr, ss = recorded.summary(), streamed.summary()
-        # Idle/provisioned charges come from the capacity tracker; exact.
-        assert ss["provisioned_executor_seconds"] == pytest.approx(
-            sr["provisioned_executor_seconds"]
-        )
-        assert ss["idle_capacity_seconds"] == pytest.approx(
-            sr["idle_capacity_seconds"]
-        )
-        assert ss["total_dollar_cost"] == pytest.approx(sr["total_dollar_cost"])
+        assert_streaming_matches_records(streamed, recorded)
+        for s_pool, r_pool in zip(streamed.pools, recorded.pools):
+            assert_streaming_matches_records(s_pool, r_pool)
 
 
 class TestSpooling:
@@ -364,12 +404,15 @@ class TestMemoryFlatness:
                     gc.collect()
                     records = 0
                     skylines = 0
+                    steps = 0
                     for obj in gc.get_objects():
                         if isinstance(obj, QueryRecord):
                             records += 1
                         elif isinstance(obj, Skyline):
                             skylines += 1
-                    samples.append((records, skylines))
+                        elif isinstance(obj, SkylineTracker):
+                            steps = max(steps, len(obj.steps))
+                    samples.append((records, skylines, steps))
                 yield arrival
 
         config = FleetConfig(idle_release_timeout=None, streaming=True)
@@ -382,12 +425,14 @@ class TestMemoryFlatness:
         assert metrics.n_queries == 50_000
         assert metrics.records == []
         assert len(samples) == 3
-        for records, skylines in samples:
+        for records, skylines, steps in samples:
             # Finished queries leave no record behind; live skylines are
             # bounded by in-flight queries (192 executors / 2 per query),
-            # not by how many queries have been served.
+            # not by how many queries have been served; a usage tracker
+            # keeps only the steps since its pool's latest finish.
             assert records <= 2, samples
             assert skylines <= 300, samples
+            assert steps <= 50, samples
 
     def test_features_memo_bounded_across_unique_ids(self, workload):
         """The allocator-side featurization memo obeys its LRU bound
