@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.plan import OPERATOR_KINDS, LogicalPlan
+from repro.engine.plan import OPERATOR_KINDS, LogicalPlan, OperatorKind
 
 __all__ = ["FEATURE_NAMES", "QueryFeatures", "featurize_plans"]
 
@@ -59,14 +59,52 @@ class QueryFeatures:
 
     @classmethod
     def from_plan(cls, plan: LogicalPlan) -> "QueryFeatures":
-        """Extract Table 2 features from an optimized plan."""
-        counts = plan.operator_counts()
+        """Extract Table 2 features from an optimized plan in one walk.
+
+        One pre-order walk over an explicit ``(node, depth)`` stack
+        gathers everything: per-kind counts, the operator count, the
+        deepest leaf, and the scans' bytes and each operator's rows
+        processed in walk order.  The two sums are then taken with
+        ``sum`` over those lists, started at ``0`` — the same additions
+        in the same order as :meth:`LogicalPlan.total_input_bytes` and
+        :meth:`LogicalPlan.total_rows_processed`, so the vector is bit
+        for bit the one the :class:`LogicalPlan` helpers give (they
+        remain the reference; ``tests/core/test_features.py`` checks
+        the two agree).
+        """
+        scan = OperatorKind.SCAN
+        counts = dict.fromkeys(OPERATOR_KINDS, 0)
+        input_bytes: list[float] = []
+        rows: list[float] = []
+        depth_max = 0
+        stack = [(plan.root, 1)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, depth = pop()
+            kind = node.kind
+            counts[kind] += 1
+            children = node.children
+            if kind == scan:
+                source = node.source
+                input_bytes.append(source.bytes)
+                rows.append(source.rows)
+            elif len(children) == 1:
+                # PlanNode.rows_in's sum() of one child, without the list.
+                rows.append(0 + children[0].rows_out)
+            else:
+                rows.append(sum([child.rows_out for child in children]))
+            if children:
+                depth += 1
+                for child in reversed(children):
+                    push((child, depth))
+            elif depth > depth_max:
+                depth_max = depth
         values = [float(counts[kind]) for kind in OPERATOR_KINDS]
-        values.append(float(plan.num_operators()))
-        values.append(float(plan.max_depth()))
-        values.append(float(len(plan.input_sources())))
-        values.append(plan.total_input_bytes())
-        values.append(plan.total_rows_processed())
+        values.append(float(len(rows)))
+        values.append(float(depth_max))
+        values.append(float(len(input_bytes)))
+        values.append(sum(input_bytes))
+        values.append(sum(rows))
         return cls(values=np.array(values), query_id=plan.query_id)
 
     def __getitem__(self, name: str) -> float:

@@ -69,6 +69,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.engine.checks import check_range
 from repro.engine.cluster import Cluster
 from repro.engine.faults import FaultInjector, FaultStats
 from repro.engine.skyline import Skyline
@@ -85,7 +86,6 @@ __all__ = [
     "ExecutionCore",
     "spill_factor",
     "coordination_factor",
-    "check_tick_interval",
 ]
 
 
@@ -107,21 +107,9 @@ class SchedulerConfig:
     tick_interval: float = 1.0
 
     def __post_init__(self) -> None:
-        check_tick_interval(self.tick_interval)
-
-
-def check_tick_interval(tick_interval: float) -> None:
-    """Reject a tick period that would stall or corrupt the tick chain.
-
-    A zero or negative period re-pushes each tick at (or before) its own
-    instant, so the event loop never advances; NaN breaks the clock's
-    ordering.  Raises ``ValueError`` unless the period is finite and
-    positive.
-    """
-    if not (math.isfinite(tick_interval) and tick_interval > 0):
-        raise ValueError(
-            f"tick_interval must be finite and > 0, got {tick_interval!r}"
-        )
+        # A zero or negative period re-pushes each tick at (or before) its
+        # own instant, so the event loop never advances.
+        check_range("tick_interval", self.tick_interval, 0.0, open_low=True)
 
 
 DEFAULT_SCHEDULER_CONFIG = SchedulerConfig()
@@ -191,7 +179,13 @@ class CompiledPlan:
     Attributes:
         graph: the source stage DAG (kept for spill physics and metadata).
         durations: per-stage base task durations (before the run's
-            spill/coordination factor), indexed by ``stage_id``.
+            spill/coordination factor), indexed by ``stage_id``.  The
+            vectorized sweep (:mod:`.sweep`) reads these arrays.
+        task_seconds: the same durations as tuples of Python floats,
+            which :meth:`ExecutionCore.play_wave` reads per started task:
+            arithmetic on them keeps every event time a Python ``float``
+            (IEEE ``+`` and ``*`` give the bits ``np.float64`` gives),
+            so heap comparisons and the clock never handle numpy scalars.
         dependencies: per-stage dependency ids, indexed by ``stage_id``.
         dependents: per-stage dependent ids (ascending), the reverse edges.
         roots: stages with no dependencies, in emission (id) order.
@@ -201,6 +195,7 @@ class CompiledPlan:
 
     graph: StageGraph
     durations: tuple[np.ndarray, ...]
+    task_seconds: tuple[tuple[float, ...], ...]
     dependencies: tuple[tuple[int, ...], ...]
     dependents: tuple[tuple[int, ...], ...]
     roots: tuple[int, ...]
@@ -254,8 +249,9 @@ def compile_plan(graph: StageGraph) -> CompiledPlan:
     """Precompute the count-invariant work of simulating ``graph``.
 
     Task-duration arrays (the skew profile included) are materialized once
-    and marked read-only; topology is flattened into tuples so per-run
-    state never has to rebuild dicts.
+    and marked read-only, with a Python-float copy for the per-task path;
+    topology is flattened into tuples so per-run state never has to
+    rebuild dicts.
     """
     durations = []
     dependents: list[list[int]] = [[] for _ in graph.stages]
@@ -268,6 +264,7 @@ def compile_plan(graph: StageGraph) -> CompiledPlan:
     return CompiledPlan(
         graph=graph,
         durations=tuple(durations),
+        task_seconds=tuple(tuple(base.tolist()) for base in durations),
         dependencies=tuple(
             tuple(s.dependencies) for s in graph.stages
         ),
@@ -298,6 +295,10 @@ class _StageState:
 
 #: Driver callback the core hands each started task to:
 #: ``emit(finish_time, stage_id, executor_id)`` schedules the completion.
+#: ``finish_time`` is always a Python ``float``.  The fleet's emit is a
+#: ``functools.partial`` over :meth:`repro.fleet.cluster.EventHeap.push_task`
+#: (a C-level call, no Python frame of its own); the dedicated scheduler's
+#: is a plain closure.
 TaskEmit = Callable[[float, int, int], None]
 
 #: The one-item wave :meth:`ExecutionCore.assign` plays: a fill step
@@ -399,7 +400,7 @@ class ExecutionCore:
         self.states = [
             _StageState(
                 remaining_deps=len(deps),
-                remaining_tasks=plan.durations[sid].shape[0],
+                remaining_tasks=len(plan.task_seconds[sid]),
             )
             for sid, deps in enumerate(plan.dependencies)
         ]
@@ -533,7 +534,7 @@ class ExecutionCore:
         if state.emitted or state.remaining_deps > 0:
             return
         state.emitted = True
-        n_tasks = self.plan.durations[stage_id].shape[0]
+        n_tasks = len(self.plan.task_seconds[stage_id])
         for task_idx in range(n_tasks):
             self._pending.append((stage_id, task_idx))
         if self.tracer is not None:
@@ -632,9 +633,11 @@ class ExecutionCore:
                 if n != self._factor_n:
                     self._factor_n = n
                     spill = spill_factor(self.graph, n, self.cluster, self.config)
-                    self._factor = spill * coordination_factor(n, self.config)
+                    # A Python float even for a graph built with numpy
+                    # sizes, so every finish time below is one too.
+                    self._factor = float(spill * coordination_factor(n, self.config))
                 factor = self._factor
-                durations = self.plan.durations
+                durations = self.plan.task_seconds
                 record_log = self.record_log
                 ctx = self._assign_ctx
                 if ctx is not None:
@@ -658,7 +661,7 @@ class ExecutionCore:
                         duration = faults.task_duration(
                             stage_id,
                             task_idx,
-                            durations[stage_id].shape[0],
+                            len(durations[stage_id]),
                             duration,
                         )
                         self._inflight.setdefault(eid, []).append(

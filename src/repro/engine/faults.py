@@ -66,6 +66,8 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.engine.checks import check_range
+
 __all__ = ["SpotMarket", "FaultPlan", "FaultStats", "FaultInjector"]
 
 # SeedSequence spawn domains: one namespace per random entity kind, so an
@@ -94,12 +96,9 @@ class SpotMarket:
     reclaim_rate: float = 1.0 / 600.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("spot fraction must be in [0, 1]")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValueError("spot discount must be in [0, 1]")
-        if self.reclaim_rate < 0.0:
-            raise ValueError("reclaim rate cannot be negative")
+        check_range("fraction", self.fraction, 0.0, 1.0)
+        check_range("discount", self.discount, 0.0, 1.0)
+        check_range("reclaim_rate", self.reclaim_rate, 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,12 +138,10 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("fault seed must be a non-negative integer")
-        if self.crash_rate < 0.0:
-            raise ValueError("crash rate cannot be negative")
-        if not 0.0 <= self.straggler_rate <= 1.0:
-            raise ValueError("straggler rate must be in [0, 1]")
-        if self.straggler_factor < 1.0:
-            raise ValueError("stragglers cannot run faster than profile")
+        check_range("crash_rate", self.crash_rate, 0.0)
+        check_range("straggler_rate", self.straggler_rate, 0.0, 1.0)
+        # Stragglers cannot run faster than their profile.
+        check_range("straggler_factor", self.straggler_factor, 1.0)
 
     @property
     def active(self) -> bool:

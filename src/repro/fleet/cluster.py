@@ -73,17 +73,19 @@ class EventHeap:
     a single event.  A multiprocess parent orders its submits by the
     same class-0 key, and its workers push them as class-0 entries.
 
-    A ``task_done`` push carries one ``(stage_id, executor_id)``
-    completion; its heap entry carries a list of them.  A completion for
-    ``(pool, q)`` at ``time`` joins the previous entry's list when that
-    entry was the last push of any kind, is a ``task_done`` for the same
-    ``(pool, q)`` at the same ``time``, and has not been popped; anything
-    else opens a new entry.  The order is unchanged: the joining
-    completion would have taken the very next counter value, so no entry
-    can sort between it and the one it joins, and handling the list in
-    order at one pop plays the schedule back-to-back pops would have.
-    One ``assign`` that fills several cores with equal-length tasks
-    becomes one entry instead of one per core.
+    Task completions enter through :meth:`push_task`, the only owner of
+    the wave-join rule, one ``(stage_id, executor_id)`` completion per
+    call; a ``task_done`` heap entry carries a list of them.  A
+    completion for ``(pool, q)`` at ``time`` joins the previous entry's
+    list when that entry was the last push of any kind, is a
+    ``task_done`` for the same ``(pool, q)`` at the same ``time``, and
+    has not been popped; anything else opens a new entry.  The order is
+    unchanged: the joining completion would have taken the very next
+    counter value, so no entry can sort between it and the one it joins,
+    and handling the list in order at one pop plays the schedule
+    back-to-back pops would have.  One ``assign`` that fills several
+    cores with equal-length tasks becomes one entry instead of one per
+    core.
     """
 
     __slots__ = ("events", "_counter", "_wave", "_wave_time", "_wave_pool", "_wave_q")
@@ -106,32 +108,44 @@ class EventHeap:
         q: int = -1,
         payload: object = None,
     ) -> None:
-        """Schedule a class-1 event; ``pool`` -1 marks a driver event.
+        """Schedule a class-1 event other than a task completion (those
+        go through :meth:`push_task`); ``pool`` -1 marks a driver event.
 
         ``pool`` comes first so that ``functools.partial(heap.push, i)``
         is pool ``i``'s ``push(time, kind, q, payload)`` callback.
         """
-        if kind == "task_done":
-            wave = self._wave
-            if (
-                wave is not None
-                and time == self._wave_time
-                and q == self._wave_q
-                and pool == self._wave_pool
-            ):
-                wave.append(payload)
-                return
-            wave = self._wave = [payload]
-            self._wave_time = time
-            self._wave_pool = pool
-            self._wave_q = q
-            heapq.heappush(
-                self.events, (time, 1, next(self._counter), kind, pool, q, wave)
-            )
-            return
         self._wave = None
         heapq.heappush(
             self.events, (time, 1, next(self._counter), kind, pool, q, payload)
+        )
+
+    def push_task(
+        self, pool: int, q: int, time: float, stage_id: int, eid: int
+    ) -> None:
+        """Schedule query ``q``'s task completion ``(stage_id, eid)`` on
+        pool ``pool`` at ``time``, joining the open wave when the rule in
+        the class docstring allows.
+
+        The argument order makes ``functools.partial(heap.push_task, i,
+        q)`` an :data:`~repro.engine.execution.TaskEmit`: the core's
+        ``emit(finish, stage_id, eid)`` then reaches this method with no
+        Python frame in between.
+        """
+        wave = self._wave
+        if (
+            wave is not None
+            and time == self._wave_time
+            and q == self._wave_q
+            and pool == self._wave_pool
+        ):
+            wave.append((stage_id, eid))
+            return
+        wave = self._wave = [(stage_id, eid)]
+        self._wave_time = time
+        self._wave_pool = pool
+        self._wave_q = q
+        heapq.heappush(
+            self.events, (time, 1, next(self._counter), "task_done", pool, q, wave)
         )
 
     def push_arrival(
@@ -351,9 +365,10 @@ class ShardedFleet:
                 cluster=self.cluster,
                 admission=spec.admission,
                 config=config,
-                # A C-level partial: no Python frame between the
+                # C-level partials: no Python frame between the
                 # runtime and the heap.
                 push=functools.partial(push, i),
+                push_task=functools.partial(heap.push_task, i),
                 start_ticks=start_ticks,
                 compiled=self._compiled,
                 max_capacity=spec.max_capacity,

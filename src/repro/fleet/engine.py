@@ -45,6 +45,7 @@ way.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -54,13 +55,13 @@ from typing import Callable, Iterable, Protocol, Sequence
 import numpy as np
 
 from repro.engine.allocation import AllocationPolicy, AllocationState
+from repro.engine.checks import check_range
 from repro.engine.cluster import Cluster
 from repro.engine.execution import (
     DEFAULT_SCHEDULER_CONFIG,
     CompiledPlan,
     ExecutionCore,
     SchedulerConfig,
-    check_tick_interval,
     compile_plan,
 )
 from repro.engine.faults import FaultInjector, FaultPlan
@@ -161,10 +162,11 @@ class FleetConfig:
         tick_interval: idle-check / policy polling period.
         idle_release_timeout: seconds of executor idleness before it is
             returned to the pool mid-query (``None`` holds budgets until
-            completion).  Ignored when ``scaling`` is set — the per-query
-            policy's ``idle_timeout`` governs instead.
-        min_executors_per_query: floor idle release never shrinks below —
-            a started query must be able to finish.  Ignored when
+            completion; otherwise finite and ≥ 0).  Ignored when
+            ``scaling`` is set — the per-query policy's ``idle_timeout``
+            governs instead.
+        min_executors_per_query: floor idle release never shrinks below
+            (≥ 1) — a started query must be able to finish.  Ignored when
             ``scaling`` is set (the policy's ``min_executors`` governs).
         charge_prediction_overhead: add the allocator's measured selection
             seconds to the query's pre-admission latency (Section 5.6's
@@ -222,7 +224,10 @@ class FleetConfig:
     feedback: FeedbackSink | None = None
 
     def __post_init__(self) -> None:
-        check_tick_interval(self.tick_interval)
+        check_range("tick_interval", self.tick_interval, 0.0, open_low=True)
+        if self.idle_release_timeout is not None:
+            check_range("idle_release_timeout", self.idle_release_timeout, 0.0)
+        check_range("min_executors_per_query", self.min_executors_per_query, 1)
         # Normalize the shorthand: streaming=True means the defaults,
         # False means off.  Frozen dataclass, hence object.__setattr__.
         if self.streaming is True:
@@ -317,10 +322,14 @@ class PoolRuntime:
         admission: queueing policy (default FIFO).
         config: fleet knobs (shared across pools in a cluster).
         push: ``push(time, kind, q, payload)`` — schedule an event for
-            this pool on the driver's heap.  A ``task_done`` push carries
-            one ``(stage_id, executor_id)`` completion; the driver hands
-            :meth:`handle_task_done` a list of them (see
-            :class:`~repro.fleet.cluster.EventHeap`).
+            this pool on the driver's heap.
+        push_task: ``push_task(q, time, stage_id, executor_id)`` —
+            schedule one task completion of query ``q`` for this pool
+            (:meth:`~repro.fleet.cluster.EventHeap.push_task` with the
+            pool bound).  Each run's emit binds ``q`` on top, so a
+            started task reaches the heap through C-level partials
+            only; the driver hands :meth:`handle_task_done` a same-instant
+            list of completions.
         start_ticks: driver callback that starts the (shared) tick chain
             the first time any pool admits a query.
         compiled: compile-once memo mapping query id → compiled plan
@@ -345,6 +354,7 @@ class PoolRuntime:
         admission: AdmissionPolicy | None,
         config: FleetConfig,
         push: Callable[..., None],
+        push_task: Callable[[int, float, int, int], None],
         start_ticks: Callable[[float], None],
         compiled: dict[str, CompiledPlan],
         max_capacity: int | None = None,
@@ -355,6 +365,7 @@ class PoolRuntime:
         self.cluster = cluster
         self.config = config
         self.push = push
+        self.push_task = push_task
         self.start_ticks = start_ticks
         self.tracer = tracer
         self.pool_index = pool_index
@@ -511,7 +522,7 @@ class PoolRuntime:
             return run.policy.idle_timeout, run.policy.min_executors
         return (
             self.config.idle_release_timeout,
-            max(1, self.config.min_executors_per_query),
+            self.config.min_executors_per_query,
         )
 
     def poll_scaling(self, now: float, q: int) -> None:
@@ -645,7 +656,7 @@ class PoolRuntime:
             prediction_cached=cached,
             prediction_seconds=pred_seconds,
             estimated_runtime_seconds=estimate,
-            emit=lambda t, sid, eid, q=q: self.push(t, "task_done", q, (sid, eid)),
+            emit=functools.partial(self.push_task, q),
             policy=policy,
             injector=injector,
             annotations={} if annotations is None else annotations,

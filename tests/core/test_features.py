@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.features import FEATURE_NAMES, QueryFeatures, featurize_plans
-from repro.engine.plan import OPERATOR_KINDS
-from repro.workloads.tpcds import build_query
+from repro.engine.optimizer import Optimizer
+from repro.engine.plan import (
+    OPERATOR_KINDS,
+    InputSource,
+    LogicalPlan,
+    OperatorKind,
+    PlanNode,
+)
+from repro.workloads.tpcds import QUERY_IDS, build_query
 
 
 class TestFeatureLayout:
@@ -99,3 +108,85 @@ class TestFeaturizePlans:
             assert f10[kind.value] == f100[kind.value]
         assert f100["TotalInputBytes"] > f10["TotalInputBytes"]
         assert f100["TotalRowsProcessed"] > f10["TotalRowsProcessed"]
+
+
+def reference_vector(plan):
+    """The Table 2 vector from the :class:`LogicalPlan` helpers, one walk
+    per feature (what ``from_plan`` computed before its one-walk form)."""
+    counts = plan.operator_counts()
+    values = [float(counts[kind]) for kind in OPERATOR_KINDS]
+    values.append(float(plan.num_operators()))
+    values.append(float(plan.max_depth()))
+    values.append(float(len(plan.input_sources())))
+    values.append(plan.total_input_bytes())
+    values.append(plan.total_rows_processed())
+    return np.array(values)
+
+
+def assert_parity(plan):
+    got = QueryFeatures.from_plan(plan).values
+    assert got.tobytes() == reference_vector(plan).tobytes(), (
+        got,
+        reference_vector(plan),
+    )
+
+
+#: Fractional sizes across many magnitudes, so the sums round.
+SIZES = st.floats(min_value=0.0, max_value=1e13, allow_nan=False, allow_infinity=False)
+INNER_KINDS = [kind for kind in OPERATOR_KINDS if kind != OperatorKind.SCAN]
+
+
+def _scan(size, rows, rows_out):
+    return PlanNode(
+        kind=OperatorKind.SCAN,
+        source=InputSource(name="t", bytes=size, rows=rows),
+        rows_out=rows_out,
+    )
+
+
+def _inner(kind, children, rows_out):
+    return PlanNode(kind=kind, children=children, rows_out=rows_out)
+
+
+SCANS = st.builds(_scan, SIZES, SIZES, SIZES)
+TREES = st.recursive(
+    SCANS,
+    lambda children: st.builds(
+        _inner,
+        st.sampled_from(INNER_KINDS),
+        # Wide joins and unions as well as unary operators.
+        st.lists(children, min_size=1, max_size=8),
+        SIZES,
+    ),
+    max_leaves=40,
+)
+
+
+@st.composite
+def plans(draw):
+    """Random valid plans: a random tree under a unary chain of up to
+    200 operators, so deep chains and wide fan-ins both occur."""
+    root = draw(TREES)
+    for _ in range(draw(st.integers(min_value=0, max_value=200))):
+        root = _inner(draw(st.sampled_from(INNER_KINDS)), [root], draw(SIZES))
+    plan = LogicalPlan(root=root, query_id="random")
+    plan.validate()
+    return plan
+
+
+class TestOneWalkParity:
+    """``from_plan``'s one walk gives, bit for bit, the vector the
+    :class:`LogicalPlan` helper methods give."""
+
+    @pytest.mark.parametrize("scale_factor", [10, 100, 1000])
+    def test_every_tpcds_plan(self, scale_factor):
+        optimizer = Optimizer()
+        for query_id in QUERY_IDS:
+            plan = build_query(query_id, scale_factor)
+            assert_parity(plan)
+            assert_parity(optimizer.optimize(plan).plan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plans())
+    def test_random_plans(self, plan):
+        assert_parity(plan)

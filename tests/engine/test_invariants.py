@@ -262,6 +262,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpotMarket(reclaim_rate=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
+    @pytest.mark.parametrize(
+        "field", ["crash_rate", "straggler_rate", "straggler_factor"]
+    )
+    def test_fault_plan_rejects_non_finite(self, field, bad):
+        """``FaultPlan(crash_rate=nan)`` used to serve fault-free: every
+        comparison with NaN is False, so ``nan < 0`` let it through."""
+        with pytest.raises(ValueError, match=field):
+            FaultPlan(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
+    @pytest.mark.parametrize("field", ["fraction", "discount", "reclaim_rate"])
+    def test_spot_market_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            SpotMarket(**{field: bad})
+
+    def test_boundary_values_still_accepted(self):
+        plan = FaultPlan(
+            crash_rate=0.0,
+            straggler_rate=1.0,
+            straggler_factor=1.0,
+            spot=SpotMarket(fraction=0.0, discount=1.0, reclaim_rate=0.0),
+        )
+        assert plan.active
+        assert FaultPlan(straggler_rate=0.0, crash_rate=5).crash_rate == 5
+
     def test_injector_rejects_negative_query_key(self):
         with pytest.raises(ValueError):
             FaultInjector(FaultPlan(crash_rate=0.1), query_key=-1)

@@ -25,6 +25,9 @@ from repro.fleet import (
 )
 from repro.engine import execution
 from repro.engine.allocation import DynamicAllocation
+from repro.engine.cluster import Cluster
+from repro.engine.faults import FaultPlan, SpotMarket
+from repro.engine.scheduler import simulate_query
 from repro.fleet.cluster import EventHeap
 from repro.fleet.engine import PoolRuntime
 from repro.obs import RingBufferTracer
@@ -377,18 +380,18 @@ class TestEventHeapWaves:
 
     def test_same_query_same_instant_back_to_back_is_one_entry(self):
         heap = EventHeap()
-        heap.push(0, 5.0, "task_done", 3, (0, 1))
-        heap.push(0, 5.0, "task_done", 3, (0, 2))
-        heap.push(0, 5.0, "task_done", 3, (1, 2))
+        heap.push_task(0, 3, 5.0, 0, 1)
+        heap.push_task(0, 3, 5.0, 0, 2)
+        heap.push_task(0, 3, 5.0, 1, 2)
         assert len(heap.events) == 1
         assert heap.pop()[3:] == ("task_done", 0, 3, [(0, 1), (0, 2), (1, 2)])
 
     @pytest.mark.parametrize(
         "between",
         [
-            lambda heap: heap.push(0, 5.0, "task_done", 4, (0, 0)),
-            lambda heap: heap.push(1, 5.0, "task_done", 3, (0, 0)),
-            lambda heap: heap.push(0, 6.0, "task_done", 3, (0, 0)),
+            lambda heap: heap.push_task(0, 4, 5.0, 0, 0),
+            lambda heap: heap.push_task(1, 3, 5.0, 0, 0),
+            lambda heap: heap.push_task(0, 3, 6.0, 0, 0),
             lambda heap: heap.push(0, 5.0, "exec_arrive", 3),
             lambda heap: heap.push(-1, 9.0, "tick"),
             lambda heap: heap.push_arrival(9.0, 0, None),
@@ -397,9 +400,9 @@ class TestEventHeapWaves:
     )
     def test_interleaved_push_of_any_kind_splits_the_wave(self, between):
         heap = EventHeap()
-        heap.push(0, 5.0, "task_done", 3, (0, 1))
+        heap.push_task(0, 3, 5.0, 0, 1)
         between(heap)
-        heap.push(0, 5.0, "task_done", 3, (0, 2))
+        heap.push_task(0, 3, 5.0, 0, 2)
         waves = [
             entry[6]
             for entry in heap.events
@@ -409,9 +412,9 @@ class TestEventHeapWaves:
 
     def test_push_after_the_entry_was_popped_opens_a_new_entry(self):
         heap = EventHeap()
-        heap.push(0, 5.0, "task_done", 3, (0, 1))
+        heap.push_task(0, 3, 5.0, 0, 1)
         first = heap.pop()
-        heap.push(0, 5.0, "task_done", 3, (0, 2))
+        heap.push_task(0, 3, 5.0, 0, 2)
         assert first[6] == [(0, 1)]
         assert len(heap.events) == 1
         assert heap.pop()[6] == [(0, 2)]
@@ -441,13 +444,72 @@ class TestEventHeapWaves:
             t = float(rng.randrange(6))
             kind = rng.choice(("task_done", "task_done", "task_done", "exec_arrive"))
             pool, q = rng.randrange(2), rng.randrange(2)
-            heap.push(pool, t, kind, q, step)
-            heapq.heappush(plain, (t, 1, next(counter), kind, pool, q, step))
+            if kind == "task_done":
+                payload = (step, 0)
+                heap.push_task(pool, q, t, *payload)
+            else:
+                payload = step
+                heap.push(pool, t, kind, q, payload)
+            heapq.heappush(plain, (t, 1, next(counter), kind, pool, q, payload))
         while heap.events:
             pop_wave()
         assert got == want
         assert not plain  # every push came back out
         assert waves > 0  # the rule fired: some entries held several
+
+
+class TestFloatClock:
+    """Every event time is a Python ``float``: task finish times come from
+    ``CompiledPlan.task_seconds`` times a float factor, so no numpy scalar
+    reaches the heap's comparisons or the clock."""
+
+    CHURN = FaultPlan(
+        seed=5,
+        crash_rate=1.0 / 300.0,
+        straggler_rate=0.1,
+        spot=SpotMarket(fraction=0.5, discount=0.35, reclaim_rate=1.0 / 300.0),
+    )
+
+    def test_every_popped_time_is_a_float(self, workload, monkeypatch):
+        seen: dict[tuple[str, type], int] = {}
+        pop = EventHeap.pop
+
+        def typed_pop(self):
+            entry = pop(self)
+            key = (entry[3], type(entry[0]))
+            seen[key] = seen.get(key, 0) + 1
+            return entry
+
+        monkeypatch.setattr(EventHeap, "pop", typed_pop)
+        spec = PoolSpec(capacity=8, autoscaler=TestAutoscaling.AUTO)
+        config = FleetConfig(
+            faults=self.CHURN,
+            scaling=lambda budget: DynamicAllocation(1, 2 * budget, idle_timeout=10.0),
+        )
+        metrics = ShardedFleet(
+            workload,
+            [spec, spec],
+            static_allocator(8),
+            router=CostAwareRouter(),
+            config=config,
+        ).serve(poisson_arrivals(QIDS, n_queries=40, rate_qps=1.0, seed=1))
+        assert metrics.n_queries == 40
+        kinds = {kind for kind, _ in seen}
+        # The serve exercised every event kind the guard is about.
+        assert {"task_done", "exec_arrive", "exec_fail", "tick", "scale_online"} <= kinds
+        assert {t for _, t in seen} == {float}, seen
+
+    @pytest.mark.parametrize("query_id", QIDS)
+    def test_simulate_query_runtime_is_a_float(self, workload, query_id):
+        for faults in (None, self.CHURN):
+            result = simulate_query(
+                workload.stage_graph(query_id),
+                DynamicAllocation(1, 16, idle_timeout=10.0),
+                Cluster(),
+                faults=faults,
+            )
+            assert type(result.runtime) is float
+            assert type(result.auc) is float
 
 
 class TestWorkCounts:

@@ -351,6 +351,30 @@ class TestTickIntervalValidation:
         assert FleetConfig(tick_interval=0.25).tick_interval == 0.25
 
 
+class TestIdleSettingsValidation:
+    """``idle_release_timeout=nan`` used to serve like ``None`` and ``-5``
+    released at every tick; a zero floor served like a floor of one.
+    ``FleetConfig`` now refuses each, naming the field."""
+
+    @pytest.mark.parametrize(
+        "timeout", [-5.0, -1e-9, float("nan"), float("inf"), -float("inf")], ids=str
+    )
+    def test_bad_idle_release_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="idle_release_timeout"):
+            FleetConfig(idle_release_timeout=timeout)
+
+    @pytest.mark.parametrize("floor", [0, -1, float("nan"), float("inf")], ids=str)
+    def test_bad_min_executors_per_query_rejected(self, floor):
+        with pytest.raises(ValueError, match="min_executors_per_query"):
+            FleetConfig(min_executors_per_query=floor)
+
+    @pytest.mark.parametrize("timeout", [None, 0.0, 0, 2.5, 30.0])
+    def test_sensible_settings_accepted(self, timeout):
+        config = FleetConfig(idle_release_timeout=timeout, min_executors_per_query=3)
+        assert config.idle_release_timeout == timeout
+        assert config.min_executors_per_query == 3
+
+
 class TestStallGuard:
     def test_never_admitting_policy_raises_instead_of_hanging(
         self, workload
