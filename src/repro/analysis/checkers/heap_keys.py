@@ -1,6 +1,6 @@
 """``heap-key``: event heaps push the documented two-class key tuple.
 
-The serve loops' total event order is ``(time, class-rank, counter)``:
+The drivers' total event order is ``(time, class-rank, counter)``:
 class 0 is an arrival keyed by stream position, class 1 everything else
 keyed by the push counter.  That tuple is *the* determinism boundary —
 it is what makes same-instant ties break identically whether arrivals
@@ -14,10 +14,8 @@ payloads only when a tie actually happens — the worst kind of latent).
 
 The rule, for every ``heapq.heappush`` in the configured modules: the
 pushed key must be a tuple literal of at least three elements whose
-second element is an integer class rank (then the third must be a
-counter — ``next(...)`` or a named stream position) or directly a
-``next(...)`` insertion counter (the single-query scheduler's
-degenerate one-class form).
+second element is an integer class rank and whose third is a counter —
+``next(...)`` or a named stream position.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ def _is_int_literal(node: ast.AST) -> bool:
 class HeapKeyChecker(Checker):
     name = "heap-key"
     description = (
-        "heapq.heappush in the serve loops must push the two-class "
+        "heapq.heappush in the event-heap module must push the two-class "
         "(time, class-rank, counter, ...) key tuple"
     )
 
@@ -89,8 +87,6 @@ class HeapKeyChecker(Checker):
                 "after the time element"
             )
         second = elts[1]
-        if _is_next_call(second):
-            return None  # (time, next(counter), ...): single-class form
         if _is_int_literal(second):
             if len(elts) < 3:
                 return (
@@ -108,7 +104,7 @@ class HeapKeyChecker(Checker):
                 "order interleaving-dependent"
             )
         return (
-            "heap key's second element must be an integer class rank or "
-            "next(counter); a float/raw expression makes same-instant "
-            "tie order depend on event interleaving"
+            "heap key's second element must be an integer class rank; "
+            "anything else makes same-instant tie order depend on event "
+            "interleaving"
         )

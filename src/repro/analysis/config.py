@@ -55,7 +55,8 @@ class AnalysisConfig:
         rng_modules: scope of the ``unseeded-rng`` rule (library code;
             drivers and tests draw their own seeds explicitly anyway).
         heap_key_modules: modules whose ``heapq.heappush`` calls must
-            push the two-class ``(time, class-rank, counter, ...)`` key.
+            push the two-class ``(time, class-rank, counter, ...)`` key:
+            the one module owning the drivers' ``EventHeap``.
         taxonomy_module: repo-relative path of the file declaring
             ``EVENT_KINDS`` / ``RAW_DATA_FIELDS``.
         taxonomy_census_modules: scope whose emit sites make up the
@@ -103,11 +104,7 @@ class AnalysisConfig:
         "benchmarks.*",
         "examples.*",
     )
-    heap_key_modules: tuple[str, ...] = (
-        "repro.engine.scheduler",
-        "repro.fleet.cluster",
-        "repro.fleet.parallel",
-    )
+    heap_key_modules: tuple[str, ...] = ("repro.engine.driver",)
     taxonomy_module: str = "src/repro/obs/trace.py"
     taxonomy_census_modules: tuple[str, ...] = ("repro.*",)
     emit_helpers: tuple[str, ...] = ("_trace",)

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
+from repro.engine.checks import check_range
+
 __all__ = [
     "NodeSpec",
     "ExecutorSpec",
@@ -73,8 +75,8 @@ class NodeSpec:
     memory_gb: float = 64.0
 
     def __post_init__(self) -> None:
-        if self.cores < 1 or self.memory_gb <= 0:
-            raise ValueError("node spec must have positive cores and memory")
+        check_range("cores", self.cores, 1)
+        check_range("memory_gb", self.memory_gb, 0.0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,8 @@ class ExecutorSpec:
     memory_gb: float = 28.0
 
     def __post_init__(self) -> None:
-        if self.cores < 1 or self.memory_gb <= 0:
-            raise ValueError("executor spec must have positive cores and memory")
+        check_range("cores", self.cores, 1)
+        check_range("memory_gb", self.memory_gb, 0.0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,17 @@ class Cluster:
     grant_interval: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
-        if self.max_executors_per_node < 1:
-            raise ValueError("max_executors_per_node must be >= 1")
+        check_range("max_nodes", self.max_nodes, 1)
+        check_range("max_executors_per_node", self.max_executors_per_node, 1)
         if self.executors_per_node < 1:
             raise ValueError(
                 "executor spec does not fit on the node spec at all"
             )
-        if self.grant_batch < 1 or self.grant_interval <= 0:
-            raise ValueError("grant schedule must make progress")
+        # A negative lag would schedule grants before their request.
+        check_range("base_grant_lag", self.base_grant_lag, 0.0)
+        # The grant schedule must make progress.
+        check_range("grant_batch", self.grant_batch, 1)
+        check_range("grant_interval", self.grant_interval, 0.0, open_low=True)
 
     @property
     def executors_per_node(self) -> int:
@@ -172,19 +175,3 @@ class Cluster:
                 request_time + self.base_grant_lag + batch * self.grant_interval
             )
         return times
-
-    def provision(
-        self,
-        request_time: float,
-        count: int,
-        source: CapacitySource = UNBOUNDED,
-    ) -> list[float]:
-        """Request ``count`` executors through a capacity source.
-
-        The request is clamped to pool shape, then offered to ``source``;
-        only what the source grants is scheduled.  Returns the arrival
-        times of the granted executors (possibly fewer than requested —
-        requests are non-binding, Section 4.5).
-        """
-        granted = source.acquire(self.clamp_request(count))
-        return self.grant_schedule(request_time, granted)

@@ -24,26 +24,25 @@ This module is that single copy:
 - :class:`CompiledPlan` / :func:`compile_plan` — count-invariant
   simulation state (task-duration arrays, topology) computed once per
   stage graph and reused by every run, sweep, and fleet serve;
-- :class:`ExecutionCore` — the per-query state machine itself.  Drivers
-  own the event heap, the clock, and the capacity accounting (allocation
-  policies and provisioning on the dedicated path, admission budgets and
-  the arbiter on the fleet path); the core owns everything else.
+- :class:`ExecutionCore` — the per-query state machine itself.  The
+  driver (:class:`repro.engine.driver.QueryRun` over the shared
+  :class:`~repro.engine.driver.EventHeap`) owns the clock, the policy
+  poll and the grants; the core owns everything else.
 
 Task-completion events are identified by ``(stage_id, executor_id)``
 pairs handed to the driver's ``emit`` callback and stored verbatim in
-its heap (event heaps order on a unique push counter, so payloads are
-never compared).  The dedicated scheduler gives each completion its own
-heap entry.  The fleet's heap (:class:`repro.fleet.cluster.EventHeap`)
-appends a completion to the previous entry's list instead when that
-entry was the last push of any kind, is a completion of the same query
-at the same instant, and has not been popped yet.  That preserves the
-order: the appended completion would have taken the very next counter
-value, so no event can sort between the two.
+its heap (the heap orders on a unique push counter, so payloads are
+never compared).  Both drivers' heap appends a completion to the
+previous entry's list when that entry was the last push of any kind, is
+a completion of the same query at the same instant, and has not been
+popped yet.  That preserves the order: the appended completion would
+have taken the very next counter value, so no event can sort between
+the two.
 
 One method, :meth:`ExecutionCore.play_wave`, holds the completion and
 fill physics.  It plays a list of completions, each followed by a fill
-of the free cores, so the fleet plays a whole heap entry in one call;
-:meth:`~ExecutionCore.complete_task` (a completion alone) and
+of the free cores, so a run without a policy plays a whole heap entry in
+one call; :meth:`~ExecutionCore.complete_task` (a completion alone) and
 :meth:`~ExecutionCore.assign` (a fill alone) are one-line calls into
 it, so every driver — faults, tracing and ``record_log`` included — runs
 the same code.  The fill step takes executors from a min-heap of the ids
@@ -107,6 +106,10 @@ class SchedulerConfig:
     tick_interval: float = 1.0
 
     def __post_init__(self) -> None:
+        check_range("spill_coefficient", self.spill_coefficient, 0.0)
+        # Spilling never speeds a task up.
+        check_range("max_spill_factor", self.max_spill_factor, 1.0)
+        check_range("coordination_coefficient", self.coordination_coefficient, 0.0)
         # A zero or negative period re-pushes each tick at (or before) its
         # own instant, so the event loop never advances.
         check_range("tick_interval", self.tick_interval, 0.0, open_low=True)
@@ -295,10 +298,9 @@ class _StageState:
 
 #: Driver callback the core hands each started task to:
 #: ``emit(finish_time, stage_id, executor_id)`` schedules the completion.
-#: ``finish_time`` is always a Python ``float``.  The fleet's emit is a
-#: ``functools.partial`` over :meth:`repro.fleet.cluster.EventHeap.push_task`
-#: (a C-level call, no Python frame of its own); the dedicated scheduler's
-#: is a plain closure.
+#: ``finish_time`` is always a Python ``float``.  Both drivers' emit is a
+#: ``functools.partial`` over :meth:`repro.engine.driver.EventHeap.push_task`
+#: (a C-level call, no Python frame of its own).
 TaskEmit = Callable[[float, int, int], None]
 
 #: The one-item wave :meth:`ExecutionCore.assign` plays: a fill step
@@ -320,11 +322,11 @@ class ExecutionCore:
     executors in the order a scan of :attr:`executors` would, while
     skipping those with no free core.  Ids of idle-released or failed
     executors are left in the heap and dropped when popped.
-    The *driver* owns the clock, the event heap, and capacity accounting:
-    it decides when executors are granted (allocation policy + cluster
-    provisioning on the dedicated path, admission budget + arbiter on the
-    fleet path) and feeds arrivals, task completions, and idle scans back
-    into the core.
+    The *driver* (:class:`repro.engine.driver.QueryRun`) owns the
+    clock, the event heap, and capacity accounting: it decides when
+    executors are granted (through a capacity source on the dedicated
+    path, the pool's arbiter on the fleet path) and feeds arrivals,
+    task completions, and idle scans back into the core.
 
     Args:
         plan: the compiled stage DAG (see :func:`compile_plan`).
@@ -560,7 +562,9 @@ class ExecutionCore:
         self.driver_done = True
         if self.tracer is not None:
             self._trace(now, "driver_done")
-        for sid in range(len(self.states)):
+        # No task runs before this instant, so only the roots can be
+        # ready; they are in id order, the order a full scan emits.
+        for sid in self.plan.roots:
             self.emit_ready(sid, now)
 
     # --- completions and assignment -------------------------------------

@@ -136,8 +136,7 @@ class FaultPlan:
     replace_failed: bool = True
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("fault seed must be a non-negative integer")
+        check_range("seed", self.seed, 0)
         check_range("crash_rate", self.crash_rate, 0.0)
         check_range("straggler_rate", self.straggler_rate, 0.0, 1.0)
         # Stragglers cannot run faster than their profile.

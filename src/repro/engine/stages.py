@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.checks import check_range
 from repro.engine.plan import LogicalPlan, OperatorKind, PlanNode
 
 __all__ = ["StageCompilerConfig", "Stage", "StageGraph", "compile_stages"]
@@ -87,6 +88,18 @@ class StageCompilerConfig:
     skew_factor: float = 1.3
     skew_work_share: float = 0.0
     working_set_fraction: float = 2.0
+
+    def __post_init__(self) -> None:
+        check_range("split_bytes", self.split_bytes, 0.0, open_low=True)
+        rows = self.rows_per_shuffle_partition
+        check_range("rows_per_shuffle_partition", rows, 0.0, open_low=True)
+        check_range("max_tasks_per_stage", self.max_tasks_per_stage, 1)
+        # A zero floor would compile a zero-work stage to zero-length tasks.
+        check_range("min_task_seconds", self.min_task_seconds, 0.0, open_low=True)
+        check_range("skew_fraction", self.skew_fraction, 0.0, 1.0)
+        check_range("skew_factor", self.skew_factor, 1.0)
+        check_range("skew_work_share", self.skew_work_share, 0.0, 1.0)
+        check_range("working_set_fraction", self.working_set_fraction, 0.0)
 
 
 DEFAULT_COMPILER_CONFIG = StageCompilerConfig()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.engine.checks import check_range
 from repro.fleet.routing import PoolView
 from repro.obs.trace import TraceEvent, Tracer
 
@@ -71,14 +72,17 @@ class AutoscalerConfig:
     low_utilization: float = 0.40
 
     def __post_init__(self) -> None:
-        if self.min_capacity < 1 or self.max_capacity < self.min_capacity:
-            raise ValueError("need 1 <= min_capacity <= max_capacity")
-        if self.scale_up_step < 1 or self.scale_down_step < 1:
-            raise ValueError("scaling steps must be at least 1 executor")
-        if self.scale_up_lag_s < 0 or self.scale_down_cooldown_s < 0:
-            raise ValueError("lag and cooldown must be non-negative")
-        if not (0.0 <= self.low_utilization < self.high_utilization <= 1.0):
-            raise ValueError("need 0 <= low_utilization < high_utilization <= 1")
+        check_range("min_capacity", self.min_capacity, 1)
+        check_range("max_capacity", self.max_capacity, self.min_capacity)
+        check_range("scale_up_step", self.scale_up_step, 1)
+        check_range("scale_down_step", self.scale_down_step, 1)
+        check_range("scale_up_lag_s", self.scale_up_lag_s, 0.0)
+        check_range("scale_down_cooldown_s", self.scale_down_cooldown_s, 0.0)
+        check_range("queue_delay_threshold_s", self.queue_delay_threshold_s, 0.0)
+        # 0 <= low_utilization < high_utilization <= 1.
+        low = self.low_utilization
+        check_range("low_utilization", low, 0.0, 1.0)
+        check_range("high_utilization", self.high_utilization, low, 1.0, open_low=True)
 
 
 class PoolAutoscaler:

@@ -4,8 +4,8 @@ One pool cannot serve planet-scale traffic: admission becomes a single
 convoy, capacity is one blast radius, and provisioning is all-or-nothing.
 The sharded fleet is the horizontal axis — several
 :class:`~repro.fleet.engine.PoolRuntime` pools multiplexed on one
-discrete-event heap, with two new control loops in front of and above
-them:
+:class:`~repro.engine.driver.EventHeap` (re-exported here), with two
+control loops in front of and above them:
 
 - a **router** (:mod:`repro.fleet.routing`) places each query on a pool
   at submit time, from round-robin through cost-aware
@@ -29,12 +29,12 @@ its parent decided and routed.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from repro.engine.checks import check_range
 from repro.engine.cluster import Cluster
+from repro.engine.driver import EventHeap
 from repro.engine.execution import CompiledPlan
 from repro.fleet.admission import AdmissionPolicy
 from repro.fleet.arrivals import QueryArrival
@@ -60,117 +60,6 @@ from repro.workloads.generator import Workload
 __all__ = ["EventHeap", "PoolSpec", "ShardedFleet"]
 
 
-class EventHeap:
-    """The fleet drivers' event heap: its total order and its task waves.
-
-    Entries are ``(time, class, seq, kind, pool, q, payload)``.  Class 0
-    is an arrival keyed by its stream position, class 1 everything else
-    keyed by the push counter, so same-instant ties break arrivals-first
-    in stream order, then in push order.  That is the total order a
-    single counter gives when every arrival is pushed up front, and it
-    also holds when arrivals enter the heap lazily, which lets streaming
-    mode keep O(1) arrivals in flight without perturbing record mode by
-    a single event.  A multiprocess parent orders its submits by the
-    same class-0 key, and its workers push them as class-0 entries.
-
-    Task completions enter through :meth:`push_task`, the only owner of
-    the wave-join rule, one ``(stage_id, executor_id)`` completion per
-    call; a ``task_done`` heap entry carries a list of them.  A
-    completion for ``(pool, q)`` at ``time`` joins the previous entry's
-    list when that entry was the last push of any kind, is a
-    ``task_done`` for the same ``(pool, q)`` at the same ``time``, and
-    has not been popped; anything else opens a new entry.  The order is
-    unchanged: the joining completion would have taken the very next
-    counter value, so no entry can sort between it and the one it joins,
-    and handling the list in order at one pop plays the schedule
-    back-to-back pops would have.  One ``assign`` that fills several
-    cores with equal-length tasks becomes one entry instead of one per
-    core.
-    """
-
-    __slots__ = ("events", "_counter", "_wave", "_wave_time", "_wave_pool", "_wave_q")
-
-    def __init__(self) -> None:
-        self.events: list[tuple[float, int, int, str, int, int, object]] = []
-        self._counter = itertools.count()
-        # Payload list of the last entry pushed, while that entry is an
-        # unpopped task_done; None otherwise.
-        self._wave: list[object] | None = None
-        self._wave_time = 0.0
-        self._wave_pool = -1
-        self._wave_q = -1
-
-    def push(
-        self,
-        pool: int,
-        time: float,
-        kind: str,
-        q: int = -1,
-        payload: object = None,
-    ) -> None:
-        """Schedule a class-1 event other than a task completion (those
-        go through :meth:`push_task`); ``pool`` -1 marks a driver event.
-
-        ``pool`` comes first so that ``functools.partial(heap.push, i)``
-        is pool ``i``'s ``push(time, kind, q, payload)`` callback.
-        """
-        self._wave = None
-        heapq.heappush(
-            self.events, (time, 1, next(self._counter), kind, pool, q, payload)
-        )
-
-    def push_task(
-        self, pool: int, q: int, time: float, stage_id: int, eid: int
-    ) -> None:
-        """Schedule query ``q``'s task completion ``(stage_id, eid)`` on
-        pool ``pool`` at ``time``, joining the open wave when the rule in
-        the class docstring allows.
-
-        The argument order makes ``functools.partial(heap.push_task, i,
-        q)`` an :data:`~repro.engine.execution.TaskEmit`: the core's
-        ``emit(finish, stage_id, eid)`` then reaches this method with no
-        Python frame in between.
-        """
-        wave = self._wave
-        if (
-            wave is not None
-            and time == self._wave_time
-            and q == self._wave_q
-            and pool == self._wave_pool
-        ):
-            wave.append((stage_id, eid))
-            return
-        wave = self._wave = [(stage_id, eid)]
-        self._wave_time = time
-        self._wave_pool = pool
-        self._wave_q = q
-        heapq.heappush(
-            self.events, (time, 1, next(self._counter), "task_done", pool, q, wave)
-        )
-
-    def push_arrival(
-        self,
-        time: float,
-        pos: int,
-        payload: object,
-        kind: str = "arrive",
-        pool: int = -1,
-    ) -> None:
-        """Schedule stream position ``pos`` (class 0): an arrival, or in
-        a shard worker a ``"submit"`` its parent already routed to
-        ``pool``."""
-        self._wave = None
-        heapq.heappush(self.events, (time, 0, pos, kind, pool, pos, payload))
-
-    def pop(self) -> tuple[float, int, int, str, int, int, object]:
-        """Remove and return the earliest entry; a popped wave is closed
-        to further completions."""
-        entry = heapq.heappop(self.events)
-        if entry[6] is self._wave:
-            self._wave = None
-        return entry
-
-
 @dataclass(frozen=True)
 class PoolSpec:
     """One pool's shape inside a sharded fleet.
@@ -188,8 +77,7 @@ class PoolSpec:
     autoscaler: AutoscalerConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("pool capacity must be at least 1 executor")
+        check_range("capacity", self.capacity, 1)
         if self.autoscaler is not None:
             if not (
                 self.autoscaler.min_capacity

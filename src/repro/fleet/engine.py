@@ -8,11 +8,11 @@ executor budget the capacity arbiter granted it, and every grant and
 release moves shared pool state that decides when the *next* queued query
 may start.
 
-Both simulators drive the same per-query state machine, the shared
-:class:`~repro.engine.execution.ExecutionCore`; this module contributes
-only the fleet-specific parts — admission through the
-:class:`~repro.fleet.admission.CapacityArbiter` and per-query capacity
-accounting against the pool.  Those parts live in :class:`PoolRuntime`,
+Both simulators drive each query through one
+:class:`~repro.engine.driver.QueryRun`; this module contributes only the
+pool's part — admission through the
+:class:`~repro.fleet.admission.CapacityArbiter`, the runs' grants, the
+pool skyline and finish records.  Those parts live in :class:`PoolRuntime`,
 *one pool's* serving state machine, deliberately separated from the
 event loop that drives it: :meth:`repro.fleet.cluster.ShardedFleet.serve`
 is the one in-process loop, multiplexing N runtimes (plus routing and
@@ -34,8 +34,8 @@ cheapest near-optimal count (the upper bound predictions chase).
 On top of the fixed budget, :attr:`FleetConfig.scaling` turns on
 *mid-query dynamic scaling*: each admitted query gets an
 :class:`~repro.engine.allocation.AllocationPolicy` (built from its
-budget) that is polled after every one of its events and at every tick,
-exactly like the dedicated-cluster scheduler polls its policy.  Scale-up
+budget) that is polled after its events and at every tick, by the
+same code that polls the dedicated-cluster scheduler's policy.  Scale-up
 requests draw additional executors from whatever the pool can spare
 right now (no queueing — the reservation the query queued for was its
 admission budget), and idle executors shed below the budget return to
@@ -48,23 +48,23 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.engine.allocation import AllocationPolicy, AllocationState
+from repro.engine.allocation import AllocationPolicy
 from repro.engine.checks import check_range
 from repro.engine.cluster import Cluster
 from repro.engine.execution import (
     DEFAULT_SCHEDULER_CONFIG,
     CompiledPlan,
-    ExecutionCore,
     SchedulerConfig,
     compile_plan,
 )
-from repro.engine.faults import FaultInjector, FaultPlan
+from repro.engine.driver import QueryRun
+from repro.engine.faults import FaultPlan
 from repro.engine.plan import LogicalPlan
 from repro.engine.skyline import Skyline
 from repro.engine.stages import StageGraph
@@ -276,23 +276,19 @@ def allocator_annotations(allocator: Allocator, decision: object) -> dict:
     }
 
 
-@dataclass
-class _QueryRun:
-    """Mutable per-query execution state inside the fleet."""
+#: A submitted query's facts: arrival, prediction cached, prediction
+#: seconds, annotations, estimated runtime seconds.
+_Pending = tuple[QueryArrival, bool | None, float, dict | None, float | None]
+
+
+class _QueryRun(QueryRun):
+    """A fleet query's :class:`~repro.engine.driver.QueryRun` plus what
+    its record needs."""
 
     arrival: QueryArrival
-    core: ExecutionCore
+    pending: _Pending
     budget: int
-    admit_time: float
-    prediction_cached: bool | None
-    prediction_seconds: float
-    estimated_runtime_seconds: float | None
-    emit: Callable[[float, int, int], None]
-    policy: AllocationPolicy | None = None
-    injector: FaultInjector | None = None
-    annotations: dict = field(default_factory=dict)
-    outstanding: int = 0
-    finished: bool = False
+    finished = False
 
 
 class PoolRuntime:
@@ -325,7 +321,7 @@ class PoolRuntime:
             this pool on the driver's heap.
         push_task: ``push_task(q, time, stage_id, executor_id)`` —
             schedule one task completion of query ``q`` for this pool
-            (:meth:`~repro.fleet.cluster.EventHeap.push_task` with the
+            (:meth:`~repro.engine.driver.EventHeap.push_task` with the
             pool bound).  Each run's emit binds ``q`` on top, so a
             started task reaches the heap through C-level partials
             only; the driver hands :meth:`handle_task_done` a same-instant
@@ -377,10 +373,7 @@ class PoolRuntime:
         #: Admitted queries not yet finished.
         self.active_queries = 0
         self.records: dict[int, QueryRecord] = {}
-        self._pending: dict[
-            int,
-            tuple[QueryArrival, bool | None, float, dict | None, float | None],
-        ] = {}
+        self._pending: dict[int, _Pending] = {}
         self._compiled = compiled
         self._ec = cluster.cores_per_executor
         # view()'s memo and the (arbiter.version, active_queries) it was
@@ -525,40 +518,37 @@ class PoolRuntime:
             self.config.min_executors_per_query,
         )
 
-    def poll_scaling(self, now: float, q: int) -> None:
-        """Mirror the dedicated scheduler's per-event policy poll."""
-        run = self.runs[q]
-        policy = run.policy
-        if policy is None or run.finished:
-            return
-        core = run.core
-        state = AllocationState(
-            time=now - run.admit_time,
-            pending_tasks=core.pending_count(),
-            running_tasks=core.running,
-            active_executors=len(core.executors),
-            outstanding=run.outstanding,
-            cores_per_executor=self._ec,
-        )
-        target = min(self.arbiter.capacity, policy.desired_target(state))
-        granted = len(core.executors) + run.outstanding
-        if target > granted:
-            # Scale-up grabs whatever the pool can spare right now; the
-            # admission queue is only for the initial budget.
-            got = self.arbiter.try_acquire(q, run.arrival.app_id, target - granted)
-            if got:
-                if self.tracer is not None:
-                    self._trace(
-                        now,
-                        "grant_acquire",
-                        q,
-                        run.arrival.query_id,
-                        {"executors": got},
-                    )
-                for t in self.cluster.grant_schedule(now, got):
-                    self.push(t, "exec_arrive", q)
-                run.outstanding += got
-                self.record_pool(now)
+    # --- the runs' grant port (repro.engine.driver.GrantPort) -----------
+    def grant(self, now: float, run: _QueryRun, count: int) -> int:
+        """Scale-up grabs whatever the pool can spare right now; the
+        admission queue is only for the initial budget."""
+        got = self.arbiter.try_acquire(run.q, run.arrival.app_id, count)
+        if got:
+            if self.tracer is not None:
+                self._trace(
+                    now, "grant_acquire", run.q, run.query_id, {"executors": got}
+                )
+            self.record_pool(now)
+        return got
+
+    def give_back(self, now: float, run: _QueryRun, count: int, reason: str) -> None:
+        """Return a run's executors to the pool.  A late or failed slot
+        admits queued work at once; an idle scan records the pool and
+        admits once after the whole scan (:meth:`on_tick`), and a
+        finishing query admits after its record is made."""
+        self.arbiter.release(run.q, count)
+        if self.tracer is not None:
+            self._trace(
+                now,
+                "grant_release",
+                run.q,
+                run.query_id,
+                {"executors": count, "reason": reason},
+            )
+        if reason != "idle":
+            self.record_pool(now)
+            if reason != "finish":
+                self.drain_admissions(now)
 
     # --- admission --------------------------------------------------------
     def submit(
@@ -626,42 +616,34 @@ class PoolRuntime:
 
     def _start_query(self, now: float, request: AdmissionRequest) -> None:
         q = request.query_index
-        arrival, cached, pred_seconds, annotations, estimate = self._pending.pop(q)
+        pending = self._pending.pop(q)
+        arrival = pending[0]
         graph = self.workload.stage_graph(arrival.query_id)
+        plan = self._compiled_plan(arrival.query_id, graph)
+        config = self.config
         policy = None
-        if self.config.scaling is not None:
-            policy = self.config.scaling(request.executors)
-            policy.reset()
-        injector = None
-        if self.config.faults is not None:
+        if config.scaling is not None:
+            policy = config.scaling(request.executors)
+        run = _QueryRun(
+            plan,
+            self.cluster,
+            config.scheduler,
+            self,
+            self.push,
+            functools.partial(self.push_task, q),
+            policy=policy,
             # Keyed by stream position: each query's fault streams are
             # stable across routing/admission interleavings.
-            injector = self.config.faults.injector(q)
-        plan = self._compiled_plan(arrival.query_id, graph)
-        run = _QueryRun(
-            arrival=arrival,
-            core=ExecutionCore(
-                plan,
-                self.cluster,
-                self.config.scheduler,
-                record_log=self.config.record_logs,
-                start_time=now,
-                faults=injector,
-                tracer=self.tracer,
-                trace_pool=self.pool_index,
-                trace_query=q,
-            ),
-            budget=request.executors,
-            admit_time=now,
-            prediction_cached=cached,
-            prediction_seconds=pred_seconds,
-            estimated_runtime_seconds=estimate,
-            emit=functools.partial(self.push_task, q),
-            policy=policy,
-            injector=injector,
-            annotations={} if annotations is None else annotations,
-            outstanding=request.executors,
+            faults=config.faults,
+            fault_key=q,
+            record_log=config.record_logs,
+            start_time=now,
+            tracer=self.tracer,
+            trace_pool=self.pool_index,
+            q=q,
+            query_id=arrival.query_id,
         )
+        run.arrival, run.pending, run.budget = arrival, pending, request.executors
         self.runs[q] = run
         self.active_queries += 1
         if self.tracer is not None:
@@ -684,150 +666,59 @@ class PoolRuntime:
         # Push order mirrors the dedicated scheduler's bootstrap
         # (driver_done, then the tick chain, then executor arrivals)
         # so that same-instant ties break identically in both paths.
-        self.push(now + run.core.plan.driver_seconds, "driver_done", q)
+        self.push(now + plan.driver_seconds, "driver_done", q)
         self.start_ticks(now)
-        for t in self.cluster.grant_schedule(now, request.executors):
-            self.push(t, "exec_arrive", q)
-        if policy is not None:
-            self.poll_scaling(now, q)
+        run.ramp(now, request.executors)
+        run.poll(now)
 
     # --- event handlers ---------------------------------------------------
     def handle_driver_done(self, now: float, q: int) -> None:
         run = self.runs[q]
-        run.core.mark_driver_done(now)
-        run.core.assign(now, run.emit)
-        if run.policy is not None:
-            self.poll_scaling(now, q)
+        run.driver_done(now)
+        run.poll(now)
 
     def handle_exec_arrive(self, now: float, q: int) -> None:
         run = self.runs[q]
+        if not run.finished:
+            run.arrive(now)
+            run.poll(now)
+            return
+        # The query beat its own provisioning ramp; hand the late
+        # executor straight back to the pool.
         run.outstanding -= 1
-        if run.finished:
-            # The query beat its own provisioning ramp; hand the late
-            # executor straight back to the pool.
-            self.arbiter.release(q, 1)
-            if self.tracer is not None:
-                self._trace(
-                    now,
-                    "grant_release",
-                    q,
-                    run.arrival.query_id,
-                    {"executors": 1, "reason": "late"},
-                )
-            self.record_pool(now)
-            self.drain_admissions(now)
-            if run.outstanding == 0:
-                # The last straggling grant is back; the run held
-                # nothing but this countdown since it finished.
-                del self.runs[q]
-        else:
-            eid = run.core.add_executor(now)
-            if run.injector is not None:
-                fail_at = run.injector.on_added(now, eid)
-                if fail_at is not None:
-                    self.push(fail_at, "exec_fail", q, eid)
-                    if self.tracer is not None:
-                        self._trace(
-                            now,
-                            "fault_inject",
-                            q,
-                            run.arrival.query_id,
-                            {"eid": eid, "fail_at": float(fail_at)},
-                        )
-            run.core.assign(now, run.emit)
-            if run.policy is not None:
-                self.poll_scaling(now, q)
+        self.give_back(now, run, 1, "late")
+        if run.outstanding == 0:
+            # The last straggling grant is back; the run held nothing
+            # but this countdown since it finished.
+            del self.runs[q]
 
     def handle_exec_fail(self, now: float, q: int, eid: int) -> None:
-        """A drawn executor failure fired: revoke, requeue, re-provision.
-
-        The failure kills the executor's in-flight tasks (they re-enter
-        the query's pending queue, their lost progress is ledgered as
-        wasted work) and — under ``replace_failed`` — schedules a
-        replacement through the provisioning ramp *against the same
-        arbiter reservation*: the admission grant survives the crash.
-        Without replacement the slot returns to the pool, where queued
-        admissions (and an autoscaler watching pressure signals) pick it
-        up.
-        """
+        """A drawn executor failure fired.  A replacement ramps in against
+        the same arbiter reservation; without replacement the slot goes
+        back to the pool and queued admissions pick it up at once."""
         run = self.runs.get(q)
-        if run is None or run.finished:
-            # The query outran its failure; its grant is already back in
-            # the pool (and the run itself may be freed).
-            return
-        outcome = run.core.fail_executor(now, eid)
-        if outcome is None:
-            return  # idle-released before the failure fired
-        cause = run.injector.on_failed(now, eid, *outcome)
-        if self.tracer is not None:
-            self._trace(
-                now,
-                "exec_fail",
-                q,
-                run.arrival.query_id,
-                {
-                    "eid": eid,
-                    "cause": cause,
-                    "killed": outcome[0],
-                    "wasted_s": float(outcome[1]),
-                },
-            )
-        if self.config.faults.replace_failed:
-            for t in self.cluster.grant_schedule(now, 1):
-                self.push(t, "exec_arrive", q)
-            run.outstanding += 1
-        else:
-            self.arbiter.release(q, 1)
-            if self.tracer is not None:
-                self._trace(
-                    now,
-                    "grant_release",
-                    q,
-                    run.arrival.query_id,
-                    {"executors": 1, "reason": "failed"},
-                )
-            self.record_pool(now)
-            self.drain_admissions(now)
-        run.core.assign(now, run.emit)
-        if run.policy is not None:
-            self.poll_scaling(now, q)
+        # A query that outran its failure has its grant back in the pool
+        # already (and the run itself may be freed).
+        if run is not None and not run.finished and run.fail(now, eid):
+            run.poll(now)
 
     def handle_task_done(
         self, now: float, q: int, payload: list[tuple[int, int]]
     ) -> bool:
-        """Play one same-instant wave of query ``q``'s task completions.
+        """Play one same-instant wave of query ``q``'s task completions
+        (:meth:`~repro.engine.driver.QueryRun.play`).
 
-        ``payload`` lists ``(stage_id, executor_id)`` completions in push
-        order, and the core plays them in one
-        :meth:`~repro.engine.execution.ExecutionCore.play_wave` call:
-        each completion, then a fill of the free cores, before the next —
-        exactly as if each had been its own heap entry.  A run under an
-        :class:`~repro.engine.allocation.AllocationPolicy` plays the wave
-        one completion per call instead, so the policy poll still lands
-        between completions.
-
-        Returns ``True`` when the wave finished the query.  Completions
-        after the finishing one, and any wave for a freed run, can only
-        be stale ones scheduled by an executor that failed (every task
-        completes live exactly once), so they are no-ops.
+        Returns ``True`` when the wave finished the query.  Any wave for
+        a finished or freed run can only hold stale completions scheduled
+        by an executor that failed (every task completes live exactly
+        once), so it is a no-op.
         """
         run = self.runs.get(q)
-        if run is None:
+        if run is None or run.finished or not run.play(now, payload):
             return False
-        core = run.core
-        if run.policy is None:
-            done = core.play_wave(now, payload, run.emit)
-        else:
-            done = False
-            for item in payload:
-                done = core.play_wave(now, (item,), run.emit)
-                if done:
-                    break
-                self.poll_scaling(now, q)
-        if done:
-            self._finish_query(now, q)
-            self.drain_admissions(now)
-        return done
+        self._finish_query(now, q)
+        self.drain_admissions(now)
+        return True
 
     def _finish_query(self, now: float, q: int) -> None:
         run = self.runs[q]
@@ -836,32 +727,24 @@ class PoolRuntime:
         arrived = len(run.core.executors)
         run.core.executors.clear()
         if arrived:
-            self.arbiter.release(q, arrived)
-            if self.tracer is not None:
-                self._trace(
-                    now,
-                    "grant_release",
-                    q,
-                    run.arrival.query_id,
-                    {"executors": arrived, "reason": "finish"},
-                )
-            self.record_pool(now)
+            self.give_back(now, run, arrived, "finish")
+        arrival, cached, seconds, annotations, estimate = run.pending
         if self.tracer is not None:
-            self._trace(now, "query_finish", q, run.arrival.query_id)
+            self._trace(now, "query_finish", q, arrival.query_id)
         stats = self.stats
         record = QueryRecord(
-            query_id=run.arrival.query_id,
-            app_id=run.arrival.app_id,
-            arrival_time=run.arrival.arrival_time,
-            admit_time=run.admit_time,
+            query_id=arrival.query_id,
+            app_id=arrival.app_id,
+            arrival_time=arrival.arrival_time,
+            admit_time=run.start_time,
             finish_time=now,
             executors_granted=run.budget,
             auc=run.core.skyline.auc(now),
-            prediction_cached=run.prediction_cached,
-            prediction_seconds=run.prediction_seconds,
+            prediction_cached=cached,
+            prediction_seconds=seconds,
             skyline=None if stats is not None else run.core.skyline,
             fault_stats=None if run.injector is None else run.injector.finalize(now),
-            annotations=run.annotations,
+            annotations={} if annotations is None else annotations,
             execution_log=run.core.build_log(),
         )
         feedback = self.config.feedback
@@ -872,10 +755,7 @@ class PoolRuntime:
             # optimized-plan lookup hits the workload's memo (the same
             # object the allocator featurized).
             feedback.observe(
-                now,
-                record,
-                run.estimated_runtime_seconds,
-                self.workload.optimized_plan(run.arrival.query_id),
+                now, record, estimate, self.workload.optimized_plan(arrival.query_id)
             )
         if stats is None:
             self.records[q] = record
@@ -922,8 +802,9 @@ class PoolRuntime:
             self.record_pool(now)
             self.drain_admissions(now)
         if scaling is not None:
-            for q in self.runs:
-                self.poll_scaling(now, q)
+            for run in self.runs.values():
+                if not run.finished:
+                    run.poll(now)
 
     def _scan_idle(self, now: float) -> bool:
         """The full idle scan over every live run; True if it released.
@@ -935,25 +816,11 @@ class PoolRuntime:
         released = False
         track = self.config.scaling is None
         oldest = math.inf
-        for q, run in self.runs.items():
+        for run in self.runs.values():
             if run.finished:
                 continue
-            timeout, floor = self._idle_params(run)
-            removed = run.core.release_idle(now, timeout, floor)
-            if removed:
-                self.arbiter.release(q, len(removed))
+            if run.release_idle(now, *self._idle_params(run)):
                 released = True
-                if self.tracer is not None:
-                    self._trace(
-                        now,
-                        "grant_release",
-                        q,
-                        run.arrival.query_id,
-                        {"executors": len(removed), "reason": "idle"},
-                    )
-                if run.injector is not None:
-                    for eid in removed:
-                        run.injector.on_removed(now, eid)
             elif track and not released:
                 oldest = min(oldest, run.core.oldest_idle())
         self._quiet_since = (now, oldest) if track and not released else None

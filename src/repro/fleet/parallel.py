@@ -21,7 +21,7 @@ subsequence.  The parent decides and routes with the in-process
 driver's own helpers and sends each pool its submits in global submit
 order, the shared heap's ``(time, 0, stream position)`` order for
 them.  The worker pushes them onto an
-:class:`~repro.fleet.cluster.EventHeap` as class-0 entries, one ahead
+:class:`~repro.engine.driver.EventHeap` as class-0 entries, one ahead
 of its clock, and starts the tick chain at the cluster's first submit,
 so its ticks fall on the shared chain's instants.  Per-pool metric
 folds run in the pool's own finish order, which is what the
