@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
+from repro.engine.checks import check_int, check_range
+
 __all__ = [
     "AllocationState",
     "AllocationPolicy",
@@ -82,8 +84,7 @@ class StaticAllocation:
     """``SA(n)``: a fixed fleet for the query's whole lifetime."""
 
     def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError("static allocation needs at least 1 executor")
+        check_int("n", n, 1)
         self.n = int(n)
         self.initial_executors = self.n
         self.idle_timeout: float | None = None
@@ -122,10 +123,11 @@ class DynamicAllocation:
         idle_timeout: float | None = 60.0,
         scale_up: bool = True,
     ) -> None:
-        if min_executors < 0 or max_executors < max(min_executors, 1):
-            raise ValueError("invalid dynamic allocation range")
-        if backlog_timeout <= 0 or sustained_timeout <= 0:
-            raise ValueError("backlog timeouts must be positive")
+        check_int("min_executors", min_executors, 0)
+        check_int("max_executors", max_executors, max(min_executors, 1))
+        check_range("backlog_timeout", backlog_timeout, 0.0, open_low=True)
+        check_range("sustained_timeout", sustained_timeout, 0.0, open_low=True)
+        _check_idle_timeout(idle_timeout)
         self.min_executors = int(min_executors)
         self.max_executors = int(max_executors)
         self.backlog_timeout = backlog_timeout
@@ -201,10 +203,9 @@ class BudgetAllocation:
         idle_timeout: float | None = None,
         min_executors: int = 1,
     ) -> None:
-        if n < 1:
-            raise ValueError("budget allocation needs at least 1 executor")
-        if min_executors < 0:
-            raise ValueError("executor floor must be >= 0")
+        check_int("n", n, 1)
+        _check_idle_timeout(idle_timeout)
+        check_int("min_executors", min_executors, 0)
         self.n = int(n)
         self.initial_executors = 0
         self.idle_timeout = idle_timeout
@@ -251,12 +252,11 @@ class PredictiveAllocation:
         idle_timeout: float | None = 60.0,
         min_executors: int = 1,
     ) -> None:
-        if predicted_executors < 1:
-            raise ValueError("predicted executor count must be >= 1")
-        if initial_executors < 0:
-            raise ValueError("initial executor count must be >= 0")
-        if request_delay < 0:
-            raise ValueError("request delay must be >= 0")
+        check_int("predicted_executors", predicted_executors, 1)
+        check_int("initial_executors", initial_executors, 0)
+        check_range("request_delay", request_delay, 0.0)
+        _check_idle_timeout(idle_timeout)
+        check_int("min_executors", min_executors, 0)
         self.predicted_executors = int(predicted_executors)
         self.initial_executors = int(initial_executors)
         self.request_delay = request_delay
@@ -276,3 +276,10 @@ class PredictiveAllocation:
 
     def __repr__(self) -> str:
         return f"Rule({self.predicted_executors})"
+
+
+def _check_idle_timeout(idle_timeout: float | None) -> None:
+    """``None`` holds executors until the query ends; anything else is a
+    finite, non-negative release threshold."""
+    if idle_timeout is not None:
+        check_range("idle_timeout", idle_timeout, 0.0)

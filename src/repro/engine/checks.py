@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import numbers
 
-__all__ = ["check_range"]
+__all__ = ["check_int", "check_range"]
 
 
 def check_range(
@@ -20,10 +21,15 @@ def check_range(
 
     The test is one positive condition, so NaN (which fails every
     comparison) and ±inf are rejected by construction, whatever the
-    bounds.  Raises a ``ValueError`` that names the field.
+    bounds, and so is an int too large for a float.  Raises a
+    ``ValueError`` that names the field.
     """
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
     if not (
-        math.isfinite(value)
+        finite
         and (value > low if open_low else value >= low)
         and value <= high
     ):
@@ -34,3 +40,11 @@ def check_range(
         raise ValueError(
             f"{name} must be finite and in {interval}, got {value!r}"
         )
+
+
+def check_int(name: str, value: int, low: float, high: float = math.inf) -> None:
+    """:func:`check_range` for a count: also reject a bool or any value
+    that is not an integer (``2.5``, and ``2.0`` too), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_range(name, value, low, high)

@@ -12,59 +12,20 @@ results and are modeled here:
   allocated (Section 5.4, Figure 12) — so short queries may finish before
   their full allocation lands.
 
-Grants are mediated by a :class:`CapacitySource`: the dedicated-cluster
-default (:data:`UNBOUNDED`) honours every clamped request, while a shared
-serverless pool (``repro.fleet``'s capacity arbiter) may grant fewer —
+How many executors a request actually gets is the caller's
+:class:`~repro.engine.driver.GrantPort`'s call: a dedicated cluster
+grants every request up to :attr:`Cluster.max_executors`, while a shared
+serverless pool (``repro.fleet``'s pool runtime) may grant fewer —
 whatever fits in the pool at that instant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
-from repro.engine.checks import check_range
+from repro.engine.checks import check_int, check_range
 
-__all__ = [
-    "NodeSpec",
-    "ExecutorSpec",
-    "Cluster",
-    "CapacitySource",
-    "UnboundedCapacity",
-    "UNBOUNDED",
-]
-
-
-@runtime_checkable
-class CapacitySource(Protocol):
-    """Where executor grants come from.
-
-    A dedicated cluster grants everything (:class:`UnboundedCapacity`);
-    a shared pool grants whatever capacity is currently uncommitted and
-    expects it back via :meth:`release`.
-    """
-
-    def acquire(self, count: int) -> int:
-        """Grant up to ``count`` executors; returns the number granted."""
-        ...  # pragma: no cover
-
-    def release(self, count: int) -> None:
-        """Return ``count`` previously acquired executors."""
-        ...  # pragma: no cover
-
-
-class UnboundedCapacity:
-    """Dedicated-cluster semantics: every request is granted in full."""
-
-    def acquire(self, count: int) -> int:
-        return max(0, int(count))
-
-    def release(self, count: int) -> None:
-        return None
-
-
-#: Shared default source — stateless, so one instance serves everyone.
-UNBOUNDED = UnboundedCapacity()
+__all__ = ["NodeSpec", "ExecutorSpec", "Cluster"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +36,7 @@ class NodeSpec:
     memory_gb: float = 64.0
 
     def __post_init__(self) -> None:
-        check_range("cores", self.cores, 1)
+        check_int("cores", self.cores, 1)
         check_range("memory_gb", self.memory_gb, 0.0, open_low=True)
 
 
@@ -87,7 +48,7 @@ class ExecutorSpec:
     memory_gb: float = 28.0
 
     def __post_init__(self) -> None:
-        check_range("cores", self.cores, 1)
+        check_int("cores", self.cores, 1)
         check_range("memory_gb", self.memory_gb, 0.0, open_low=True)
 
 
@@ -114,8 +75,8 @@ class Cluster:
     grant_interval: float = 4.0
 
     def __post_init__(self) -> None:
-        check_range("max_nodes", self.max_nodes, 1)
-        check_range("max_executors_per_node", self.max_executors_per_node, 1)
+        check_int("max_nodes", self.max_nodes, 1)
+        check_int("max_executors_per_node", self.max_executors_per_node, 1)
         if self.executors_per_node < 1:
             raise ValueError(
                 "executor spec does not fit on the node spec at all"
@@ -123,7 +84,7 @@ class Cluster:
         # A negative lag would schedule grants before their request.
         check_range("base_grant_lag", self.base_grant_lag, 0.0)
         # The grant schedule must make progress.
-        check_range("grant_batch", self.grant_batch, 1)
+        check_int("grant_batch", self.grant_batch, 1)
         check_range("grant_interval", self.grant_interval, 0.0, open_low=True)
 
     @property
@@ -165,8 +126,8 @@ class Cluster:
         """The batch-ramp arrival schedule for exactly ``count`` executors.
 
         Unlike :meth:`grant_times` this does not clamp: the caller (a
-        :class:`CapacitySource`) has already decided how many executors
-        are actually granted.
+        :class:`~repro.engine.driver.GrantPort`) has already decided how
+        many executors are actually granted.
         """
         times: list[float] = []
         for i in range(max(0, int(count))):

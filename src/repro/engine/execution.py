@@ -324,9 +324,10 @@ class ExecutionCore:
     executors are left in the heap and dropped when popped.
     The *driver* (:class:`repro.engine.driver.QueryRun`) owns the
     clock, the event heap, and capacity accounting: it decides when
-    executors are granted (through a capacity source on the dedicated
-    path, the pool's arbiter on the fleet path) and feeds arrivals,
-    task completions, and idle scans back into the core.
+    executors are granted (through a
+    :class:`~repro.engine.driver.GrantPort`: the cluster's capacity on
+    the dedicated path, the pool's arbiter on the fleet path) and feeds
+    arrivals, task completions, and idle scans back into the core.
 
     Args:
         plan: the compiled stage DAG (see :func:`compile_plan`).
@@ -453,7 +454,7 @@ class ExecutionCore:
 
         Never shrinks the fleet below ``floor``, and never removes
         anything while runnable tasks are waiting.  Returns the removed
-        executor ids so the driver can return the capacity to its source.
+        executor ids so the driver can give the capacity back.
         """
         # Keep executors if there is still work for them to pick up, or if
         # the fleet is already at the floor — both are the common case, so

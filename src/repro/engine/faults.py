@@ -66,7 +66,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.engine.checks import check_range
+from repro.engine.checks import check_int, check_range
 
 __all__ = ["SpotMarket", "FaultPlan", "FaultStats", "FaultInjector"]
 
@@ -136,7 +136,7 @@ class FaultPlan:
     replace_failed: bool = True
 
     def __post_init__(self) -> None:
-        check_range("seed", self.seed, 0)
+        check_int("seed", self.seed, 0)
         check_range("crash_rate", self.crash_rate, 0.0)
         check_range("straggler_rate", self.straggler_rate, 0.0, 1.0)
         # Stragglers cannot run faster than their profile.

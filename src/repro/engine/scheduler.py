@@ -11,10 +11,11 @@ The physics live in :class:`~repro.engine.execution.ExecutionCore` and
 the per-query handlers in :class:`~repro.engine.driver.QueryRun`, which
 the fleet (:mod:`repro.fleet.engine`) runs too; this module adds the
 bootstrap, a short dispatch over an :class:`~repro.engine.driver.EventHeap`,
-the stall guard, and grants from a
-:class:`~repro.engine.cluster.CapacitySource`.  A fleet of one query on
-an uncontended pool reproduces this function bit-for-bit (see
-``tests/engine/test_execution_parity.py``).
+the stall guard, and the dedicated cluster's grant port, which grants
+every request up to the cluster's capacity.  A fleet of one query on an
+uncontended pool reproduces this function bit-for-bit (see
+``tests/engine/test_execution_parity.py``); a single query on a
+contended shared pool is a fleet of one with a small capacity.
 
 The simulation is deterministic.  Run-to-run variance (the paper's
 4–7 %) is added by :mod:`repro.experiments.runtime_data` on top.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 
 from repro.engine.allocation import AllocationPolicy
-from repro.engine.cluster import UNBOUNDED, CapacitySource, Cluster
+from repro.engine.cluster import Cluster
 from repro.engine.driver import EventHeap, QueryRun
 from repro.engine.execution import (
     DEFAULT_SCHEDULER_CONFIG,
@@ -47,7 +48,6 @@ def simulate_query(
     cluster: Cluster,
     config: SchedulerConfig = DEFAULT_SCHEDULER_CONFIG,
     record_log: bool = False,
-    capacity_source: CapacitySource = UNBOUNDED,
     faults: FaultPlan | None = None,
     fault_key: int = 0,
     tracer: Tracer | None = None,
@@ -63,11 +63,6 @@ def simulate_query(
         config: scheduler physics.
         record_log: capture an :class:`~repro.sparklens.log.ExecutionLog`
             of observed task durations for post-hoc analysis.
-        capacity_source: where executor grants come from — the dedicated
-            cluster default grants every clamped request; a shared-pool
-            arbiter (``repro.fleet``) may grant fewer.  Everything
-            acquired is released back when the query finishes or sheds
-            idle executors.
         faults: optional seed-driven perturbation layer
             (:mod:`repro.engine.faults`): executor crashes with task
             re-execution, stragglers, spot reclamation.  ``None`` — or a
@@ -88,7 +83,7 @@ def simulate_query(
         plan,
         cluster,
         config,
-        _SourcePort(capacity_source, cluster.max_executors),
+        _DedicatedPort(cluster.max_executors),
         functools.partial(heap.push, -1),
         functools.partial(heap.push_task, -1, -1),
         policy=policy,
@@ -102,9 +97,7 @@ def simulate_query(
     # The initial executors were provisioned at application submission:
     # they arrive at once, before the driver prefix starts (no task can
     # start yet, so their fills are no-ops).
-    run.outstanding = capacity_source.acquire(
-        cluster.clamp_request(policy.initial_executors)
-    )
+    run.outstanding = cluster.clamp_request(policy.initial_executors)
     for _ in range(run.outstanding):
         run.arrive(0.0)
     heap.push(-1, plan.driver_seconds, "driver_done")
@@ -136,22 +129,18 @@ def simulate_query(
                 "simulation stalled: tasks are pending but the allocation "
                 "policy provides no executors"
             )
-
-    # Hand everything provisioned — arrived or still in flight — back to
-    # the capacity source now that the query is done.
-    capacity_source.release(len(core.executors) + run.outstanding)
     return core.result(now, fully_allocated=run.outstanding == 0)
 
 
-class _SourcePort:
-    """:func:`simulate_query`'s grants: a capacity source, capped."""
+class _DedicatedPort:
+    """:func:`simulate_query`'s grants: every request, up to ``capacity``
+    (the policy's target is capped there), and nothing to give back."""
 
-    def __init__(self, source: CapacitySource, capacity: int) -> None:
-        self.source = source
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
 
     def grant(self, now: float, run: QueryRun, count: int) -> int:
-        return self.source.acquire(count)
+        return count
 
     def give_back(self, now: float, run: QueryRun, count: int, reason: str) -> None:
-        self.source.release(count)
+        return None

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.checks import check_range
+from repro.engine.checks import check_int, check_range
 from repro.engine.plan import LogicalPlan, OperatorKind, PlanNode
 
 __all__ = ["StageCompilerConfig", "Stage", "StageGraph", "compile_stages"]
@@ -93,7 +93,7 @@ class StageCompilerConfig:
         check_range("split_bytes", self.split_bytes, 0.0, open_low=True)
         rows = self.rows_per_shuffle_partition
         check_range("rows_per_shuffle_partition", rows, 0.0, open_low=True)
-        check_range("max_tasks_per_stage", self.max_tasks_per_stage, 1)
+        check_int("max_tasks_per_stage", self.max_tasks_per_stage, 1)
         # A zero floor would compile a zero-work stage to zero-length tasks.
         check_range("min_task_seconds", self.min_task_seconds, 0.0, open_low=True)
         check_range("skew_fraction", self.skew_fraction, 0.0, 1.0)

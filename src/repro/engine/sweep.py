@@ -15,11 +15,11 @@ This module makes the sweep the engine's first-class operation:
   -stage task-duration arrays, dependency/dependent topology, root stages,
   task totals — into a reusable :class:`CompiledPlan`;
 - :func:`simulate_query_sweep` evaluates all candidate counts against the
-  compiled plan in one pass.  Under static allocation on a dedicated
-  (unbounded) capacity source the run collapses to wave scheduling: every
-  stage's ready tasks drain FIFO onto ``n·ec`` slots, fully-idle waves are
-  evaluated as single vectorized numpy expressions, and only
-  partially-overlapping waves fall back to a flat float min-heap.
+  compiled plan in one pass.  Under static allocation without active
+  faults the run collapses to wave scheduling: every stage's ready tasks
+  drain FIFO onto ``n·ec`` slots, fully-idle waves are evaluated as
+  single vectorized numpy expressions, and only partially-overlapping
+  waves fall back to a flat float min-heap.
 
 The fast path is **exact**: it reproduces the event loop's arithmetic
 operation-for-operation (the same ``duration × spill × coordination``
@@ -27,8 +27,8 @@ products, the same ``start + duration`` additions, the same FIFO
 tie-breaking), so its results are bit-identical to per-count
 :func:`simulate_query` — a property the test suite asserts across the
 whole TPC-DS workload.  Configurations the closed form cannot express —
-mid-query scaling policies, shared-pool capacity sources — fall back to
-the event-driven scheduler per count, trading speed for generality.
+mid-query scaling policies, active fault plans — fall back to the
+event-driven scheduler per count, trading speed for generality.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.engine.allocation import AllocationPolicy, StaticAllocation
-from repro.engine.cluster import (
-    UNBOUNDED,
-    CapacitySource,
-    Cluster,
-    UnboundedCapacity,
-)
+from repro.engine.cluster import Cluster
 from repro.engine.execution import (
     DEFAULT_SCHEDULER_CONFIG,
     CompiledPlan,
@@ -73,7 +68,7 @@ def _simulate_static(
 ) -> SimulationResult:
     """Exact wave-scheduling replay of ``simulate_query`` under ``SA(n)``.
 
-    Under static allocation on an unbounded source the event loop's state
+    Under static allocation on a dedicated cluster the event loop's state
     collapses: the fleet is ``n_eff`` from the first instant to the last,
     the spill/coordination factor is constant, ticks and policy polls are
     no-ops, and the whole simulation is a FIFO drain of stage task chunks
@@ -200,7 +195,6 @@ def simulate_query_sweep(
     cluster: Cluster,
     config: SchedulerConfig = DEFAULT_SCHEDULER_CONFIG,
     policy_factory: Callable[[int], AllocationPolicy] = StaticAllocation,
-    capacity_source: CapacitySource = UNBOUNDED,
     record_log: bool = False,
     faults: FaultPlan | None = None,
 ) -> list[SimulationResult]:
@@ -221,11 +215,6 @@ def simulate_query_sweep(
             vectorized fast path; any other factory (mid-query scaling
             policies such as ``DynamicAllocation``) falls back to the
             exact event-driven scheduler per count.
-        capacity_source: executor grant source.  Anything other than the
-            dedicated-cluster unbounded source (e.g. a shared-pool
-            arbiter from :mod:`repro.fleet`) also falls back to the event
-            loop, which plays the counts sequentially against the shared
-            state exactly like a caller's per-count loop would.
         record_log: capture per-count execution logs.
         faults: optional :class:`~repro.engine.faults.FaultPlan`.  An
             *active* plan falls back to the event-driven scheduler per
@@ -240,14 +229,7 @@ def simulate_query_sweep(
         ``policy_factory(count)`` for each count in turn.
     """
     plan = graph if isinstance(graph, CompiledPlan) else compile_plan(graph)
-    # The fast path requires exactly dedicated-cluster grant semantics; a
-    # subclass could override acquire(), so no isinstance leniency here.
-    fast = (
-        policy_factory is StaticAllocation
-        and type(capacity_source) is UnboundedCapacity
-        and (faults is None or not faults.active)
-    )
-    if fast:
+    if policy_factory is StaticAllocation and (faults is None or not faults.active):
         return plan.sweep(counts, cluster, config, record_log)
     return [
         simulate_query(
@@ -256,7 +238,6 @@ def simulate_query_sweep(
             cluster,
             config,
             record_log=record_log,
-            capacity_source=capacity_source,
             faults=faults,
         )
         for n in counts

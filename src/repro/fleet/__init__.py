@@ -85,7 +85,6 @@ from repro.fleet.admission import (
     CapacityArbiter,
     FairShareAdmission,
     FIFOAdmission,
-    PoolShare,
 )
 from repro.fleet.arrivals import (
     QueryArrival,
@@ -134,7 +133,6 @@ __all__ = [
     "FIFOAdmission",
     "FairShareAdmission",
     "CapacityArbiter",
-    "PoolShare",
     "FleetEngine",
     "FleetConfig",
     "StreamingConfig",

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.core.features import QueryFeatures
 from repro.core.training import build_training_dataset_from_logs
-from repro.engine.checks import check_range
+from repro.engine.checks import check_int, check_range
 from repro.engine.plan import LogicalPlan
 from repro.fleet.metrics import AdaptiveStats, QueryRecord
 from repro.fleet.prediction import PPMScorer, PredictionService
@@ -119,16 +119,16 @@ class AdaptiveConfig:
     retrain_cost_executor_seconds_per_point: float = 0.5
 
     def __post_init__(self) -> None:
-        check_range("seed", self.seed, 0)
-        check_range("buffer_capacity", self.buffer_capacity, 1)
-        check_range("min_retrain_points", self.min_retrain_points, 1)
+        check_int("seed", self.seed, 0)
+        check_int("buffer_capacity", self.buffer_capacity, 1)
+        check_int("min_retrain_points", self.min_retrain_points, 1)
         if self.retrain_interval is not None:
-            check_range("retrain_interval", self.retrain_interval, 1)
-        check_range("drift_window", self.drift_window, 1)
+            check_int("retrain_interval", self.retrain_interval, 1)
+        check_int("drift_window", self.drift_window, 1)
         check_range("drift_threshold", self.drift_threshold, 0.0, open_low=True)
-        check_range("shadow_window", self.shadow_window, 1)
+        check_int("shadow_window", self.shadow_window, 1)
         check_range("promote_margin", self.promote_margin, 0.0, open_low=True)
-        check_range("n_estimators", self.n_estimators, 1)
+        check_int("n_estimators", self.n_estimators, 1)
         check_range(
             "retrain_cost_executor_seconds_per_point",
             self.retrain_cost_executor_seconds_per_point,

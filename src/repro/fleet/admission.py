@@ -19,11 +19,9 @@ admission budget is reserved whole or not at all, under the admission
 policy's ordering.  :meth:`CapacityArbiter.try_acquire` is the
 *immediate, partial* path: grant whatever fits right now, used by the
 fleet engine's mid-query dynamic scaling (growing an already-admitted
-query's grant under backlog pressure) and by the per-query
-:class:`PoolShare` adapters, which implement
-:class:`repro.engine.cluster.CapacitySource` so a single
-``simulate_query`` run can draw its executors straight from the shared
-pool instead of an infinite one.
+query's grant under backlog pressure).  Both paths reach a query run
+through :class:`~repro.fleet.engine.PoolRuntime`, the pool's
+:class:`~repro.engine.driver.GrantPort`.
 
 The same bounded-wait discipline reappears one layer up in the HTTP
 serving surface: :mod:`repro.serve` fronts the prediction service with
@@ -43,7 +41,6 @@ __all__ = [
     "FIFOAdmission",
     "FairShareAdmission",
     "CapacityArbiter",
-    "PoolShare",
 ]
 
 
@@ -267,9 +264,8 @@ class CapacityArbiter:
     def try_acquire(self, query_index: int, app_id: int, count: int) -> int:
         """Immediately grant up to ``count`` executors, bypassing the queue.
 
-        This is the incremental path: :class:`PoolShare` uses it for
-        single query runs, and the fleet engine uses it to *grow* an
-        admitted query's grant mid-run under a dynamic-scaling policy
+        This is the incremental path: the fleet engine uses it to *grow*
+        an admitted query's grant mid-run under a dynamic-scaling policy
         (initial budgets always reserve atomically through
         :meth:`submit`/:meth:`admit`).
         """
@@ -310,30 +306,3 @@ class CapacityArbiter:
             if self._app_usage[app_id] == 0:
                 del self._app_usage[app_id]
         return count
-
-    def share(self, query_index: int, app_id: int = 0) -> "PoolShare":
-        """A :class:`~repro.engine.cluster.CapacitySource` view of the pool
-        for one query, usable directly with ``simulate_query``."""
-        return PoolShare(self, query_index, app_id)
-
-
-class PoolShare:
-    """Per-query capacity-source adapter over a :class:`CapacityArbiter`.
-
-    Passing ``arbiter.share(q)`` as ``simulate_query``'s
-    ``capacity_source`` makes that run draw (and return) its executors
-    from the shared pool: grants shrink to what the pool can spare.
-    """
-
-    def __init__(
-        self, arbiter: CapacityArbiter, query_index: int, app_id: int
-    ) -> None:
-        self.arbiter = arbiter
-        self.query_index = query_index
-        self.app_id = app_id
-
-    def acquire(self, count: int) -> int:
-        return self.arbiter.try_acquire(self.query_index, self.app_id, count)
-
-    def release(self, count: int) -> None:
-        self.arbiter.release(self.query_index, count)

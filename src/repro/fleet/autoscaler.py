@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.checks import check_range
+from repro.engine.checks import check_int, check_range
 from repro.fleet.routing import PoolView
 from repro.obs.trace import TraceEvent, Tracer
 
@@ -72,10 +72,10 @@ class AutoscalerConfig:
     low_utilization: float = 0.40
 
     def __post_init__(self) -> None:
-        check_range("min_capacity", self.min_capacity, 1)
-        check_range("max_capacity", self.max_capacity, self.min_capacity)
-        check_range("scale_up_step", self.scale_up_step, 1)
-        check_range("scale_down_step", self.scale_down_step, 1)
+        check_int("min_capacity", self.min_capacity, 1)
+        check_int("max_capacity", self.max_capacity, self.min_capacity)
+        check_int("scale_up_step", self.scale_up_step, 1)
+        check_int("scale_down_step", self.scale_down_step, 1)
         check_range("scale_up_lag_s", self.scale_up_lag_s, 0.0)
         check_range("scale_down_cooldown_s", self.scale_down_cooldown_s, 0.0)
         check_range("queue_delay_threshold_s", self.queue_delay_threshold_s, 0.0)

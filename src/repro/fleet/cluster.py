@@ -32,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.engine.checks import check_range
+from repro.engine.checks import check_int
 from repro.engine.cluster import Cluster
 from repro.engine.driver import EventHeap
 from repro.engine.execution import CompiledPlan
@@ -77,7 +77,7 @@ class PoolSpec:
     autoscaler: AutoscalerConfig | None = None
 
     def __post_init__(self) -> None:
-        check_range("capacity", self.capacity, 1)
+        check_int("capacity", self.capacity, 1)
         if self.autoscaler is not None:
             if not (
                 self.autoscaler.min_capacity
@@ -155,19 +155,24 @@ class ShardedFleet:
     def serve(self, arrivals: Iterable[QueryArrival]) -> ClusterMetrics:
         """Play out the whole stream; returns the cluster's metrics.
 
-        In streaming mode (:attr:`FleetConfig.streaming`) ``arrivals``
-        may be any time-ordered iterable — consumed lazily, one arrival
-        ahead of the clock — and the returned :class:`ClusterMetrics`
+        Both modes play the stream through the same lazy source, one
+        arrival ahead of the clock.  Record mode validates the whole
+        stream first and then plays it stably sorted by arrival time,
+        each arrival keeping its stream position.  In streaming mode
+        (:attr:`FleetConfig.streaming`) ``arrivals`` may be any
+        time-ordered iterable, and the returned :class:`ClusterMetrics`
         carries per-pool sketches instead of records.
         """
         config = self.config
-        heap = EventHeap()
-        source: Iterator[tuple] = iter(())
+        stream: Iterable[tuple[int, QueryArrival]]
         if config.streaming is None:
-            for pos, arrival in enumerate(_validate_stream(arrivals)):
-                heap.push_arrival(arrival.arrival_time, pos, arrival)
+            # Stable: same-instant arrivals keep their stream order.
+            stream = sorted(
+                enumerate(_validate_stream(arrivals)),
+                key=lambda entry: entry[1].arrival_time,
+            )
         else:
-            source = _arrival_source(arrivals)
+            stream = enumerate(arrivals)
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
@@ -180,10 +185,11 @@ class ShardedFleet:
                     {"pools": [spec.capacity for spec in self.pools]},
                 )
             )
-        runtimes, total, pool_of = self._play(heap, source)
+        runtimes, total = self._play(_arrival_source(stream))
         if total == 0:
             raise ValueError("cannot serve an empty arrival stream")
-        metrics = _cluster_metrics([r.finalize() for r in runtimes], pool_of)
+        pools, served = zip(*(_finish(runtime) for runtime in runtimes))
+        metrics = _cluster_metrics(pools, served)
         if tracer is not None:
             end = metrics.pools[0]._window()[1]
             tracer.emit(TraceEvent(end, "serve_end", -1, -1, None, {"queries": total}))
@@ -199,33 +205,29 @@ class ShardedFleet:
 
     def _play(
         self,
-        heap: EventHeap,
         source: Iterator[tuple],
         first_pool: int = 0,
         anchor: float | None = None,
-    ) -> tuple[list[PoolRuntime], int, dict[int, int]]:
-        """The fleet event loop: play ``heap`` out over this fleet's pools.
+    ) -> tuple[list[PoolRuntime], int]:
+        """The fleet event loop: play a stream out over this fleet's pools.
 
-        The stream is the class-0 entries on ``heap`` when the loop
-        starts (record mode), then the :meth:`EventHeap.push_arrival`
-        arguments ``source`` yields, pulled one ahead of the clock:
-        arrivals in streaming mode, or in a multiprocess worker the
-        submits its parent decided and routed.  A worker runs one pool,
-        numbered ``first_pool`` cluster-wide, and starts the tick chain
-        at ``anchor`` when the cluster's first submit went to another
-        pool.
+        The stream is the :meth:`EventHeap.push_arrival` arguments
+        ``source`` yields, pulled one ahead of the clock: arrivals, or in
+        a multiprocess worker the submits its parent decided and routed.
+        A worker runs one pool, numbered ``first_pool`` cluster-wide, and
+        starts the tick chain at ``anchor`` when the cluster's first
+        submit went to another pool.
 
-        Returns the pool runtimes, the stream length, and the pool each
-        stream position was routed to (record mode; routed submits are
-        not in it).
+        Returns the pool runtimes and the stream length.
         """
         config = self.config
-        record_mode = config.streaming is None
+        tick_interval = config.scheduler.tick_interval
         ticking = False
 
+        heap = EventHeap()
         events = heap.events
         push = heap.push
-        total = len(events)
+        total = 0
         finished = 0
         exhausted = False
 
@@ -242,7 +244,7 @@ class ShardedFleet:
             nonlocal ticking
             if wants_ticks and not ticking:
                 ticking = True
-                push(-1, now + config.tick_interval, "tick")
+                push(-1, now + tick_interval, "tick")
 
         runtimes: list[PoolRuntime] = []
         scalers: dict[int, PoolAutoscaler] = {}
@@ -272,7 +274,6 @@ class ShardedFleet:
         max_budget = self.max_budget
         decide = self._decide
         route = self._route
-        pool_of: dict[int, int] = {}
 
         def pull() -> None:
             nonlocal total, exhausted
@@ -351,8 +352,6 @@ class ShardedFleet:
                             else frozen_views
                         ),
                     )
-                    if record_mode:
-                        pool_of[q] = pool
                     if tracer is not None:
                         tracer.emit(
                             TraceEvent(
@@ -396,11 +395,11 @@ class ShardedFleet:
                 if finished < total or not exhausted:
                     if not events and not scalers_can_act():
                         _raise_cluster_stalled(runtimes, total - finished)
-                    push(-1, now + config.tick_interval, "tick")
+                    push(-1, now + tick_interval, "tick")
 
         if finished < total:
             _raise_cluster_stalled(runtimes, total - finished)
-        return runtimes, total, pool_of
+        return runtimes, total
 
     def _decide(
         self, arrival: QueryArrival, max_budget: int
@@ -475,18 +474,28 @@ def _validate_stream(arrivals: Sequence[QueryArrival]) -> list[QueryArrival]:
     return stream
 
 
+def _finish(runtime: PoolRuntime) -> tuple[FleetMetrics, list[int]]:
+    """A played pool's metrics and the stream positions of its records."""
+    return runtime.finalize(), sorted(runtime.records)
+
+
 def _cluster_metrics(
-    pools: list[FleetMetrics], pool_of: dict[int, int]
+    pools: Sequence[FleetMetrics], served: Sequence[Sequence[int]]
 ) -> ClusterMetrics:
     """Join finalized pool metrics into the cluster's.
 
-    Records return to stream order (each pool's come sorted by stream
-    position), and every pool bills the cluster-wide serving window, so
-    a pool the router never picked still pays for its provisioned floor.
+    ``served[i]`` holds the stream positions of pool ``i``'s records, in
+    their order (empty in streaming mode).  Records return to stream
+    order, and every pool bills the cluster-wide serving window, so a
+    pool the router never picked still pays for its provisioned floor.
     Metrics derive lazily, so setting the window now equals passing it
     to :meth:`~repro.fleet.engine.PoolRuntime.finalize`.
     """
-    placed = [pool_of[q] for q in range(len(pool_of))]
+    pools = list(pools)
+    placed = [0] * sum(map(len, served))
+    for i, positions in enumerate(served):
+        for pos in positions:
+            placed[pos] = i
     records_of = [iter(metrics.records) for metrics in pools]
     records = [next(records_of[i]) for i in placed]
     window = cluster_serving_window([metrics.stats for metrics in pools])
@@ -495,11 +504,13 @@ def _cluster_metrics(
     return ClusterMetrics(pools=pools, records=records, pool_of=placed)
 
 
-def _arrival_source(arrivals: Iterable[QueryArrival]) -> Iterator[tuple]:
-    """A streamed arrival iterable as :meth:`EventHeap.push_arrival`
-    arguments, checked for time order as it is consumed."""
+def _arrival_source(
+    stream: Iterable[tuple[int, QueryArrival]],
+) -> Iterator[tuple]:
+    """``(stream position, arrival)`` pairs as :meth:`EventHeap.push_arrival`
+    arguments, checked for time order as they are consumed."""
     last = 0.0
-    for pos, arrival in enumerate(arrivals):
+    for pos, arrival in stream:
         t = arrival.arrival_time
         if t < last:
             raise ValueError("streamed arrivals must be time-ordered")

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 import numpy as np
 
 from repro.engine.allocation import AllocationPolicy
-from repro.engine.checks import check_range
+from repro.engine.checks import check_int, check_range
 from repro.engine.cluster import Cluster
 from repro.engine.execution import (
     DEFAULT_SCHEDULER_CONFIG,
@@ -159,7 +159,8 @@ class FleetConfig:
 
     Attributes:
         scheduler: per-query physics (same knobs as ``simulate_query``).
-        tick_interval: idle-check / policy polling period.
+            Its ``tick_interval`` is the fleet's idle-check / policy
+            polling period too: the tick chain is shared by every pool.
         idle_release_timeout: seconds of executor idleness before it is
             returned to the pool mid-query (``None`` holds budgets until
             completion; otherwise finite and ≥ 0).  Ignored when
@@ -213,7 +214,6 @@ class FleetConfig:
     """
 
     scheduler: SchedulerConfig = DEFAULT_SCHEDULER_CONFIG
-    tick_interval: float = 1.0
     idle_release_timeout: float | None = 30.0
     min_executors_per_query: int = 1
     charge_prediction_overhead: bool = True
@@ -224,10 +224,9 @@ class FleetConfig:
     feedback: FeedbackSink | None = None
 
     def __post_init__(self) -> None:
-        check_range("tick_interval", self.tick_interval, 0.0, open_low=True)
         if self.idle_release_timeout is not None:
             check_range("idle_release_timeout", self.idle_release_timeout, 0.0)
-        check_range("min_executors_per_query", self.min_executors_per_query, 1)
+        check_int("min_executors_per_query", self.min_executors_per_query, 1)
         # Normalize the shorthand: streaming=True means the defaults,
         # False means off.  Frozen dataclass, hence object.__setattr__.
         if self.streaming is True:
@@ -932,11 +931,12 @@ class FleetEngine:
     def serve(self, arrivals: Iterable[QueryArrival]) -> FleetMetrics:
         """Play out the whole stream; returns the pool's metrics.
 
-        In streaming mode (:attr:`FleetConfig.streaming`) ``arrivals``
-        may be any time-ordered iterable — a generator is consumed
-        lazily, one arrival ahead of the clock, so the stream never
-        materializes.  Record mode keeps the eager list semantics (and
-        its duplicate-index validation).
+        Arrivals are consumed lazily, one ahead of the clock.  In
+        streaming mode (:attr:`FleetConfig.streaming`) ``arrivals`` may
+        be any time-ordered iterable, so a generator stream never
+        materializes.  Record mode validates the whole stream first
+        (duplicate indices, emptiness) and plays it in arrival-time
+        order.
         """
         served = self._fleet.serve(arrivals)
         metrics = served.pools[0]

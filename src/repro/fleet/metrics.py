@@ -855,29 +855,6 @@ class FleetMetrics(_Accounting):
         against autoscaling."""
         return self._dollars(self.provisioned_executor_seconds)
 
-    def streaming(self, relative_accuracy: float = 0.01) -> StreamingFleetStats:
-        """The bounded-memory streaming view of this run.
-
-        A record-backed run (or one that served nothing) folds its
-        records into a fresh
-        :class:`~repro.obs.metrics.StreamingFleetStats` whose percentile
-        estimates are within ``relative_accuracy`` of the exact
-        sorted-record values this object reports.  A streaming serve
-        returns its :attr:`stats` (``relative_accuracy`` must match the
-        serve's: a sketch cannot be re-bucketed after the fact).
-        """
-        if self.records or not self.stats.n_queries:
-            return StreamingFleetStats.from_records(
-                self.records, relative_accuracy=relative_accuracy
-            )
-        if relative_accuracy != self.stats.relative_accuracy:
-            raise ValueError(
-                "a streaming serve's sketch accuracy is fixed at serve "
-                f"time ({self.stats.relative_accuracy}); it cannot be "
-                "re-bucketed afterwards"
-            )
-        return self.stats
-
     def summary(self) -> dict[str, float]:
         """The shared headline keys plus this pool's peak usage."""
         out = super().summary()
@@ -1003,17 +980,6 @@ class ClusterMetrics(_Accounting):
     @property
     def provisioned_dollar_cost(self) -> float:
         return sum(pool.provisioned_dollar_cost for pool in self.pools)
-
-    def streaming(self, relative_accuracy: float = 0.01) -> StreamingFleetStats:
-        """Cluster-wide streaming stats: each pool folded, then merged —
-        the associative-merge path a distributed collector would take.
-        A streaming serve returns its already-merged pool stats (the
-        accuracy must match the serve's, as with
-        :meth:`FleetMetrics.streaming`)."""
-        merged = StreamingFleetStats(relative_accuracy=relative_accuracy)
-        for pool in self.pools:
-            merged = merged.merge(pool.streaming(relative_accuracy))
-        return merged
 
     def queries_per_pool(self) -> list[int]:
         return [pool.n_queries for pool in self.pools]

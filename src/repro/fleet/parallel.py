@@ -66,6 +66,7 @@ from repro.fleet.cluster import (
     ShardedFleet,
     _arrival_source,
     _cluster_metrics,
+    _finish,
     _validate_stream,
     static_views,
 )
@@ -93,15 +94,16 @@ def _drive_shard(
     spec: PoolSpec,
     cluster: Cluster,
     config: FleetConfig,
-) -> FleetMetrics:
+) -> tuple[FleetMetrics, list[int]]:
     """Run the fleet loop over pool ``pool_index`` alone, fed by the parent.
 
-    The feed carries the tick anchor first (``None`` for the pool that
-    takes the cluster's first submit and so starts its chain at that
-    admission), then lists of ``(t_submit, stream position, submit
-    payload)`` in submit order, then ``None``.  The loop pulls a submit
-    only when the previous one pops, so a blocking read is all the
-    synchronization the worker needs.
+    Returns the pool's metrics and the stream positions of its records
+    (empty in streaming mode).  The feed carries the tick anchor first
+    (``None`` for the pool that takes the cluster's first submit and so
+    starts its chain at that admission), then lists of ``(t_submit,
+    stream position, submit payload)`` in submit order, then ``None``.
+    The loop pulls a submit only when the previous one pops, so a
+    blocking read is all the synchronization the worker needs.
     """
     anchor = feed.get()
     submits = (
@@ -112,13 +114,13 @@ def _drive_shard(
     fleet = ShardedFleet(
         workload, [spec], _decided_upstream, cluster=cluster, config=config
     )
-    (runtime,), _, _ = fleet._play(EventHeap(), submits, pool_index, anchor)
-    return runtime.finalize()
+    (runtime,), _ = fleet._play(submits, pool_index, anchor)
+    return _finish(runtime)
 
 
 def _shard_worker(
     feed: MpQueue[object],
-    results: MpQueue[tuple[int, FleetMetrics | None, str | None]],
+    results: MpQueue[tuple[int, tuple[FleetMetrics, list[int]] | None, str | None]],
     pool_index: int,
     workload: Workload,
     spec: PoolSpec,
@@ -126,11 +128,11 @@ def _shard_worker(
     config: FleetConfig,
 ) -> None:
     try:
-        metrics = _drive_shard(feed, pool_index, workload, spec, cluster, config)
+        outcome = _drive_shard(feed, pool_index, workload, spec, cluster, config)
     except BaseException:
         results.put((pool_index, None, traceback.format_exc()))
     else:
-        results.put((pool_index, metrics, None))
+        results.put((pool_index, outcome, None))
 
 
 class ProcessShardExecutor:
@@ -239,20 +241,23 @@ class ProcessShardExecutor:
         for w in workers:
             w.start()
         try:
-            pool_of = self._dispatch(arrivals, feeds)
-            metrics_by_pool: list[FleetMetrics | None] = [None] * n
+            if self.config.streaming is None:
+                arrivals = _validate_stream(arrivals)
+            self._dispatch(arrivals, feeds)
+            outcomes: dict[int, tuple[FleetMetrics, list[int]]] = {}
             for _ in range(n):
-                i, metrics, error = results.get()
+                i, outcome, error = results.get()
                 if error is not None:
                     raise RuntimeError(f"shard worker {i} failed:\n{error}")
-                metrics_by_pool[i] = metrics
+                outcomes[i] = outcome
             for w in workers:
                 w.join()
         finally:
             for w in workers:
                 if w.is_alive():  # a parent-side error: don't leak workers
                     w.terminate()
-        return _cluster_metrics(metrics_by_pool, pool_of)
+        pools, served = zip(*(outcomes[i] for i in range(n)))
+        return _cluster_metrics(pools, served)
 
     # -- parent side ---------------------------------------------------
 
@@ -260,13 +265,9 @@ class ProcessShardExecutor:
         self,
         arrivals: Iterable[QueryArrival],
         feeds: Sequence[MpQueue[object]],
-    ) -> dict[int, int]:
-        """Decide, route, and stream every submit to its pool's feed;
-        returns each stream position's pool (record mode)."""
+    ) -> None:
+        """Decide, route, and stream every submit to its pool's feed."""
         fleet = self._fleet
-        record_mode = self.config.streaming is None
-        if record_mode:
-            arrivals = _validate_stream(arrivals)
         views = static_views(self.pools)
         max_budget = self.max_budget
         # Submits leave in the shared heap's order for them: the class-0
@@ -274,7 +275,6 @@ class ProcessShardExecutor:
         reorder = EventHeap()
         waiting = reorder.events
         batches: list[list[tuple]] = [[] for _ in feeds]
-        pool_of: dict[int, int] = {}
         anchored = False
 
         def flush(limit: float) -> None:
@@ -288,8 +288,6 @@ class ProcessShardExecutor:
                     for i, feed in enumerate(feeds):
                         feed.put(None if i == chosen else t)
                     anchored = True
-                if record_mode:
-                    pool_of[pos] = chosen
                 batches[chosen].append((t, pos, submit))
 
         def send() -> None:
@@ -298,7 +296,7 @@ class ProcessShardExecutor:
                     feed.put(batches[i])
                     batches[i] = []
 
-        for t_arrive, pos, arrival in _arrival_source(arrivals):
+        for t_arrive, pos, arrival in _arrival_source(enumerate(arrivals)):
             flush(t_arrive)
             if pos and pos % self.batch_size == 0:
                 send()
@@ -310,4 +308,3 @@ class ProcessShardExecutor:
         send()
         for feed in feeds:
             feed.put(None)
-        return pool_of

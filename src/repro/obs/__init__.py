@@ -7,7 +7,7 @@ for by an event log.  This subpackage provides the three layers:
   :class:`Tracer` protocol, and the sinks (in-memory ring buffer, JSONL
   file).  Every engine takes ``tracer=None`` by default and the off
   path is guaranteed zero-cost: no event objects, bit-identical runs.
-- :mod:`~repro.obs.metrics` — streaming counters/gauges and the
+- :mod:`~repro.obs.metrics` — streaming counters and the
   mergeable :class:`QuantileSketch`: bounded-memory percentiles with a
   documented relative-error bound, the opt-in alternative to
   :class:`~repro.fleet.metrics.FleetMetrics`' sorted-record exactness.
@@ -35,7 +35,6 @@ Quickstart::
 from repro.obs.analyze import QueryTimeline, TraceAnalyzer
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     MetricsRegistry,
     StreamingFleetStats,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "read_jsonl",
     "QuantileSketch",
     "Counter",
-    "Gauge",
     "MetricsRegistry",
     "StreamingFleetStats",
     "QueryTimeline",

@@ -1,34 +1,34 @@
-"""Streaming metrics: counters, gauges, and sketch-backed fleet stats.
+"""Streaming metrics: counters, sketches, and sketch-backed fleet stats.
 
 Exact percentiles need every :class:`~repro.fleet.metrics.QueryRecord`
 kept — O(n) memory per serve and impossible to merge across shards.
 This module is the bounded alternative: a :class:`MetricsRegistry` of
-named counters/gauges/sketches with an associative ``merge``, and
-:class:`StreamingFleetStats`, a bounded-memory accumulator over served
-queries whose percentile estimates carry the
+named counters and quantile sketches (the HTTP server's ``/metrics``),
+and :class:`StreamingFleetStats`, a bounded-memory accumulator over
+served queries whose percentile estimates carry the
 :class:`~repro.obs.sketch.QuantileSketch` accuracy guarantee.  Its
 pool-level subclass, :class:`~repro.fleet.metrics.PoolStreamStats`, is
 the fold every :class:`~repro.fleet.metrics.FleetMetrics` total answers
 from in both serving modes; record mode adds exact percentiles from its
-records.  Build one incrementally (``observe`` each record as it
-finishes), from a finished run (``from_records``), or shard-by-shard and
-``merge`` — all three produce the same histogram state.
+records.  Fold records in one at a time (``observe``), and combine
+shards with ``merge``; :class:`~repro.fleet.metrics.ClusterMetrics`
+merges its pools' folds that way.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.obs.sketch import QuantileSketch
 
 if TYPE_CHECKING:  # runtime import would be circular: fleet.metrics uses us
     from repro.fleet.metrics import QueryRecord
 
-__all__ = ["Counter", "Gauge", "MetricsRegistry", "StreamingFleetStats"]
+__all__ = ["Counter", "MetricsRegistry", "StreamingFleetStats"]
 
 
 class Counter:
-    """A monotone accumulator; merges by addition."""
+    """A monotone accumulator."""
 
     __slots__ = ("name", "value")
 
@@ -43,45 +43,17 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A last-value metric that also tracks its peak; merges by max.
-
-    Gauges describe instantaneous state (pool capacity, queue length),
-    so cross-shard merging keeps the maximum of both value and peak —
-    the conservative roll-up for capacity-style readings.
-    """
-
-    __slots__ = ("name", "value", "peak")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.peak = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current reading."""
-        self.value = float(value)
-        if self.value > self.peak:
-            self.peak = self.value
-
-
 class MetricsRegistry:
-    """Named counters, gauges, and quantile sketches with one merge law.
+    """Named counters and quantile sketches, created on first use.
 
     Args:
         relative_accuracy: accuracy of sketches created via
-            :meth:`sketch` (they must match to merge).
-
-    ``merge`` combines registries metric-by-metric — counters add,
-    gauges take the max, sketches merge their histograms — and is
-    associative on everything except float-addition rounding in counter
-    values and sketch sums.
+            :meth:`sketch`.
     """
 
     def __init__(self, relative_accuracy: float = 0.01) -> None:
         self.relative_accuracy = relative_accuracy
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.sketches: dict[str, QuantileSketch] = {}
 
     def counter(self, name: str) -> Counter:
@@ -91,54 +63,12 @@ class MetricsRegistry:
             found = self.counters[name] = Counter(name)
         return found
 
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the named gauge."""
-        found = self.gauges.get(name)
-        if found is None:
-            found = self.gauges[name] = Gauge(name)
-        return found
-
     def sketch(self, name: str) -> QuantileSketch:
         """Get or create the named quantile sketch."""
         found = self.sketches.get(name)
         if found is None:
             found = self.sketches[name] = QuantileSketch(self.relative_accuracy)
         return found
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Combine two registries into a new one (inputs untouched)."""
-        out = MetricsRegistry(self.relative_accuracy)
-        for name, counter in list(self.counters.items()) + list(
-            other.counters.items()
-        ):
-            out.counter(name).value += counter.value
-        for name, gauge in list(self.gauges.items()) + list(other.gauges.items()):
-            merged = out.gauge(name)
-            merged.value = max(merged.value, gauge.value)
-            merged.peak = max(merged.peak, gauge.peak)
-        for name, sketch in self.sketches.items():
-            out.sketches[name] = sketch.merge(QuantileSketch(sketch.relative_accuracy))
-        for name, sketch in other.sketches.items():
-            if name in out.sketches:
-                out.sketches[name] = out.sketches[name].merge(sketch)
-            else:
-                out.sketches[name] = sketch.merge(
-                    QuantileSketch(sketch.relative_accuracy)
-                )
-        return out
-
-    def as_dict(self) -> dict:
-        """JSON-safe snapshot of every metric."""
-        return {
-            "counters": {n: c.value for n, c in sorted(self.counters.items())},
-            "gauges": {
-                n: {"value": g.value, "peak": g.peak}
-                for n, g in sorted(self.gauges.items())
-            },
-            "sketches": {
-                n: s.to_dict() for n, s in sorted(self.sketches.items())
-            },
-        }
 
 
 class StreamingFleetStats:
@@ -148,9 +78,7 @@ class StreamingFleetStats:
         relative_accuracy: sketch accuracy for the latency, queue-delay,
             and run-seconds distributions.
 
-    Feed it finished queries one at a time (:meth:`observe`), convert a
-    whole run at once (:meth:`from_records` — also reachable as
-    ``FleetMetrics.streaming()`` / ``ClusterMetrics.streaming()``), or
+    Feed it finished queries one at a time (:meth:`observe`) and
     combine shards with :meth:`merge`.  Counts, sums, extrema, and the
     serving window are exact; percentiles carry the sketch's relative
     error bound (``relative_accuracy``, against the order-statistic
@@ -172,16 +100,6 @@ class StreamingFleetStats:
         self.prediction_decisions = 0
         self.first_arrival: float | None = None
         self.last_finish: float | None = None
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable, relative_accuracy: float = 0.01
-    ) -> "StreamingFleetStats":
-        """Accumulate a finished run's records in one pass."""
-        out = cls(relative_accuracy)
-        for record in records:
-            out.observe(record)
-        return out
 
     def observe(self, record: QueryRecord) -> None:
         """Fold one finished :class:`~repro.fleet.metrics.QueryRecord` in."""
@@ -257,18 +175,3 @@ class StreamingFleetStats:
         if not self.prediction_decisions:
             return 0.0
         return self.prediction_hits / self.prediction_decisions
-
-    def summary(self) -> dict[str, float]:
-        """Headline numbers, mirroring ``FleetMetrics.summary`` keys
-        where the streaming view can provide them."""
-        return {
-            "n_queries": float(self.n_queries),
-            "makespan_s": self.makespan,
-            "p50_latency_s": self.latency.quantile(50),
-            "p95_latency_s": self.latency.quantile(95),
-            "p99_latency_s": self.latency.quantile(99),
-            "mean_queue_delay_s": self.queue_delay.mean,
-            "max_queue_delay_s": self.queue_delay.max or 0.0,
-            "total_executor_seconds": self.total_executor_seconds,
-            "prediction_cache_hit_rate": self.prediction_cache_hit_rate(),
-        }

@@ -1,11 +1,15 @@
-"""Every config dataclass rejects what the simulator cannot simulate.
+"""Every config dataclass and allocation policy rejects what the
+simulator cannot simulate.
 
 The config classes are found by introspection — every public frozen
 dataclass in ``repro.engine`` and ``repro.fleet`` whose fields all have
 defaults, or whose name ends in ``Config`` or ``Spec`` — so a new one
 fails here until its numeric fields are in :data:`TABLE`.  Each numeric
-field must reject NaN, ±inf and an out-of-range value with a
-``ValueError`` that names it, and accept its boundary values.
+field must reject NaN, ±inf, an int too large for a float and an
+out-of-range value with a ``ValueError`` that names it, and accept its
+boundary values; an ``int`` field must also reject ``2.5`` and ``True``.
+The allocation policies are plain classes, so their numeric arguments
+are listed by hand in :data:`POLICIES` and held to the same rules.
 """
 
 from __future__ import annotations
@@ -19,6 +23,18 @@ import pytest
 
 import repro.engine
 import repro.fleet
+from repro.engine.allocation import (
+    BudgetAllocation,
+    DynamicAllocation,
+    PredictiveAllocation,
+    StaticAllocation,
+)
+
+#: Values every numeric field rejects, whatever its range: an int beyond
+#: float range used to raise ``OverflowError`` instead.
+NON_FINITE = (math.nan, math.inf, -math.inf, 10**400)
+#: Values every ``int`` field rejects as well.
+NON_INTEGERS = (2.5, True)
 
 #: class name -> (required constructor arguments, {numeric field:
 #: (an out-of-range value, accepted boundary values)}).
@@ -92,7 +108,6 @@ TABLE: dict[str, tuple[dict, dict[str, tuple[float, tuple]]]] = {
     "FleetConfig": (
         {},
         {
-            "tick_interval": (0.0, (1e-9,)),
             "idle_release_timeout": (-5.0, (0.0, None)),
             "min_executors_per_query": (0, (1,)),
         },
@@ -143,10 +158,12 @@ def _config_classes() -> dict[str, type]:
 CLASSES = _config_classes()
 
 
-def _numeric_fields(cls: type) -> list[str]:
-    """Fields annotated ``int`` or ``float`` (optionally ``| None``)."""
-    numeric = {"int", "float", "int | None", "float | None"}
-    return [f.name for f in dataclasses.fields(cls) if f.type in numeric]
+def _numeric_fields(
+    cls: type, numeric: tuple[str, ...] = ("int", "float")
+) -> list[str]:
+    """Fields annotated with one of ``numeric`` (optionally ``| None``)."""
+    types = set(numeric) | {f"{t} | None" for t in numeric}
+    return [f.name for f in dataclasses.fields(cls) if f.type in types]
 
 
 CASES = [
@@ -166,7 +183,22 @@ def test_the_table_covers_every_config_class_and_numeric_field():
 def test_rejects_non_finite_and_out_of_range(name, field):
     required, fields = TABLE[name]
     out_of_range, _ = fields[field]
-    for bad in (math.nan, math.inf, -math.inf, out_of_range):
+    for bad in (*NON_FINITE, out_of_range):
+        with pytest.raises(ValueError, match=field):
+            CLASSES[name](**{**required, field: bad})
+
+
+INT_CASES = [
+    (name, field)
+    for name, field in CASES
+    if field in _numeric_fields(CLASSES[name], ("int",))
+]
+
+
+@pytest.mark.parametrize(("name", "field"), INT_CASES)
+def test_int_fields_reject_non_integers(name, field):
+    required, _ = TABLE[name]
+    for bad in NON_INTEGERS:
         with pytest.raises(ValueError, match=field):
             CLASSES[name](**{**required, field: bad})
 
@@ -177,3 +209,61 @@ def test_accepts_defaults_and_boundaries(name, field):
     CLASSES[name](**required)
     for good in fields[field][1]:
         CLASSES[name](**{**required, field: good})
+
+
+#: policy -> (required arguments, {numeric argument: (is an int, an
+#: out-of-range value, accepted boundary values)}).
+POLICIES: dict[type, tuple[dict, dict[str, tuple[bool, float, tuple]]]] = {
+    StaticAllocation: ({"n": 4}, {"n": (True, 0, (1,))}),
+    DynamicAllocation: (
+        {},
+        {
+            "min_executors": (True, -1, (0,)),
+            "max_executors": (True, 0, (1,)),
+            "backlog_timeout": (False, 0.0, (1e-9,)),
+            "sustained_timeout": (False, 0.0, (1e-9,)),
+            "idle_timeout": (False, -5.0, (0.0, None)),
+        },
+    ),
+    BudgetAllocation: (
+        {"n": 4},
+        {
+            "n": (True, 0, (1,)),
+            "idle_timeout": (False, -5.0, (0.0, None)),
+            "min_executors": (True, -1, (0,)),
+        },
+    ),
+    PredictiveAllocation: (
+        {"predicted_executors": 8},
+        {
+            "predicted_executors": (True, 0, (1,)),
+            "initial_executors": (True, -1, (0,)),
+            "request_delay": (False, -0.1, (0.0,)),
+            "idle_timeout": (False, -5.0, (0.0, None)),
+            "min_executors": (True, -1, (0,)),
+        },
+    ),
+}
+
+POLICY_CASES = [
+    pytest.param(cls, arg, id=f"{cls.__name__}-{arg}")
+    for cls, (_, args) in POLICIES.items()
+    for arg in sorted(args)
+]
+
+
+@pytest.mark.parametrize(("cls", "arg"), POLICY_CASES)
+def test_policy_rejects_what_it_cannot_simulate(cls, arg):
+    required, args = POLICIES[cls]
+    is_int, out_of_range, _ = args[arg]
+    for bad in (*NON_FINITE, out_of_range, *(NON_INTEGERS if is_int else ())):
+        with pytest.raises(ValueError, match=arg):
+            cls(**{**required, arg: bad})
+
+
+@pytest.mark.parametrize(("cls", "arg"), POLICY_CASES)
+def test_policy_accepts_defaults_and_boundaries(cls, arg):
+    required, args = POLICIES[cls]
+    cls(**required)
+    for good in args[arg][2]:
+        cls(**{**required, arg: good})

@@ -30,6 +30,7 @@ from repro.engine.cluster import Cluster
 from repro.engine.execution import (
     DEFAULT_SCHEDULER_CONFIG,
     ExecutionCore,
+    SchedulerConfig,
     compile_plan,
 )
 from repro.engine.scheduler import simulate_query
@@ -70,6 +71,7 @@ def fleet_of_one(
     capacity=64,
     workload=None,
     query_id="q",
+    scheduler=DEFAULT_SCHEDULER_CONFIG,
 ):
     """Serve a single uncontended arrival; returns its QueryRecord."""
     wl = workload if workload is not None else _GraphWorkload(graph)
@@ -78,7 +80,7 @@ def fleet_of_one(
         capacity=capacity,
         allocator=static_allocator(budget),
         cluster=cluster,
-        config=FleetConfig(idle_release_timeout=idle_timeout),
+        config=FleetConfig(scheduler=scheduler, idle_release_timeout=idle_timeout),
     )
     metrics = engine.serve([QueryArrival(0, query_id, 0, 0.0)])
     assert metrics.capacity_respected
@@ -114,6 +116,29 @@ class TestTPCDSParity:
                 workload.stage_graph(qid),
                 BudgetAllocation(budget, idle_timeout=5.0, min_executors=1),
                 cluster,
+            )
+            assert_parity(record, reference)
+
+    def test_all_plans_under_a_half_second_tick(self, workload, cluster):
+        # The fleet's tick period is its scheduler config's, the same knob
+        # simulate_query reads: a fleet that ticked at its own default of
+        # one second released idle executors at other instants.
+        scheduler = SchedulerConfig(tick_interval=0.5)
+        for qid in workload:
+            record = fleet_of_one(
+                None,
+                16,
+                cluster,
+                idle_timeout=3.0,
+                workload=workload,
+                query_id=qid,
+                scheduler=scheduler,
+            )
+            reference = simulate_query(
+                workload.stage_graph(qid),
+                BudgetAllocation(16, idle_timeout=3.0, min_executors=1),
+                cluster,
+                scheduler,
             )
             assert_parity(record, reference)
 

@@ -4,19 +4,19 @@ The contract under test is the strongest the engine makes: for every
 plan and candidate count, :func:`simulate_query_sweep` must be
 *bit-identical* to calling :func:`simulate_query` once per count — same
 runtimes, same AUCs, same skylines, same execution logs — including
-request clamping, duplicate counts, and the event-driven fallbacks for
-scaling policies and shared-pool capacity sources.
+request clamping, duplicate counts, and the event-driven fallback for
+scaling policies (the active-fault-plan fallback is in
+``test_fault_parity.py``).
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.allocation import DynamicAllocation, StaticAllocation
-from repro.engine.cluster import Cluster, UnboundedCapacity
+from repro.engine.cluster import Cluster
 from repro.engine.scheduler import SchedulerConfig, simulate_query
 from repro.engine.sweep import compile_plan, simulate_query_sweep
 from repro.engine.stages import Stage, StageGraph
-from repro.fleet.admission import CapacityArbiter
 from repro.workloads.generator import Workload
 
 
@@ -241,55 +241,3 @@ class TestFallbackPaths:
             assert_bit_identical(r, s)
         # dynamic allocation really took a different trajectory than SA
         assert sweep[-1].skyline.points != [(0.0, 48)]
-
-    def test_unbounded_subclass_is_not_fast_pathed(self, cluster):
-        class Stingy(UnboundedCapacity):
-            """Grants a 2-executor budget in total, despite its parentage."""
-
-            def __init__(self) -> None:
-                self.left = 2
-
-            def acquire(self, count: int) -> int:
-                granted = min(self.left, count)
-                self.left -= granted
-                return granted
-
-        graph = one_stage(num_tasks=32)
-        sweep = simulate_query_sweep(
-            graph, [16], cluster, capacity_source=Stingy()
-        )
-        loop = simulate_query(
-            graph, StaticAllocation(16), cluster, capacity_source=Stingy()
-        )
-        assert_bit_identical(loop, sweep[0])
-        assert sweep[0].max_executors == 2
-
-    def test_shared_pool_source_falls_back_and_matches_loop(self, cluster):
-        graph = chain(widths=(96, 48, 8), task_seconds=1.0)
-        counts = [8, 32, 48]
-
-        def pooled_results(runner):
-            arbiter = CapacityArbiter(capacity=10)
-            share = arbiter.share(query_index=0, app_id=0)
-            return runner(share)
-
-        loop = pooled_results(
-            lambda share: [
-                simulate_query(
-                    graph,
-                    StaticAllocation(n),
-                    cluster,
-                    capacity_source=share,
-                )
-                for n in counts
-            ]
-        )
-        sweep = pooled_results(
-            lambda share: simulate_query_sweep(
-                graph, counts, cluster, capacity_source=share
-            )
-        )
-        for r, s in zip(loop, sweep):
-            assert_bit_identical(r, s)
-        # the pool really constrained the fleet below the asked-for counts
-        assert sweep[-1].max_executors <= 10

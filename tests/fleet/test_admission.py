@@ -1,11 +1,12 @@
 """Admission-control tests: policy ordering, capacity invariants,
-and the PoolShare bridge into the single-query scheduler."""
+and a single query on a shared pool, served as a fleet of one."""
 
 import pytest
 
 from repro.engine.allocation import StaticAllocation
 from repro.engine.cluster import Cluster
 from repro.engine.scheduler import simulate_query
+from repro.fleet import FleetEngine, QueryArrival, static_allocator
 from repro.fleet.admission import (
     AdmissionRequest,
     CapacityArbiter,
@@ -122,34 +123,29 @@ class TestArbiterBookkeeping:
         assert arbiter.in_use == 10
 
 
-class TestPoolShareWithScheduler:
-    """The cluster refactor end to end: one simulate_query run drawing its
-    executors from a shared pool instead of an infinite one."""
+class TestSingleQueryOnSharedPool:
+    """A pool-constrained single query is a fleet of one: its grant
+    shrinks to what the pool holds, and all of it goes back."""
 
     @pytest.fixture(scope="class")
-    def graph(self):
-        return Workload(scale_factor=50, query_ids=("q1",)).stage_graph("q1")
+    def workload(self):
+        return Workload(scale_factor=50, query_ids=("q1",))
 
-    def test_shared_pool_constrains_the_grant(self, graph):
-        cluster = Cluster()
-        dedicated = simulate_query(graph, StaticAllocation(16), cluster)
-        arbiter = CapacityArbiter(capacity=4)
-        shared = simulate_query(
-            graph,
-            StaticAllocation(16),
-            cluster,
-            capacity_source=arbiter.share(0),
-        )
-        assert shared.max_executors <= 4
-        assert dedicated.max_executors > shared.max_executors
-        assert shared.runtime > dedicated.runtime
+    def serve_one(self, workload, capacity, budget):
+        return FleetEngine(
+            workload, capacity=capacity, allocator=static_allocator(budget)
+        ).serve([QueryArrival(0, "q1", 0, 0.0)])
 
-    def test_everything_returned_after_the_run(self, graph):
-        arbiter = CapacityArbiter(capacity=12)
-        simulate_query(
-            graph,
-            StaticAllocation(8),
-            Cluster(),
-            capacity_source=arbiter.share(0),
+    def test_shared_pool_constrains_the_grant(self, workload):
+        dedicated = simulate_query(
+            workload.stage_graph("q1"), StaticAllocation(16), Cluster()
         )
-        assert arbiter.in_use == 0
+        (shared,) = self.serve_one(workload, capacity=4, budget=16).records
+        assert shared.executors_granted <= 4
+        assert dedicated.max_executors > shared.executors_granted
+        assert shared.run_seconds > dedicated.runtime
+
+    def test_everything_returned_after_the_run(self, workload):
+        metrics = self.serve_one(workload, capacity=12, budget=8)
+        assert metrics.peak_pool_usage == 8
+        assert metrics.pool_skyline.points[-1][1] == 0

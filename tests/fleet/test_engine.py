@@ -4,6 +4,7 @@ semantics, metrics plumbing."""
 import pytest
 
 from repro.engine.allocation import DynamicAllocation
+from repro.engine.execution import SchedulerConfig
 from repro.fleet import (
     AutoscalerConfig,
     CostAwareRouter,
@@ -339,16 +340,18 @@ class TestMetrics:
 
 class TestTickIntervalValidation:
     """A zero or negative tick period spins the serve's tick chain in
-    place forever; NaN fails deep in the serve.  ``FleetConfig`` refuses
-    them (and inf) at construction."""
+    place forever; NaN fails deep in the serve.  The fleet's one tick
+    knob is its ``SchedulerConfig``'s, which refuses them (and inf)
+    before a ``FleetConfig`` can carry it."""
 
     @pytest.mark.parametrize("tick", [0.0, -1.0, float("nan"), float("inf")], ids=str)
     def test_bad_tick_interval_rejected(self, tick):
         with pytest.raises(ValueError, match="tick_interval"):
-            FleetConfig(tick_interval=tick)
+            FleetConfig(scheduler=SchedulerConfig(tick_interval=tick))
 
     def test_positive_tick_interval_accepted(self):
-        assert FleetConfig(tick_interval=0.25).tick_interval == 0.25
+        config = FleetConfig(scheduler=SchedulerConfig(tick_interval=0.25))
+        assert config.scheduler.tick_interval == 0.25
 
 
 class TestIdleSettingsValidation:

@@ -342,8 +342,8 @@ class TestInProcessDrive:
         from repro.fleet.parallel import _drive_shard
 
         feeds = [queue.Queue() for _ in range(executor.n_pools)]
-        pool_of = executor._dispatch(arrivals, feeds)
-        metrics_by_pool = [
+        executor._dispatch(arrivals, feeds)
+        outcomes = [
             _drive_shard(
                 feeds[i],
                 i,
@@ -354,7 +354,8 @@ class TestInProcessDrive:
             )
             for i in range(executor.n_pools)
         ]
-        return _cluster_metrics(metrics_by_pool, pool_of)
+        pools, served = zip(*outcomes)
+        return _cluster_metrics(pools, served)
 
     def test_record_mode(self, workload):
         arrivals = poisson_arrivals(QIDS, n_queries=80, rate_qps=1.5, seed=17)

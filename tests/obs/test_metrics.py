@@ -12,7 +12,7 @@ from repro.fleet import (
     poisson_arrivals,
     static_allocator,
 )
-from repro.obs import Counter, Gauge, MetricsRegistry, StreamingFleetStats
+from repro.obs import Counter, MetricsRegistry, StreamingFleetStats
 
 
 @pytest.fixture(scope="module")
@@ -25,41 +25,32 @@ def fleet_metrics(workload_small):
     ).serve(arrivals)
 
 
+def fold(records) -> StreamingFleetStats:
+    """``observe`` each record in turn, as a streaming serve does."""
+    stats = StreamingFleetStats()
+    for record in records:
+        stats.observe(record)
+    return stats
+
+
 class TestRegistry:
-    def test_counter_and_gauge(self):
+    def test_counter_and_sketch(self):
         registry = MetricsRegistry()
         registry.counter("served").inc()
         registry.counter("served").inc(4)
-        registry.gauge("queue").set(7.0)
-        registry.gauge("queue").set(3.0)
+        registry.sketch("latency").extend([1.0, 2.0])
+        registry.sketch("latency").add(3.0)
         assert registry.counter("served").value == 5
-        assert registry.gauge("queue").value == 3.0
-        assert registry.gauge("queue").peak == 7.0
+        assert registry.sketch("latency").count == 3
+        assert set(registry.counters) == {"served"}
+        assert set(registry.sketches) == {"latency"}
         with pytest.raises(ValueError):
             registry.counter("served").inc(-1)
-
-    def test_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("served").inc(2)
-        b.counter("served").inc(3)
-        b.counter("failed").inc()
-        a.gauge("queue").set(5.0)
-        b.gauge("queue").set(9.0)
-        a.sketch("latency").extend([1.0, 2.0])
-        b.sketch("latency").extend([3.0])
-        merged = a.merge(b)
-        assert merged.counter("served").value == 5
-        assert merged.counter("failed").value == 1
-        assert merged.gauge("queue").value == 9.0
-        assert merged.sketch("latency").count == 3
-        assert "latency" in merged.as_dict()["sketches"]
 
     def test_standalone_primitives_documented_semantics(self):
         counter = Counter("served")
         counter.inc(10)
-        gauge = Gauge("depth")
-        gauge.set(1.5)
-        assert counter.value == 10 and gauge.value == 1.5
+        assert counter.value == 10
 
 
 class TestStreamingFleetStats:
@@ -68,62 +59,67 @@ class TestStreamingFleetStats:
         within the documented relative-accuracy bound (plus the gap
         between neighbouring order statistics, which np.percentile's
         interpolation can span)."""
-        streaming = fleet_metrics.streaming(relative_accuracy=0.01)
-        summary = streaming.summary()
+        streaming = fold(fleet_metrics.records)
         exact = fleet_metrics.summary()
-        assert summary["n_queries"] == exact["n_queries"]
-        assert summary["makespan_s"] == exact["makespan_s"]
+        assert streaming.n_queries == exact["n_queries"]
+        assert streaming.makespan == exact["makespan_s"]
         assert np.isclose(
-            summary["total_executor_seconds"], exact["total_executor_seconds"]
+            streaming.total_executor_seconds, exact["total_executor_seconds"]
         )
         latencies = np.sort([r.latency for r in fleet_metrics.records])
-        for q, key in ((50, "p50_latency_s"), (95, "p95_latency_s"), (99, "p99_latency_s")):
+        for q in (50, 95, 99):
+            estimate = streaming.latency.quantile(q)
             rank = max(1, int(np.ceil(q / 100 * len(latencies))))
             lo = latencies[max(0, rank - 2)]
             hi = latencies[min(len(latencies) - 1, rank)]
-            assert lo * 0.98 <= summary[key] <= hi * 1.02, (q, summary[key])
+            assert lo * 0.98 <= estimate <= hi * 1.02, (q, estimate)
         assert np.isclose(
-            summary["mean_queue_delay_s"], exact["mean_queue_delay_s"], rtol=0.02
+            streaming.queue_delay.mean, exact["mean_queue_delay_s"], rtol=0.02
         )
         assert np.isclose(
-            summary["max_queue_delay_s"], exact["max_queue_delay_s"], rtol=0.02
+            streaming.queue_delay.max, exact["max_queue_delay_s"], rtol=0.02
         )
-
-    def test_observe_stream_equals_from_records(self, fleet_metrics):
-        folded = StreamingFleetStats()
-        for record in fleet_metrics.records:
-            folded.observe(record)
-        assert folded.summary() == StreamingFleetStats.from_records(
-            fleet_metrics.records
-        ).summary()
 
     def test_sharded_merge_equals_single_stream(self, fleet_metrics):
         """Splitting records across shards and merging reproduces the
         single-stream fold exactly — the associativity the obs layer
         promises distributed collectors."""
         records = fleet_metrics.records
-        shards = [
-            StreamingFleetStats.from_records(records[i::3]) for i in range(3)
-        ]
+        shards = [fold(records[i::3]) for i in range(3)]
         merged = shards[0].merge(shards[1]).merge(shards[2])
-        single = StreamingFleetStats.from_records(records)
-        merged_summary, single_summary = merged.summary(), single.summary()
-        assert set(merged_summary) == set(single_summary)
-        for key, value in single_summary.items():
-            if key == "total_executor_seconds":
-                # Summation order differs across merge trees; counts and
-                # sketch buckets are exact, float sums are near-exact.
-                assert np.isclose(merged_summary[key], value, rtol=1e-12)
-            else:
-                assert merged_summary[key] == value, key
+        single = fold(records)
+        # Counts, extrema, sketch buckets and the mean queue delay come out
+        # exact; other float sums depend on the merge tree's summation
+        # order, so they are checked near-exact.
+        assert merged.n_queries == single.n_queries
+        assert merged.makespan == single.makespan
+        assert merged.prediction_cache_hit_rate() == (
+            single.prediction_cache_hit_rate()
+        )
+        for name in ("latency", "queue_delay", "run_seconds"):
+            got, want = getattr(merged, name), getattr(single, name)
+            assert got.count == want.count, name
+            assert got.max == want.max and got.min == want.min, name
+            for q in (50, 95, 99):
+                assert got.quantile(q) == want.quantile(q), (name, q)
+            assert np.isclose(got.mean, want.mean, rtol=1e-12), name
+        assert merged.queue_delay.mean == single.queue_delay.mean
+        assert np.isclose(
+            merged.total_executor_seconds, single.total_executor_seconds, rtol=1e-12
+        )
 
     def test_cluster_streaming(self, workload_small):
+        """Each pool's records folded, then merged — the path a
+        distributed collector would take — matches the cluster's own
+        counts and serving window."""
         arrivals = poisson_arrivals(
             workload_small.query_ids[:6], n_queries=20, rate_qps=0.7, seed=4
         )
         cluster = ShardedFleet(
             workload_small, [PoolSpec(12), PoolSpec(12)], static_allocator(4)
         ).serve(arrivals)
-        streaming = cluster.streaming()
+        streaming = StreamingFleetStats()
+        for pool in cluster.pools:
+            streaming = streaming.merge(fold(pool.records))
         assert streaming.n_queries == cluster.n_queries
         assert np.isclose(streaming.makespan, cluster.makespan)
