@@ -61,7 +61,7 @@ from repro.fleet.parallel import ProcessShardExecutor  # noqa: E402
 
 SCHEMA = "repro-bench-scale/v1"
 
-# The streaming sketches' default relative accuracy (StreamingConfig).
+# The streaming sketches' relative accuracy (PoolStreamStats' sketches).
 ALPHA = 0.01
 
 

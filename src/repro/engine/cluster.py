@@ -112,22 +112,15 @@ class Cluster:
         non-binding; the manager may grant fewer — Section 4.5)."""
         return max(0, min(int(n), self.max_executors))
 
-    def grant_times(self, request_time: float, count: int) -> list[float]:
-        """Arrival times for ``count`` newly requested executors.
+    def grant_schedule(self, request_time: float, count: int) -> list[float]:
+        """Arrival times for exactly ``count`` newly granted executors.
 
         Executors arrive in batches of ``grant_batch`` starting
         ``base_grant_lag`` after the request, one batch every
         ``grant_interval`` seconds — reproducing the gradual ~20–30 s ramp
-        the paper measures for 25–48-executor requests.
-        """
-        return self.grant_schedule(request_time, self.clamp_request(count))
-
-    def grant_schedule(self, request_time: float, count: int) -> list[float]:
-        """The batch-ramp arrival schedule for exactly ``count`` executors.
-
-        Unlike :meth:`grant_times` this does not clamp: the caller (a
-        :class:`~repro.engine.driver.GrantPort`) has already decided how
-        many executors are actually granted.
+        the paper measures for 25–48-executor requests.  It does not
+        clamp: the caller (a :class:`~repro.engine.driver.GrantPort`)
+        has already decided how many executors are actually granted.
         """
         times: list[float] = []
         for i in range(max(0, int(count))):

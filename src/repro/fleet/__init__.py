@@ -41,13 +41,11 @@ cannot have.  This subpackage simulates that setting end to end:
   process per pool, bit-identical to the single-process drivers for
   state-blind routers on static pools.
 
-Streaming scale: :attr:`FleetConfig.streaming
-<repro.fleet.engine.FleetConfig>` switches every driver to O(1) memory
-per pool — generator arrival streams (e.g.
-:func:`~repro.fleet.arrivals.poisson_arrival_stream`), per-pool
-:class:`~repro.fleet.metrics.PoolStreamStats` accumulators instead of
-record lists, and optional JSONL record spooling
-(:func:`~repro.fleet.metrics.read_spooled_records` reads it back).
+Streaming scale: ``FleetConfig(streaming=True)`` switches every driver
+to O(1) memory per pool — generator arrival streams (e.g.
+:func:`~repro.fleet.arrivals.poisson_arrival_stream`), and per-pool
+:class:`~repro.fleet.metrics.PoolStreamStats` folds without record
+lists (record mode feeds the same fold and keeps its records too).
 
 Fault tolerance: a seed-driven :class:`repro.engine.faults.FaultPlan`
 threads through :attr:`FleetConfig.faults <repro.fleet.engine.FleetConfig>`
@@ -99,7 +97,6 @@ from repro.fleet.engine import (
     FleetConfig,
     FleetEngine,
     PoolRuntime,
-    StreamingConfig,
     allocator_annotations,
     oracle_allocator,
     static_allocator,
@@ -111,7 +108,6 @@ from repro.fleet.metrics import (
     PoolStreamStats,
     QueryRecord,
     SkylineTracker,
-    read_spooled_records,
 )
 from repro.fleet.parallel import ProcessShardExecutor
 from repro.fleet.prediction import Prediction, PredictionService
@@ -135,7 +131,6 @@ __all__ = [
     "CapacityArbiter",
     "FleetEngine",
     "FleetConfig",
-    "StreamingConfig",
     "PoolRuntime",
     "FeedbackSink",
     "AdaptiveConfig",
@@ -156,7 +151,6 @@ __all__ = [
     "QueryRecord",
     "PoolStreamStats",
     "SkylineTracker",
-    "read_spooled_records",
     "Prediction",
     "PredictionService",
     "ShardedFleet",

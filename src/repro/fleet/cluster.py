@@ -43,7 +43,6 @@ from repro.fleet.engine import (
     Allocator,
     FleetConfig,
     PoolRuntime,
-    _raise_stalled,
     allocator_annotations,
     decision_fields,
 )
@@ -156,23 +155,14 @@ class ShardedFleet:
         """Play out the whole stream; returns the cluster's metrics.
 
         Both modes play the stream through the same lazy source, one
-        arrival ahead of the clock.  Record mode validates the whole
-        stream first and then plays it stably sorted by arrival time,
-        each arrival keeping its stream position.  In streaming mode
-        (:attr:`FleetConfig.streaming`) ``arrivals`` may be any
-        time-ordered iterable, and the returned :class:`ClusterMetrics`
-        carries per-pool sketches instead of records.
+        arrival ahead of the clock, in :func:`_play_order`.  In
+        streaming mode (:attr:`FleetConfig.streaming`) ``arrivals`` may
+        be any time-ordered iterable, and the returned
+        :class:`ClusterMetrics` carries per-pool sketches instead of
+        records.
         """
         config = self.config
-        stream: Iterable[tuple[int, QueryArrival]]
-        if config.streaming is None:
-            # Stable: same-instant arrivals keep their stream order.
-            stream = sorted(
-                enumerate(_validate_stream(arrivals)),
-                key=lambda entry: entry[1].arrival_time,
-            )
-        else:
-            stream = enumerate(arrivals)
+        stream = _play_order(arrivals, config.streaming)
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
@@ -464,14 +454,25 @@ def static_views(specs: Sequence[PoolSpec]) -> list[PoolView]:
     ]
 
 
-def _validate_stream(arrivals: Sequence[QueryArrival]) -> list[QueryArrival]:
-    """Record mode's eager arrival-stream checks."""
+def _play_order(
+    arrivals: Iterable[QueryArrival], streaming: bool
+) -> Iterable[tuple[int, QueryArrival]]:
+    """``(stream position, arrival)`` pairs in the order every fleet
+    driver plays them.
+
+    Streaming mode takes the stream as it comes (time order is checked
+    as it is consumed).  Record mode checks the whole list eagerly —
+    not empty, no duplicate indices — and plays it stably sorted by
+    arrival time, so same-instant arrivals keep their stream order.
+    """
+    if streaming:
+        return enumerate(arrivals)
     stream = list(arrivals)
     if not stream:
         raise ValueError("cannot serve an empty arrival stream")
     if len({a.index for a in stream}) != len(stream):
         raise ValueError("arrival stream has duplicate indices")
-    return stream
+    return sorted(enumerate(stream), key=lambda entry: entry[1].arrival_time)
 
 
 def _finish(runtime: PoolRuntime) -> tuple[FleetMetrics, list[int]]:
@@ -521,9 +522,11 @@ def _arrival_source(
 def _raise_cluster_stalled(runtimes: Sequence[PoolRuntime], unfinished: int) -> None:
     queued = sum(runtime.arbiter.queue_length for runtime in runtimes)
     if queued > 0:
-        # Per-pool detail via the single-pool error on the worst offender.
-        worst = max(runtimes, key=lambda r: r.arbiter.queue_length)
-        _raise_stalled(worst.arbiter, unfinished)
+        worst = max(runtime.arbiter.queue_length for runtime in runtimes)
+        raise RuntimeError(
+            f"admission stalled: {worst} queued requests, an idle pool, "
+            "and a policy that admits none of them"
+        )
     running = {
         runtime.pool_index: runtime.unfinished_queries()
         for runtime in runtimes

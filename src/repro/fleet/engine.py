@@ -47,15 +47,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
 from repro.engine.allocation import AllocationPolicy
-from repro.engine.checks import check_int, check_range
+from repro.engine.checks import check_range
 from repro.engine.cluster import Cluster
 from repro.engine.execution import (
     DEFAULT_SCHEDULER_CONFIG,
@@ -84,7 +82,6 @@ __all__ = [
     "FleetConfig",
     "FleetEngine",
     "PoolRuntime",
-    "StreamingConfig",
     "allocator_annotations",
     "static_allocator",
     "oracle_allocator",
@@ -129,31 +126,6 @@ class FeedbackSink(Protocol):
 
 
 @dataclass(frozen=True)
-class StreamingConfig:
-    """Knobs for :attr:`FleetConfig.streaming` — the O(1)-memory serve.
-
-    Attributes:
-        relative_accuracy: the latency / queue-delay / run-seconds
-            sketches' accuracy bound (the α of
-            :class:`repro.obs.sketch.QuantileSketch`).
-        spool_dir: directory to spool finished :class:`QueryRecord`\\ s
-            to, one JSONL file per pool (``pool_<i>.jsonl``, the
-            :meth:`QueryRecord.to_json
-            <repro.fleet.metrics.QueryRecord.to_json>` line format).
-            ``None`` (the default) keeps records entirely out of the
-            run: the metrics answer from the streaming accumulators
-            alone.
-    """
-
-    relative_accuracy: float = 0.01
-    spool_dir: str | os.PathLike | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.relative_accuracy < 1.0:
-            raise ValueError("relative_accuracy must be in (0, 1)")
-
-
-@dataclass(frozen=True)
 class FleetConfig:
     """Fleet-engine knobs.
 
@@ -165,10 +137,8 @@ class FleetConfig:
             returned to the pool mid-query (``None`` holds budgets until
             completion; otherwise finite and ≥ 0).  Ignored when
             ``scaling`` is set — the per-query policy's ``idle_timeout``
-            governs instead.
-        min_executors_per_query: floor idle release never shrinks below
-            (≥ 1) — a started query must be able to finish.  Ignored when
-            ``scaling`` is set (the policy's ``min_executors`` governs).
+            governs instead.  Idle release never shrinks a query below
+            one executor, so a started query can always finish.
         charge_prediction_overhead: add the allocator's measured selection
             seconds to the query's pre-admission latency (Section 5.6's
             overheads, paid where they occur: on the critical path).
@@ -197,15 +167,13 @@ class FleetConfig:
             (:meth:`repro.obs.analyze.TraceAnalyzer.execution_logs`) are
             cross-checked against.  Off by default: logs hold per-task
             float lists and records are otherwise tiny.
-        streaming: the O(1)-memory serve mode.  ``None`` (the default)
-            materializes every :class:`~repro.fleet.metrics.QueryRecord`
-            exactly as before — byte-identical to the pre-streaming
-            engine.  A :class:`StreamingConfig` (or ``True`` for the
-            defaults) makes every fleet driver fold finished queries
-            into :class:`~repro.fleet.metrics.PoolStreamStats` instead
-            of retaining them, free all per-query state eagerly, accept
-            generator arrival streams (time-ordered; consumed lazily),
-            and optionally spool records to JSONL.
+        streaming: the O(1)-memory serve mode.  ``False`` (the
+            default) keeps every :class:`~repro.fleet.metrics.QueryRecord`
+            and the full pool and capacity skylines.  ``True`` keeps
+            only the :class:`~repro.fleet.metrics.PoolStreamStats` fold
+            every pool feeds in both modes (percentiles become sketch
+            estimates), frees all per-query state eagerly, and accepts
+            generator arrival streams (time-ordered; consumed lazily).
         feedback: optional :class:`FeedbackSink` receiving every finished
             query's outcome (record, predicted runtime, optimized plan)
             on the simulation clock — the continual-learning loop's
@@ -215,24 +183,16 @@ class FleetConfig:
 
     scheduler: SchedulerConfig = DEFAULT_SCHEDULER_CONFIG
     idle_release_timeout: float | None = 30.0
-    min_executors_per_query: int = 1
     charge_prediction_overhead: bool = True
     scaling: ScalingFactory | None = None
     faults: FaultPlan | None = None
     record_logs: bool = False
-    streaming: StreamingConfig | bool | None = None
+    streaming: bool = False
     feedback: FeedbackSink | None = None
 
     def __post_init__(self) -> None:
         if self.idle_release_timeout is not None:
             check_range("idle_release_timeout", self.idle_release_timeout, 0.0)
-        check_int("min_executors_per_query", self.min_executors_per_query, 1)
-        # Normalize the shorthand: streaming=True means the defaults,
-        # False means off.  Frozen dataclass, hence object.__setattr__.
-        if self.streaming is True:
-            object.__setattr__(self, "streaming", StreamingConfig())
-        elif self.streaming is False:
-            object.__setattr__(self, "streaming", None)
 
     @property
     def wants_ticks(self) -> bool:
@@ -294,8 +254,8 @@ class PoolRuntime:
     """One pool's serving state machine, driven by an external event heap.
 
     The runtime owns everything that belongs to a single pool — the
-    capacity arbiter, the per-query :class:`_QueryRun` table, the
-    reserved-capacity skyline, and the finished-query records — while
+    capacity arbiter, the per-query :class:`_QueryRun` table, and the
+    pool's :class:`~repro.fleet.metrics.PoolStreamStats` fold — while
     the *driver* owns the heap, the clock, and the tick chain.  Event
     handlers push follow-up events through the ``push`` callback the
     driver supplies, so every event in a multi-pool cluster still lands
@@ -309,6 +269,13 @@ class PoolRuntime:
     skyline and log.  Ticks, :attr:`active_queries` and
     :meth:`unfinished_queries` therefore cost O(live queries), not
     O(queries ever admitted).
+
+    Every pool-usage and capacity step feeds the fold's trackers, and
+    the capacity invariant is checked at the step itself, in both
+    modes.  Record mode also keeps the full ``pool_skyline`` and
+    ``capacity_skyline`` and every finished query's record, and folds
+    the records at :meth:`finalize`; streaming mode folds each record
+    as its query finishes and keeps none.
 
     Args:
         workload: supplies plans and compiled stage graphs per query id.
@@ -365,6 +332,8 @@ class PoolRuntime:
         self.tracer = tracer
         self.pool_index = pool_index
         self.arbiter = CapacityArbiter(capacity, admission, max_capacity=max_capacity)
+        self.streaming = config.streaming
+        self.stats = PoolStreamStats()
         self.pool_skyline = Skyline()
         self.pool_skyline.record(0.0, 0)
         self.capacity_skyline: Skyline | None = None
@@ -382,21 +351,6 @@ class PoolRuntime:
         # (T0, m) of the last full idle scan that released nothing; see
         # on_tick.
         self._quiet_since: tuple[float, float] | None = None
-        # Streaming mode: finished queries fold into bounded accumulators
-        # (and optionally a JSONL spool) instead of self.records.
-        self.stats: PoolStreamStats | None = None
-        self._spool = None
-        streaming = config.streaming
-        if streaming is not None:
-            self.stats = PoolStreamStats(streaming.relative_accuracy)
-            if streaming.spool_dir is not None:
-                spool_dir = Path(streaming.spool_dir)
-                spool_dir.mkdir(parents=True, exist_ok=True)
-                self._spool = open(
-                    spool_dir / f"pool_{pool_index:03d}.jsonl",
-                    "w",
-                    encoding="utf-8",
-                )
 
     # --- pool state views (routing / autoscaling) ------------------------
     @property
@@ -445,26 +399,30 @@ class PoolRuntime:
 
     # --- capacity elasticity ---------------------------------------------
     def track_capacity(self) -> None:
-        """Start recording the provisioned-capacity skyline (autoscaled
-        pools only; static pools keep ``capacity_skyline`` ``None`` so
-        their metrics — and the sharded-of-one parity contract — are
-        unchanged).  Streaming serves track the O(1) reduction
-        (:class:`~repro.fleet.metrics.SkylineTracker`) instead."""
-        if self.stats is not None:
-            self.stats.capacity = SkylineTracker(0.0, self.arbiter.capacity)
-            return
-        self.capacity_skyline = Skyline()
-        self.capacity_skyline.record(0.0, self.arbiter.capacity)
+        """Start tracking provisioned capacity (autoscaled pools only;
+        static pools keep ``stats.capacity`` ``None`` so their metrics —
+        and the sharded-of-one parity contract — are unchanged).  Record
+        mode also keeps the full ``capacity_skyline``."""
+        capacity = self.arbiter.capacity
+        self.stats.capacity = SkylineTracker(0.0, capacity)
+        if not self.streaming:
+            self.capacity_skyline = Skyline()
+            self.capacity_skyline.record(0.0, capacity)
 
     def resize(self, now: float, new_capacity: int) -> int:
         """Move the pool to ``new_capacity`` (clamped by the arbiter:
         never below outstanding grants, never above ``max_capacity``),
-        then admit whatever now fits."""
+        then admit whatever now fits.  Only pools under
+        :meth:`track_capacity` are resized."""
+        before = self.arbiter.capacity
         applied = self.arbiter.resize(new_capacity)
-        if self.capacity_skyline is not None:
-            self.capacity_skyline.record(now, applied)
-        elif self.stats is not None and self.stats.capacity is not None:
+        if applied != before:
+            # An unchanged capacity is no step, as the skyline collapses
+            # it: splitting the tracker's segment would round its area
+            # differently.
             self.stats.capacity.record(now, applied)
+            if self.capacity_skyline is not None:
+                self.capacity_skyline.record(now, applied)
         if self.tracer is not None:
             self._trace(now, "pool_resize", -1, None, {"capacity": applied})
         self.drain_admissions(now)
@@ -497,25 +455,18 @@ class PoolRuntime:
         return compiled
 
     def record_pool(self, now: float) -> None:
-        stats = self.stats
-        if stats is None:
-            self.pool_skyline.record(now, self.arbiter.in_use)
-            return
-        # Streaming: fold the step into the O(1) tracker and make the
-        # capacity-invariant check (record mode does it post-hoc over
-        # the full skylines) online, at the step itself.
-        in_use = self.arbiter.in_use
-        stats.usage.record(now, in_use)
-        if in_use > self.arbiter.capacity:
-            stats.capacity_ok = False
+        arbiter = self.arbiter
+        in_use = arbiter.in_use
+        self.stats.record_usage(now, in_use, arbiter.capacity)
+        if not self.streaming:
+            self.pool_skyline.record(now, in_use)
 
     def _idle_params(self, run: _QueryRun) -> tuple[float | None, int]:
+        """A run's idle timeout and floor: its policy's, else the
+        fleet's timeout and a floor of one executor."""
         if run.policy is not None:
             return run.policy.idle_timeout, run.policy.min_executors
-        return (
-            self.config.idle_release_timeout,
-            self.config.min_executors_per_query,
-        )
+        return self.config.idle_release_timeout, 1
 
     # --- the runs' grant port (repro.engine.driver.GrantPort) -----------
     def grant(self, now: float, run: _QueryRun, count: int) -> int:
@@ -730,7 +681,6 @@ class PoolRuntime:
         arrival, cached, seconds, annotations, estimate = run.pending
         if self.tracer is not None:
             self._trace(now, "query_finish", q, arrival.query_id)
-        stats = self.stats
         record = QueryRecord(
             query_id=arrival.query_id,
             app_id=arrival.app_id,
@@ -741,7 +691,7 @@ class PoolRuntime:
             auc=run.core.skyline.auc(now),
             prediction_cached=cached,
             prediction_seconds=seconds,
-            skyline=None if stats is not None else run.core.skyline,
+            skyline=None if self.streaming else run.core.skyline,
             fault_stats=None if run.injector is None else run.injector.finalize(now),
             annotations={} if annotations is None else annotations,
             execution_log=run.core.build_log(),
@@ -756,15 +706,14 @@ class PoolRuntime:
             feedback.observe(
                 now, record, estimate, self.workload.optimized_plan(arrival.query_id)
             )
-        if stats is None:
-            self.records[q] = record
+        if self.streaming:
+            # The core and record die with the run.
+            self.stats.observe(record)
         else:
-            # Streaming: fold and optionally spool; the skyline, core
-            # and record all die with the run.
-            stats.observe(record)
-            if self._spool is not None:
-                self._spool.write(record.to_json())
-                self._spool.write("\n")
+            # Folded at finalize; settle now so the trackers keep only
+            # the steps since the latest finish, as in streaming mode.
+            self.records[q] = record
+            self.stats.settle(now)
         # Free the run.  One whose grant ramp is still in flight stays
         # until the last exec_arrive hands the late executor back
         # (handle_exec_arrive frees it then).
@@ -833,7 +782,8 @@ class PoolRuntime:
         self, serving_window: tuple[float, float] | None = None
     ) -> FleetMetrics:
         """Wrap this pool's outcome as :class:`FleetMetrics` (records in
-        stream order).
+        stream order).  Call once, after the serve: record mode folds
+        its records here.
 
         Args:
             serving_window: the billing span to impose (a sharded fleet
@@ -841,34 +791,19 @@ class PoolRuntime:
                 for their provisioned capacity); ``None`` bills this
                 pool's own records' span.
         """
-        if self._spool is not None:
-            self._spool.close()
-            self._spool = None
         stats = self.stats
-        if stats is not None:
-            capacity = (
-                stats.capacity.peak
-                if stats.capacity is not None
-                else self.arbiter.capacity
-            )
-            return FleetMetrics(
-                capacity=capacity,
-                cores_per_executor=self._ec,
-                records=[],
-                pool_skyline=self.pool_skyline,
-                capacity_skyline=None,
-                serving_window=serving_window,
-                stats=stats,
-            )
-        capacity = (
-            self.capacity_skyline.max_executors
-            if self.capacity_skyline is not None
-            else self.arbiter.capacity
-        )
+        records = [self.records[q] for q in sorted(self.records)]
+        # Stream order, not finish order: the order record-mode totals
+        # have always been summed in, down to the last bit.
+        for record in records:
+            stats.observe(record)
         return FleetMetrics(
-            capacity=capacity,
+            capacity=(
+                self.arbiter.capacity if stats.capacity is None else stats.capacity.peak
+            ),
             cores_per_executor=self._ec,
-            records=[self.records[q] for q in sorted(self.records)],
+            stats=stats,
+            records=records,
             pool_skyline=self.pool_skyline,
             capacity_skyline=self.capacity_skyline,
             serving_window=serving_window,
@@ -943,18 +878,6 @@ class FleetEngine:
         # The one pool is the whole fleet, so it carries the ledger.
         metrics.adaptive = served.adaptive
         return metrics
-
-
-def _raise_stalled(arbiter: CapacityArbiter, unfinished: int) -> None:
-    if arbiter.queue_length > 0:
-        raise RuntimeError(
-            f"admission stalled: {arbiter.queue_length} queued requests, "
-            "an idle pool, and a policy that admits none of them"
-        )
-    raise RuntimeError(
-        f"fleet stalled: {unfinished} admitted queries hold no executors, "
-        "have no grants in flight, and their scaling policies acquire none"
-    )
 
 
 def static_allocator(n: int) -> Allocator:

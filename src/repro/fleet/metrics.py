@@ -25,21 +25,19 @@ accounting core; only the cost roll-ups are per type.
 answers from a :class:`PoolStreamStats`: distributions in
 :class:`~repro.obs.sketch.QuantileSketch` histograms, totals in
 incremental accumulators, skylines reduced to :class:`SkylineTracker`
-state.  Under :attr:`FleetConfig.streaming
-<repro.fleet.engine.FleetConfig>` the drivers fold each finished query
-as it happens and keep no records (O(1) memory; records are opt-in via
-JSONL spooling, :func:`read_spooled_records`).  Record mode derives the
-same fold from its records and skylines at construction and keeps the
-records for what only they give: exact percentiles and mean queue delay.
+state.  Each pool runtime feeds its fold's trackers and capacity check
+at every step in both modes.  Under :attr:`FleetConfig.streaming
+<repro.fleet.engine.FleetConfig>` it also folds each finished query as
+it happens and keeps no records (O(1) memory).  Record mode folds its
+records at the end, in stream order, and keeps them for what only they
+give: exact percentiles and mean queue delay.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence, cast
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +54,6 @@ __all__ = [
     "PoolStreamStats",
     "FleetMetrics",
     "ClusterMetrics",
-    "read_spooled_records",
 ]
 
 #: Azure Synapse Spark pricing ballpark: $0.15 per vCore-hour.
@@ -130,88 +127,6 @@ class QueryRecord:
     def run_seconds(self) -> float:
         """Execution seconds once admitted (admission → finish)."""
         return self.finish_time - self.admit_time
-
-    def to_json(self) -> str:
-        """One deterministic JSON object (fixed key order, compact) —
-        the spool-line format streaming serves write.
-
-        Scalars, annotations, and the fault ledger round-trip exactly;
-        the skyline and execution log are deliberately dropped (they are
-        the O(n)-memory payload streaming mode exists to avoid) and come
-        back as ``None`` from :meth:`from_json`.  Same conventions as
-        :meth:`repro.obs.trace.TraceEvent.to_json`.
-        """
-        return json.dumps(
-            {
-                "query_id": self.query_id,
-                "app_id": self.app_id,
-                "arrival_time": self.arrival_time,
-                "admit_time": self.admit_time,
-                "finish_time": self.finish_time,
-                "executors_granted": self.executors_granted,
-                "auc": self.auc,
-                "prediction_cached": self.prediction_cached,
-                "prediction_seconds": self.prediction_seconds,
-                "fault_stats": (
-                    None
-                    if self.fault_stats is None
-                    else self.fault_stats.as_dict()
-                ),
-                "annotations": self.annotations,
-            },
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "QueryRecord":
-        """Parse one :meth:`to_json` spool line back into a record."""
-        obj = json.loads(line)
-        fault = obj.get("fault_stats")
-        if fault is not None:
-            fault = FaultStats(
-                crashes=int(fault["crashes"]),
-                reclamations=int(fault["reclamations"]),
-                replacements=int(fault["replacements"]),
-                tasks_started=int(fault["tasks_started"]),
-                tasks_killed=int(fault["tasks_killed"]),
-                wasted_task_seconds=float(fault["wasted_task_seconds"]),
-                spot_executor_seconds=float(fault["spot_executor_seconds"]),
-                ondemand_executor_seconds=float(
-                    fault["ondemand_executor_seconds"]
-                ),
-                spot_discount=float(fault["spot_discount"]),
-            )
-        return cls(
-            query_id=obj["query_id"],
-            app_id=int(obj["app_id"]),
-            arrival_time=float(obj["arrival_time"]),
-            admit_time=float(obj["admit_time"]),
-            finish_time=float(obj["finish_time"]),
-            executors_granted=int(obj["executors_granted"]),
-            auc=float(obj["auc"]),
-            prediction_cached=obj.get("prediction_cached"),
-            prediction_seconds=float(obj.get("prediction_seconds", 0.0)),
-            fault_stats=fault,
-            annotations=obj.get("annotations") or {},
-        )
-
-
-def read_spooled_records(
-    path_or_file: str | os.PathLike | IO[str] | Iterable[str],
-) -> list[QueryRecord]:
-    """Load a streaming serve's JSONL record spool, file order.
-
-    Accepts a path (one pool's ``pool_<i>.jsonl`` spool file) or any
-    iterable of lines; mirrors :func:`repro.obs.trace.read_jsonl`.
-    """
-    if isinstance(path_or_file, (str, os.PathLike)):
-        with open(path_or_file, encoding="utf-8") as handle:
-            return [
-                QueryRecord.from_json(line) for line in handle if line.strip()
-            ]
-    return [
-        QueryRecord.from_json(line) for line in path_or_file if line.strip()
-    ]
 
 
 class SkylineTracker:
@@ -297,28 +212,41 @@ class PoolStreamStats(StreamingFleetStats):
     billed-occupancy total, the incrementally merged fault ledger, and
     the capacity-invariant verdict.
 
-    A streaming serve folds in finish order, so two serves that finish
-    queries in the same order produce bit-identical state — the
+    Usage and capacity steps arrive as they happen, in both modes.  A
+    streaming serve folds records in finish order, so two serves that
+    finish queries in the same order produce bit-identical state — the
     multiprocess merge contract (:mod:`repro.fleet.parallel`) rests on
-    this.  Record mode replays in stream order (see
-    :meth:`FleetMetrics._fold`).
+    this.  Record mode folds them at the end in stream order (see
+    :meth:`~repro.fleet.engine.PoolRuntime.finalize`).
     """
 
-    def __init__(self, relative_accuracy: float = 0.01) -> None:
-        super().__init__(relative_accuracy)
+    def __init__(self) -> None:
+        super().__init__()
         self.usage = SkylineTracker()
         self.capacity: SkylineTracker | None = None
         self.capacity_ok = True
         self.billed_occupancy_seconds = 0.0
         self.fault: FaultStats | None = None
 
+    def record_usage(self, time: float, in_use: int, capacity: int) -> None:
+        """Fold one pool-usage step and check the capacity invariant at
+        the step itself: usage never above the capacity in effect."""
+        self.usage.record(time, in_use)
+        if in_use > capacity:
+            self.capacity_ok = False
+
+    def settle(self, finish: float) -> None:
+        """Let the trackers forget what no window ending at or after a
+        finish at ``finish`` reads (:meth:`SkylineTracker.settle`)."""
+        self.usage.settle(finish)
+        if self.capacity is not None:
+            self.capacity.settle(finish)
+
     def observe(self, record: QueryRecord) -> None:
         """Fold one finished query in (latency sketches via the base
         class, then the pool-billing and fault accumulators)."""
         super().observe(record)
-        self.usage.settle(record.finish_time)
-        if self.capacity is not None:
-            self.capacity.settle(record.finish_time)
+        self.settle(record.finish_time)
         stats = record.fault_stats
         if stats is None:
             self.billed_occupancy_seconds += record.auc
@@ -489,8 +417,7 @@ class _Accounting(ABC):
 
     def latency_percentile(self, q: float) -> float:
         """The ``q``-th percentile of end-to-end query latency (a
-        sketch estimate within ``relative_accuracy`` in streaming
-        mode)."""
+        sketch estimate within 1 % in streaming mode)."""
         if self.records:
             return float(np.percentile([r.latency for r in self.records], q))
         return self._stats().latency.quantile(q)
@@ -648,13 +575,18 @@ class FleetMetrics(_Accounting):
         capacity: pool size (executors).  For an autoscaled pool this is
             the peak provisioned size the run reached.
         cores_per_executor: executor width, for dollar pricing.
+        stats: the pool's :class:`PoolStreamStats`, which every total
+            below answers from, with every record already folded in.  A
+            streaming serve keeps no ``records``, so its percentiles are
+            sketch estimates.
         records: one :class:`QueryRecord` per served query, stream order.
         pool_skyline: reserved-capacity step function over the run — the
             arbiter's outstanding grants; its peak must never exceed
-            the capacity in effect at that instant.
+            the capacity in effect at that instant.  Recorded in record
+            mode only; ``stats`` holds the same steps in both modes.
         capacity_skyline: provisioned-capacity step function, recorded
-            only for autoscaled pools (``None`` means statically
-            provisioned).  The gap between this and ``pool_skyline`` is
+            only for autoscaled pools in record mode (``None``
+            otherwise).  The gap between this and ``pool_skyline`` is
             idle autoscaled capacity — provisioned, billable, unused.
         serving_window: the ``(start, end)`` span capacity is billed
             over.  A pool inside a sharded fleet bills the *cluster's*
@@ -663,11 +595,6 @@ class FleetMetrics(_Accounting):
             standalone pool) falls back to this pool's own first-arrival
             → last-finish span.
         price_per_core_hour: billing rate for the dollar-cost metrics.
-        stats: the pool's :class:`PoolStreamStats`, which every total
-            below answers from.  A streaming serve hands in its online
-            fold (``records`` is then empty and percentiles are sketch
-            estimates); ``None`` derives it from the records and
-            skylines at construction.
         adaptive: the continual-learning ledger
             (:class:`AdaptiveStats`) when the serve ran with a feedback
             sink that keeps one; ``None`` for frozen serves.  Its
@@ -677,49 +604,13 @@ class FleetMetrics(_Accounting):
 
     capacity: int
     cores_per_executor: int
+    stats: PoolStreamStats
     records: list[QueryRecord] = field(default_factory=list)
     pool_skyline: Skyline = field(default_factory=Skyline)
     capacity_skyline: Skyline | None = None
     serving_window: tuple[float, float] | None = None
     price_per_core_hour: float = DEFAULT_PRICE_PER_CORE_HOUR
-    # Never None once constructed: __post_init__ derives the default.
-    stats: PoolStreamStats = cast(PoolStreamStats, None)
     adaptive: AdaptiveStats | None = None
-
-    def __post_init__(self) -> None:
-        self.stats = self._fold(self.stats)
-
-    def _fold(self, handed_in: PoolStreamStats | None) -> PoolStreamStats:
-        """The fold a streaming serve handed in, else the replay of the
-        records (stream order, as the exact totals were always summed)
-        and then the skylines point by point.  A capacity skyline is
-        checked pointwise: usage at or below capacity at every step of
-        either skyline, as a streaming serve checks online.
-        """
-        if handed_in is not None:
-            return handed_in
-        pool, provisioned = self.pool_skyline, self.capacity_skyline
-        stats = PoolStreamStats()
-        for record in self.records:
-            stats.observe(record)
-        trackers = [stats.usage]
-        for time, count in pool.points:
-            stats.usage.record(time, count)
-        if provisioned is None:
-            stats.capacity_ok = stats.usage.peak <= self.capacity
-        else:
-            first, *rest = provisioned.points or [(0.0, 0)]
-            tracker = stats.capacity = SkylineTracker(*first)
-            for time, count in rest:
-                tracker.record(time, count)
-            trackers.append(tracker)
-            stats.capacity_ok = all(
-                count <= provisioned.value_at(t) for t, count in pool.points
-            ) and all(pool.value_at(t) <= count for t, count in provisioned.points)
-        if stats.last_finish is not None:
-            for tracker in trackers:
-                tracker.settle(stats.last_finish)
-        return stats
 
     def _window(self) -> tuple[float, float]:
         if self.serving_window is not None:

@@ -34,8 +34,9 @@ single-process driver uses too.
 - pools must be statically provisioned (no autoscalers — an
   autoscaler's signals are cross-pool via the shared tick);
 - no tracer (a cluster-ordered trace would serialize the workers);
-- arrivals must be time-ordered (the parent streams them; it cannot
-  sort what it has not seen).
+- in streaming mode, arrivals must be time-ordered (the parent streams
+  them; it cannot sort what it has not seen).  Record mode plays a list
+  in the single-process driver's order: stably sorted by arrival time.
 
 One measure-zero caveat remains.  The shared heap keys a submit as a
 class-1 event pushed when its arrival popped; a worker keys it class 0,
@@ -67,7 +68,7 @@ from repro.fleet.cluster import (
     _arrival_source,
     _cluster_metrics,
     _finish,
-    _validate_stream,
+    _play_order,
     static_views,
 )
 from repro.fleet.engine import Allocator, FleetConfig
@@ -141,8 +142,7 @@ class ProcessShardExecutor:
     Same construction surface as :class:`~repro.fleet.cluster
     .ShardedFleet` minus the tracer, plus the restrictions in the
     module docstring.  ``serve`` supports both record mode and
-    streaming mode (via :attr:`FleetConfig.streaming`), with per-query
-    spool files written by the worker that owns each pool.
+    streaming mode (via :attr:`FleetConfig.streaming`).
 
     Args:
         workload: supplies plans and compiled stage graphs per query id.
@@ -241,8 +241,6 @@ class ProcessShardExecutor:
         for w in workers:
             w.start()
         try:
-            if self.config.streaming is None:
-                arrivals = _validate_stream(arrivals)
             self._dispatch(arrivals, feeds)
             outcomes: dict[int, tuple[FleetMetrics, list[int]]] = {}
             for _ in range(n):
@@ -266,7 +264,8 @@ class ProcessShardExecutor:
         arrivals: Iterable[QueryArrival],
         feeds: Sequence[MpQueue[object]],
     ) -> None:
-        """Decide, route, and stream every submit to its pool's feed."""
+        """Decide, route, and stream every submit to its pool's feed, in
+        the single-process driver's play order."""
         fleet = self._fleet
         views = static_views(self.pools)
         max_budget = self.max_budget
@@ -296,9 +295,10 @@ class ProcessShardExecutor:
                     feed.put(batches[i])
                     batches[i] = []
 
-        for t_arrive, pos, arrival in _arrival_source(enumerate(arrivals)):
+        stream = _arrival_source(_play_order(arrivals, self.config.streaming))
+        for n, (t_arrive, pos, arrival) in enumerate(stream):
             flush(t_arrive)
-            if pos and pos % self.batch_size == 0:
+            if n and n % self.batch_size == 0:
                 send()
             delay, submit = fleet._decide(arrival, max_budget)
             reorder.push_arrival(t_arrive + delay, pos, submit, "submit")

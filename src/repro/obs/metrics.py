@@ -74,14 +74,10 @@ class MetricsRegistry:
 class StreamingFleetStats:
     """Bounded-memory serving stats: the O(1)-per-query FleetMetrics view.
 
-    Args:
-        relative_accuracy: sketch accuracy for the latency, queue-delay,
-            and run-seconds distributions.
-
     Feed it finished queries one at a time (:meth:`observe`) and
     combine shards with :meth:`merge`.  Counts, sums, extrema, and the
-    serving window are exact; percentiles carry the sketch's relative
-    error bound (``relative_accuracy``, against the order-statistic
+    serving window are exact; percentiles carry the sketches' default
+    1 % relative error bound (against the order-statistic
     convention documented on :meth:`QuantileSketch.quantile
     <repro.obs.sketch.QuantileSketch.quantile>` — note
     :class:`~repro.fleet.metrics.FleetMetrics` uses ``np.percentile``'s
@@ -89,11 +85,10 @@ class StreamingFleetStats:
     between adjacent order statistics).
     """
 
-    def __init__(self, relative_accuracy: float = 0.01) -> None:
-        self.relative_accuracy = relative_accuracy
-        self.latency = QuantileSketch(relative_accuracy)
-        self.queue_delay = QuantileSketch(relative_accuracy)
-        self.run_seconds = QuantileSketch(relative_accuracy)
+    def __init__(self) -> None:
+        self.latency = QuantileSketch()
+        self.queue_delay = QuantileSketch()
+        self.run_seconds = QuantileSketch()
         self.n_queries = 0
         self.total_executor_seconds = 0.0
         self.prediction_hits = 0
@@ -121,7 +116,7 @@ class StreamingFleetStats:
 
     def merge(self, other: "StreamingFleetStats") -> "StreamingFleetStats":
         """Combine two shards' stats into a new one (inputs untouched)."""
-        out = StreamingFleetStats(self.relative_accuracy)
+        out = StreamingFleetStats()
         out.latency = self.latency.merge(other.latency)
         out.queue_delay = self.queue_delay.merge(other.queue_delay)
         out.run_seconds = self.run_seconds.merge(other.run_seconds)
@@ -149,8 +144,7 @@ class StreamingFleetStats:
         if type(other) is not type(self):
             return NotImplemented
         return (
-            self.relative_accuracy == other.relative_accuracy
-            and self.latency == other.latency
+            self.latency == other.latency
             and self.queue_delay == other.queue_delay
             and self.run_seconds == other.run_seconds
             and self.n_queries == other.n_queries

@@ -61,7 +61,7 @@ class TestRequests:
 
     def test_grant_times_batched_ramp(self):
         cluster = Cluster(base_grant_lag=2.0, grant_batch=8, grant_interval=4.0)
-        times = cluster.grant_times(10.0, 20)
+        times = cluster.grant_schedule(10.0, cluster.clamp_request(20))
         assert len(times) == 20
         assert times[0] == pytest.approx(12.0)
         assert times[7] == pytest.approx(12.0)   # first batch of 8
@@ -72,18 +72,20 @@ class TestRequests:
         """Paper Section 5.4: the runtime takes ~20-30 s to allocate the
         requested count."""
         cluster = Cluster()
-        times = cluster.grant_times(0.0, 48)
+        times = cluster.grant_schedule(0.0, cluster.clamp_request(48))
         assert 15.0 <= times[-1] <= 50.0
         # a 25-executor request (Figure 12's example) lands in ~27 s
-        assert 20.0 <= cluster.grant_times(0.0, 25)[-1] <= 32.0
+        ramp_25 = cluster.grant_schedule(0.0, cluster.clamp_request(25))
+        assert 20.0 <= ramp_25[-1] <= 32.0
 
     def test_grant_times_monotone(self):
-        times = Cluster().grant_times(5.0, 30)
+        cluster = Cluster()
+        times = cluster.grant_schedule(5.0, cluster.clamp_request(30))
         assert all(b >= a for a, b in zip(times, times[1:]))
 
     def test_grant_clamps_to_capacity(self):
         cluster = Cluster(max_nodes=2)
-        assert len(cluster.grant_times(0.0, 100)) == 4
+        assert len(cluster.grant_schedule(0.0, cluster.clamp_request(100))) == 4
 
     def test_invalid_grant_schedule_rejected(self):
         with pytest.raises(ValueError):

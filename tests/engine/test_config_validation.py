@@ -105,14 +105,7 @@ TABLE: dict[str, tuple[dict, dict[str, tuple[float, tuple]]]] = {
         },
     ),
     "PoolSpec": ({"capacity": 4}, {"capacity": (0, (1,))}),
-    "FleetConfig": (
-        {},
-        {
-            "idle_release_timeout": (-5.0, (0.0, None)),
-            "min_executors_per_query": (0, (1,)),
-        },
-    ),
-    "StreamingConfig": ({}, {"relative_accuracy": (1.0, (1e-9, 0.999))}),
+    "FleetConfig": ({}, {"idle_release_timeout": (-5.0, (0.0, None))}),
     "AdaptiveConfig": (
         {},
         {

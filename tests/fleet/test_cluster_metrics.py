@@ -1,5 +1,9 @@
 """Metrics tests for elastic capacity: the idle-autoscaled-cost bugfix
-and the ClusterMetrics rollups."""
+and the ClusterMetrics rollups.
+
+Each pool's :class:`PoolStreamStats` is fed the way a pool runtime feeds
+it: every capacity and usage step, each usage step checked against the
+capacity in effect, then the records."""
 
 import pytest
 
@@ -8,7 +12,9 @@ from repro.fleet.metrics import (
     DEFAULT_PRICE_PER_CORE_HOUR,
     ClusterMetrics,
     FleetMetrics,
+    PoolStreamStats,
     QueryRecord,
+    SkylineTracker,
 )
 
 
@@ -32,6 +38,24 @@ def skyline(points):
     return s
 
 
+def pool(capacity, records, usage, provisioned=None):
+    """A pool's metrics from its records, its usage steps and, for an
+    autoscaled pool, its provisioned-capacity steps."""
+    stats = PoolStreamStats()
+    if provisioned is not None:
+        stats.capacity = SkylineTracker(*provisioned[0])
+        for t, count in provisioned[1:]:
+            stats.capacity.record(t, count)
+    capacity_at = skyline(provisioned or [(0.0, capacity)]).value_at
+    for t, count in usage:
+        stats.record_usage(t, count, capacity_at(t))
+    for r in records:
+        stats.observe(r)
+    return FleetMetrics(
+        capacity=capacity, cores_per_executor=4, stats=stats, records=records
+    )
+
+
 def dollars(executor_seconds, cores=4):
     return executor_seconds * cores / 3600.0 * DEFAULT_PRICE_PER_CORE_HOUR
 
@@ -48,14 +72,11 @@ class TestIdleCapacityCharging:
         # One query holds 8 executors for [0, 100); the autoscaler grew
         # the pool from 8 to 24 at t=50, and the 16 extra executors sat
         # completely idle for the remaining 50 s.
-        return FleetMetrics(
-            capacity=24,
-            cores_per_executor=4,
-            records=[record(auc=800.0)],
-            pool_skyline=skyline([(0.0, 0), (0.0, 8), (100.0, 0)]),
-            capacity_skyline=(
-                skyline([(0.0, 8), (50.0, 24)]) if with_capacity_skyline else None
-            ),
+        return pool(
+            24,
+            [record(auc=800.0)],
+            [(0.0, 0), (0.0, 8), (100.0, 0)],
+            [(0.0, 8), (50.0, 24)] if with_capacity_skyline else None,
         )
 
     def test_idle_scale_up_shows_up_in_dollar_cost(self):
@@ -79,12 +100,11 @@ class TestIdleCapacityCharging:
         assert f"${elastic.total_dollar_cost:9.2f}" in report
 
     def test_fully_used_scale_up_carries_no_idle_charge(self):
-        metrics = FleetMetrics(
-            capacity=16,
-            cores_per_executor=4,
-            records=[record(auc=1200.0)],
-            pool_skyline=skyline([(0.0, 0), (0.0, 8), (50.0, 16), (100.0, 0)]),
-            capacity_skyline=skyline([(0.0, 8), (50.0, 16)]),
+        metrics = pool(
+            16,
+            [record(auc=1200.0)],
+            [(0.0, 0), (0.0, 8), (50.0, 16), (100.0, 0)],
+            [(0.0, 8), (50.0, 16)],
         )
         # provisioned == reserved == occupied == 1200 exec-s: no idle gap
         assert metrics.reserved_executor_seconds == pytest.approx(1200.0)
@@ -96,13 +116,12 @@ class TestIdleCapacityCharging:
         not arrived yet (the provisioning ramp) was billed by neither
         the occupancy term nor the old reserved-based idle term.  Every
         provisioned executor-second must land on the bill."""
-        metrics = FleetMetrics(
-            capacity=16,
-            cores_per_executor=4,
-            # occupancy 800 < reserved 900 < provisioned 1600
-            records=[record(auc=800.0)],
-            pool_skyline=skyline([(0.0, 0), (0.0, 9), (100.0, 0)]),
-            capacity_skyline=skyline([(0.0, 16)]),
+        # occupancy 800 < reserved 900 < provisioned 1600
+        metrics = pool(
+            16,
+            [record(auc=800.0)],
+            [(0.0, 0), (0.0, 9), (100.0, 0)],
+            [(0.0, 16)],
         )
         assert metrics.reserved_executor_seconds == pytest.approx(900.0)
         assert metrics.idle_capacity_seconds == pytest.approx(800.0)
@@ -120,32 +139,27 @@ class TestIdleCapacityCharging:
     def test_time_varying_capacity_respected_check(self):
         ok = self.build(with_capacity_skyline=True)
         assert ok.capacity_respected
-        bad = FleetMetrics(
-            capacity=8,
-            cores_per_executor=4,
-            records=[record()],
-            pool_skyline=skyline([(0.0, 0), (0.0, 12), (100.0, 0)]),
-            capacity_skyline=skyline([(0.0, 8)]),
+        bad = pool(
+            8,
+            [record()],
+            [(0.0, 0), (0.0, 12), (100.0, 0)],
+            [(0.0, 8)],
         )
         assert not bad.capacity_respected
 
 
 class TestClusterRollups:
     def build(self, pool_a_points=((0.0, 0), (0.0, 8), (100.0, 0))):
-        pool_a = FleetMetrics(
-            capacity=16,
-            cores_per_executor=4,
-            records=[record(finish=100.0, auc=800.0, cached=True)],
-            pool_skyline=skyline(pool_a_points),
+        pool_a = pool(
+            16,
+            [record(finish=100.0, auc=800.0, cached=True)],
+            pool_a_points,
         )
-        pool_b = FleetMetrics(
-            capacity=24,
-            cores_per_executor=4,
-            records=[
-                record(arrival=10.0, admit=20.0, finish=210.0, auc=1000.0, cached=False)
-            ],
-            pool_skyline=skyline([(0.0, 0), (20.0, 8), (210.0, 0)]),
-            capacity_skyline=skyline([(0.0, 8), (100.0, 24)]),
+        pool_b = pool(
+            24,
+            [record(arrival=10.0, admit=20.0, finish=210.0, auc=1000.0, cached=False)],
+            [(0.0, 0), (20.0, 8), (210.0, 0)],
+            [(0.0, 8), (100.0, 24)],
         )
         cluster = ClusterMetrics(
             pools=[pool_a, pool_b],

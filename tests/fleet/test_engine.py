@@ -356,8 +356,8 @@ class TestTickIntervalValidation:
 
 class TestIdleSettingsValidation:
     """``idle_release_timeout=nan`` used to serve like ``None`` and ``-5``
-    released at every tick; a zero floor served like a floor of one.
-    ``FleetConfig`` now refuses each, naming the field."""
+    released at every tick.  ``FleetConfig`` now refuses each, naming
+    the field."""
 
     @pytest.mark.parametrize(
         "timeout", [-5.0, -1e-9, float("nan"), float("inf"), -float("inf")], ids=str
@@ -366,16 +366,10 @@ class TestIdleSettingsValidation:
         with pytest.raises(ValueError, match="idle_release_timeout"):
             FleetConfig(idle_release_timeout=timeout)
 
-    @pytest.mark.parametrize("floor", [0, -1, float("nan"), float("inf")], ids=str)
-    def test_bad_min_executors_per_query_rejected(self, floor):
-        with pytest.raises(ValueError, match="min_executors_per_query"):
-            FleetConfig(min_executors_per_query=floor)
-
     @pytest.mark.parametrize("timeout", [None, 0.0, 0, 2.5, 30.0])
     def test_sensible_settings_accepted(self, timeout):
-        config = FleetConfig(idle_release_timeout=timeout, min_executors_per_query=3)
+        config = FleetConfig(idle_release_timeout=timeout)
         assert config.idle_release_timeout == timeout
-        assert config.min_executors_per_query == 3
 
 
 class TestStallGuard:

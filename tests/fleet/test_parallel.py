@@ -19,9 +19,7 @@ from repro.fleet import (
     ProcessShardExecutor,
     QueryArrival,
     ShardedFleet,
-    StreamingConfig,
     poisson_arrivals,
-    read_spooled_records,
     static_allocator,
 )
 from repro.workloads.generator import Workload
@@ -159,14 +157,28 @@ class TestRestrictions:
         with pytest.raises(ValueError, match="at least one pool"):
             ProcessShardExecutor(workload, [], static_allocator(4))
 
-    def test_out_of_order_arrivals_rejected(self, workload):
-        executor = ProcessShardExecutor(workload, [16, 16], static_allocator(4))
+    def test_out_of_order_list_served_like_single_process(self, workload):
+        """Record mode plays an unsorted list sorted by arrival time in
+        both drivers; streaming mode still rejects out-of-order input."""
         arrivals = [
             QueryArrival(0, "q1", 0, 5.0),
             QueryArrival(1, "q1", 0, 1.0),
         ]
-        with pytest.raises(ValueError, match="time-ordered"):
-            executor.serve(arrivals)
+        multi, single = serve_both(
+            workload,
+            [16, 16],
+            lambda: static_allocator(4),
+            FleetConfig(),
+            arrivals,
+            streaming=False,
+        )
+        assert multi.n_queries == single.n_queries == 2
+        assert_identical_record_mode(multi, single)
+        streaming = FleetConfig(streaming=True)
+        for driver in (ShardedFleet, ProcessShardExecutor):
+            fleet = driver(workload, [16, 16], static_allocator(4), config=streaming)
+            with pytest.raises(ValueError, match="time-ordered"):
+                fleet.serve(iter(arrivals))
 
     def test_empty_stream_rejected(self, workload):
         executor = ProcessShardExecutor(workload, [16, 16], static_allocator(4))
@@ -248,27 +260,6 @@ class TestMergeEqualsSingleProcess:
             workload, [16, 16], static_allocator(8), config=IDLE_CONFIG
         ).serve(arrivals)
         assert_identical_record_mode(multi, single)
-
-    def test_worker_spools_match_parent_records(self, workload, tmp_path):
-        arrivals = poisson_arrivals(QIDS, n_queries=60, rate_qps=1.0, seed=2)
-        single = ShardedFleet(workload, [16, 16], static_allocator(8)).serve(
-            arrivals
-        )
-        config = FleetConfig(
-            streaming=StreamingConfig(spool_dir=tmp_path / "spool")
-        )
-        ProcessShardExecutor(
-            workload, [16, 16], static_allocator(8), config=config
-        ).serve(arrivals)
-        spooled = []
-        for name in ("pool_000.jsonl", "pool_001.jsonl"):
-            spooled.extend(read_spooled_records(tmp_path / "spool" / name))
-        assert len(spooled) == 60
-        by_key = {(r.query_id, r.arrival_time): r for r in single.records}
-        for record in spooled:
-            assert record.finish_time == by_key[
-                (record.query_id, record.arrival_time)
-            ].finish_time
 
     def test_worker_failure_propagates(self, workload):
         class ExplodingWorkload:

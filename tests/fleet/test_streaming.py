@@ -1,5 +1,5 @@
 """Streaming-mode serving: record-mode parity within the sketch bound,
-spooling round-trips, config normalization, and O(1) memory."""
+the mode switch, and O(1) memory."""
 
 import gc
 import math
@@ -17,17 +17,15 @@ from repro.fleet import (
     PoolSpec,
     QueryArrival,
     ShardedFleet,
-    StreamingConfig,
     poisson_arrival_stream,
     poisson_arrivals,
-    read_spooled_records,
     static_allocator,
 )
 from repro.fleet.metrics import QueryRecord, SkylineTracker
 from repro.workloads.generator import Workload
 
 QIDS = ("q1", "q2", "q3", "q5", "q94")
-ALPHA = 0.01  # StreamingConfig default relative accuracy
+ALPHA = 0.01  # the streaming sketches' relative accuracy
 
 
 @pytest.fixture(scope="module")
@@ -113,24 +111,19 @@ def assert_streaming_matches_records(streamed, recorded):
 
 
 class TestConfigNormalization:
-    def test_true_means_defaults(self):
-        config = FleetConfig(streaming=True)
-        assert isinstance(config.streaming, StreamingConfig)
-        assert config.streaming.relative_accuracy == ALPHA
-        assert config.streaming.spool_dir is None
+    def test_true_means_defaults(self, workload):
+        streamed = FleetEngine(
+            workload,
+            capacity=16,
+            allocator=static_allocator(4),
+            config=FleetConfig(streaming=True),
+        ).serve(poisson_arrivals(QIDS, n_queries=10, rate_qps=1.0, seed=0))
+        assert streamed.records == []
+        assert streamed.stats.latency.relative_accuracy == ALPHA
 
     def test_false_means_off(self):
-        assert FleetConfig(streaming=False).streaming is None
-        assert FleetConfig().streaming is None
-
-    def test_explicit_config_passes_through(self):
-        streaming = StreamingConfig(relative_accuracy=0.05)
-        assert FleetConfig(streaming=streaming).streaming is streaming
-
-    @pytest.mark.parametrize("accuracy", [0.0, 1.0, -0.5, 2.0])
-    def test_accuracy_validated(self, accuracy):
-        with pytest.raises(ValueError):
-            StreamingConfig(relative_accuracy=accuracy)
+        assert FleetConfig(streaming=False).streaming is False
+        assert FleetConfig().streaming is False
 
     def test_record_mode_keeps_records(self, workload):
         metrics = FleetEngine(
@@ -324,63 +317,6 @@ class TestClusterParity:
         assert_streaming_matches_records(streamed, recorded)
         for s_pool, r_pool in zip(streamed.pools, recorded.pools):
             assert_streaming_matches_records(s_pool, r_pool)
-
-
-class TestSpooling:
-    def test_records_round_trip(self, workload, tmp_path):
-        arrivals = poisson_arrivals(QIDS, n_queries=60, rate_qps=1.0, seed=11)
-        recorded = FleetEngine(
-            workload, capacity=24, allocator=static_allocator(8)
-        ).serve(arrivals)
-        config = FleetConfig(
-            streaming=StreamingConfig(spool_dir=tmp_path / "spool")
-        )
-        FleetEngine(
-            workload, capacity=24, allocator=static_allocator(8), config=config
-        ).serve(iter(arrivals))
-        spooled = read_spooled_records(tmp_path / "spool" / "pool_000.jsonl")
-        assert len(spooled) == 60
-        # Spooled records carry no skyline or execution log; compare the
-        # serialized fields against the record-mode run.
-        by_key = {(r.query_id, r.arrival_time): r for r in recorded.records}
-        for record in spooled:
-            ref = by_key[(record.query_id, record.arrival_time)]
-            assert record.finish_time == ref.finish_time
-            assert record.admit_time == ref.admit_time
-            assert record.executors_granted == ref.executors_granted
-            assert record.auc == ref.auc
-            assert record.annotations == ref.annotations
-
-    def test_sharded_spool_one_file_per_pool(self, workload, tmp_path):
-        arrivals = poisson_arrivals(QIDS, n_queries=40, rate_qps=1.0, seed=2)
-        config = FleetConfig(
-            streaming=StreamingConfig(spool_dir=tmp_path / "spool")
-        )
-        ShardedFleet(workload, [16, 16], static_allocator(8), config=config).serve(
-            iter(arrivals)
-        )
-        files = sorted(p.name for p in (tmp_path / "spool").iterdir())
-        assert files == ["pool_000.jsonl", "pool_001.jsonl"]
-        total = sum(
-            len(read_spooled_records(tmp_path / "spool" / name))
-            for name in files
-        )
-        assert total == 40
-
-    def test_fault_stats_survive_json(self, workload, tmp_path):
-        plan = FaultPlan(seed=3, crash_rate=1 / 3000.0)
-        config = FleetConfig(
-            faults=plan, streaming=StreamingConfig(spool_dir=tmp_path)
-        )
-        arrivals = poisson_arrivals(QIDS, n_queries=40, rate_qps=1.0, seed=4)
-        streamed = FleetEngine(
-            workload, capacity=24, allocator=static_allocator(8), config=config
-        ).serve(iter(arrivals))
-        spooled = read_spooled_records(tmp_path / "pool_000.jsonl")
-        folded = sum(
-            r.fault_stats.crashes for r in spooled if r.fault_stats is not None
-        )
-        assert folded == streamed.fault_stats.crashes
 
 
 class TestMemoryFlatness:
