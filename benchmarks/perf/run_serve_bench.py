@@ -230,7 +230,6 @@ def summarize(wall, latencies, responses, metrics, reference, args):
             "hits": prediction["hits"],
             "misses": prediction["misses"],
             "hit_rate": round(prediction["hit_rate"], 4),
-            "batched": prediction["batched"],
         },
         "parity": {
             "n_checked": n_ok,

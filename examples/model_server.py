@@ -114,7 +114,6 @@ async def serve_and_query(registry: Path, workload: Workload) -> None:
         f"   cache hit rate      {cache['hit_rate']:.2f} "
         f"({cache['hits']} hits / {cache['misses']} misses)"
     )
-    print(f"   batched scorer      {cache['batched']}")
 
     await server.shutdown()
     print("\nserver drained and shut down cleanly")

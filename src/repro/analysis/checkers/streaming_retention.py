@@ -10,14 +10,16 @@ later.  This rule guards the fold path itself: inside the configured
 streaming accumulator classes
 (:attr:`~repro.analysis.config.AnalysisConfig.streaming_classes`), any
 container-growth call reachable from ``self`` — ``append``, ``extend``,
-``insert``, ``appendleft``, ``extendleft``, ``add`` — and any
-``self.x += [...]`` is a finding, unless the grown attribute is declared
-bounded in
+``insert``, ``appendleft``, ``extendleft``, ``add`` — any
+``self.x += [...]`` and any keyed store ``self.x[k] = v`` is a finding,
+unless the grown attribute is declared bounded in
 :attr:`~repro.analysis.config.AnalysisConfig.streaming_bounded_attrs`
-(the sketch attributes, whose ``add`` is a histogram fold, not growth).
+(the sketch attributes, whose ``add`` is a histogram fold, not growth;
+an LRU dict that evicts past its bound).
 
 Growth on locals is fine (temporaries die with the frame); only state
-that survives the call can leak.
+that survives the call can leak.  A local bound to a ``self`` attribute
+(``cache = self._cache``) is that attribute, so growth through it counts.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ _GROWTH_METHODS = frozenset(
 )
 
 
-def _self_root_attr(node: ast.AST) -> str | None:
+def _self_root_attr(node: ast.AST, aliases: dict[str, str] | None) -> str | None:
     """First attribute name on a ``self.…`` receiver chain, else None.
 
     Handles nesting through attributes, subscripts, and calls:
-    ``self._counts.setdefault(k, []).append`` roots at ``_counts``.
+    ``self._counts.setdefault(k, []).append`` roots at ``_counts``.  A
+    chain starting at a local in ``aliases`` roots at the attribute the
+    local was bound to.
     """
     last_attr: str | None = None
     current = node
@@ -51,7 +55,9 @@ def _self_root_attr(node: ast.AST) -> str | None:
         elif isinstance(current, ast.Call):
             current = current.func
         elif isinstance(current, ast.Name):
-            return last_attr if current.id == "self" else None
+            if current.id == "self":
+                return last_attr
+            return aliases.get(current.id) if aliases else None
         else:
             return None
 
@@ -87,39 +93,57 @@ class StreamingRetentionChecker(Checker):
         if not classes:
             return []
         bounded = frozenset(self.config.streaming_bounded_attrs)
+        # scope -> {local: attr} for locals bound as ``cache = self._cache``
+        aliases: dict[str, dict[str, str]] = {}
+        for node in ctx.walk():
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "self"
+            ):
+                scope = aliases.setdefault(ctx.scope_of(node), {})
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        scope[target.id] = node.value.attr
         findings: list[Finding] = []
         for node in ctx.walk():
-            attr: str | None
+            grown: list[tuple[ast.AST, str]] = []
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _GROWTH_METHODS
             ):
-                attr = _self_root_attr(node.func.value)
-                verb = f".{node.func.attr}()"
+                grown.append((node.func.value, f".{node.func.attr}()"))
             elif isinstance(node, ast.AugAssign) and isinstance(
                 node.op, ast.Add
             ):
-                if not _grows_a_list(node.value):
-                    continue
-                attr = _self_root_attr(node.target)
-                verb = "+= [...]"
-            else:
-                continue
-            if attr is None or attr in bounded:
+                if _grows_a_list(node.value):
+                    grown.append((node.target, "+= [...]"))
+            elif isinstance(node, ast.Assign):
+                grown.extend(
+                    (target.value, "[k] = v")
+                    for target in node.targets
+                    if isinstance(target, ast.Subscript)
+                )
+            if not grown:
                 continue
             enclosing = ctx.enclosing_class(node)
             if enclosing is None or enclosing.name not in classes:
                 continue
-            item = self.finding(
-                ctx,
-                node,
-                f"container growth {verb} on self.{attr} inside streaming "
-                f"accumulator {enclosing.name}: per-query state must fold "
-                "into bounded accumulators (O(1)-memory contract); if "
-                f"self.{attr} is provably bounded, declare it in "
-                "streaming_bounded_attrs",
-            )
-            if item is not None:
-                findings.append(item)
+            for receiver, verb in grown:
+                attr = _self_root_attr(receiver, aliases.get(ctx.scope_of(node)))
+                if attr is None or attr in bounded:
+                    continue
+                item = self.finding(
+                    ctx,
+                    node,
+                    f"container growth {verb} on self.{attr} inside "
+                    f"streaming accumulator {enclosing.name}: per-query "
+                    "state must fold into bounded accumulators (O(1)-memory "
+                    f"contract); if self.{attr} is provably bounded, declare "
+                    "it in streaming_bounded_attrs",
+                )
+                if item is not None:
+                    findings.append(item)
         return findings

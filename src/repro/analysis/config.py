@@ -127,6 +127,9 @@ class AnalysisConfig:
         # PoolStreamStats' fault ledger: FaultStats.add sums a fixed set
         # of counters in place.
         "fault",
+        # QuantileSketch's bucket counts: one key per log-spaced bucket,
+        # so the key count grows with log(max/min), not with the stream.
+        "_counts",
     )
 
     #: keys whose pyproject values *extend* the default tuple instead of

@@ -32,7 +32,7 @@ from repro.core.cores import Factorization, factorize_cores
 from repro.core.features import QueryFeatures
 from repro.core.parameter_model import ParameterModel
 from repro.core.ppm import PricePerfModel
-from repro.core.selection import elbow_point, oracle_executors, true_runtime_curve
+from repro.core.selection import elbow_point
 from repro.core.training import (
     DEFAULT_N_GRID,
     TrainingDataset,
@@ -77,12 +77,6 @@ class AutoExecutor:
         self.model = self.dataset.fit_parameter_model(self.family)
         return self
 
-    def train_from_dataset(self, dataset: TrainingDataset) -> "AutoExecutor":
-        """Fit from a prebuilt dataset (the CV driver uses this)."""
-        self.dataset = dataset
-        self.model = dataset.fit_parameter_model(self.family)
-        return self
-
     def _require_model(self) -> ParameterModel:
         if self.model is None:
             raise RuntimeError("AutoExecutor is not trained yet")
@@ -100,26 +94,6 @@ class AutoExecutor:
         """Predict the curve and apply the selection objective."""
         curve = self.predict_curve(plan_or_features)
         return self.objective(self.n_grid, curve)
-
-    def true_curve(self, graph, cluster: Cluster | None = None) -> np.ndarray:
-        """The simulated ground-truth ``t(n)`` over this system's grid.
-
-        One batched sweep (:mod:`repro.engine.sweep`) — the curve
-        :meth:`predict_curve` is approximating.  Needs no trained model.
-        """
-        return true_runtime_curve(graph, self.n_grid, cluster)
-
-    def select_executors_oracle(
-        self, graph, cluster: Cluster | None = None
-    ) -> int:
-        """Hindsight selection: the objective on the *true* curve.
-
-        The zero-prediction-error upper bound this system's
-        :meth:`select_executors` is evaluated against (Section 5.3).
-        """
-        return oracle_executors(
-            graph, self.n_grid, cluster, objective=self.objective
-        )
 
     def select_configuration(
         self,

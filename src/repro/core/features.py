@@ -115,13 +115,6 @@ class QueryFeatures:
             raise KeyError(name) from None
         return float(self.values[index])
 
-    def masked(self, keep: tuple[str, ...]) -> np.ndarray:
-        """Project the vector onto a feature subset (Section 5.7 ablation).
-
-        Returns the values of ``keep`` in the given order.
-        """
-        return np.array([self[name] for name in keep])
-
 
 def featurize_plans(plans) -> np.ndarray:
     """Stack Table 2 feature vectors for a sequence of plans into a matrix."""

@@ -159,6 +159,17 @@ class ParameterModel:
         params = self.predict_params(vector)
         return self.ppm_class.from_parameters(params)
 
+    def predict_ppm_batch(self, features_matrix) -> list[PricePerfModel]:
+        """Score a batch of feature rows with one estimator call.
+
+        Output ``i`` is identical to :meth:`predict_ppm` on row ``i``:
+        the forest scores each row independently, so batching changes
+        the call count, never a parameter.
+        """
+        matrix = np.atleast_2d(np.asarray(features_matrix, dtype=float))
+        family = self.ppm_class
+        return [family.from_parameters(row) for row in self.predict_params(matrix)]
+
     def predict_curve(
         self, features: QueryFeatures | np.ndarray, n_grid
     ) -> np.ndarray:

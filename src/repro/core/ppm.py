@@ -91,20 +91,6 @@ class PowerLawPPM(PricePerfModel):
     def parameters(self) -> np.ndarray:
         return np.array([self.a, self.b, self.m])
 
-    def saturation_n(self) -> float:
-        """Resource level where the power law meets the floor ``m``.
-
-        Returns ``inf`` when the floor is never reached (``m = 0`` or the
-        curve is flat below it already).
-        """
-        if self.m <= 0:
-            return float("inf")
-        if self.b <= self.m:
-            return 1.0
-        if self.a == 0:
-            return float("inf")
-        return float((self.m / self.b) ** (1.0 / self.a))
-
     @classmethod
     def from_parameters(cls, params: np.ndarray) -> "PowerLawPPM":
         """Build from a (possibly model-predicted) raw parameter vector.

@@ -223,10 +223,6 @@ class StageGraph:
             finish[stage.stage_id] = start + stage.max_task_seconds
         return self.driver_seconds + max(finish, default=0.0)
 
-    def topological_order(self) -> list[int]:
-        """Stage ids in dependency order (ids are already topological)."""
-        return [s.stage_id for s in self.stages]
-
 
 def _rows_to_tasks(rows: float, config: StageCompilerConfig) -> int:
     tasks = int(np.ceil(rows / config.rows_per_shuffle_partition))

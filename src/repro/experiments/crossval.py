@@ -97,14 +97,6 @@ class CrossValResult:
     ) -> float:
         return float(self.error_at(family_or_sparklens, n, split).mean())
 
-    def test_curves(self, family: str) -> list[tuple[int, str, np.ndarray]]:
-        """All (repeat, query_id, predicted test curve) triples."""
-        out = []
-        for fold in self.folds:
-            for qid in fold.test_ids:
-                out.append((fold.repeat, qid, fold.predicted_curves[family][qid]))
-        return out
-
 
 def run_cross_validation(
     dataset: TrainingDataset,

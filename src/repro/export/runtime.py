@@ -107,9 +107,6 @@ class PortableModelRuntime:
         self.timings["inference"].add(time.perf_counter() - start)
         return out
 
-    def is_cached(self, name: str) -> bool:
-        return name in self._cache
-
     def mean_timing(self, phase: str) -> float:
         """Mean seconds of a phase (``load``/``setup``/``inference``)."""
         return self.timings[phase].mean

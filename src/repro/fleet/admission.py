@@ -216,10 +216,6 @@ class CapacityArbiter:
         self.capacity = min(max(int(new_capacity), self.in_use, 1), self.max_capacity)
         return self.capacity
 
-    def granted_to(self, query_index: int) -> int:
-        """Executors currently reserved for a query."""
-        return self._granted.get(query_index, 0)
-
     def app_usage(self, app_id: int) -> int:
         """Executors currently reserved across an application's queries."""
         return self._app_usage.get(app_id, 0)

@@ -4,7 +4,7 @@ One pool cannot serve planet-scale traffic: admission becomes a single
 convoy, capacity is one blast radius, and provisioning is all-or-nothing.
 The sharded fleet is the horizontal axis — several
 :class:`~repro.fleet.engine.PoolRuntime` pools multiplexed on one
-:class:`~repro.engine.driver.EventHeap` (re-exported here), with two
+:class:`~repro.engine.driver.EventHeap`, with two
 control loops in front of and above them:
 
 - a **router** (:mod:`repro.fleet.routing`) places each query on a pool
@@ -56,7 +56,7 @@ from repro.fleet.routing import (
 )
 from repro.workloads.generator import Workload
 
-__all__ = ["EventHeap", "PoolSpec", "ShardedFleet"]
+__all__ = ["PoolSpec", "ShardedFleet"]
 
 
 @dataclass(frozen=True)

@@ -903,28 +903,28 @@ def oracle_allocator(
     query's *true* run-time curve.
 
     AutoExecutor applies an objective (default: the paper's elbow) to a
-    *predicted* ``t(n)``; the oracle measures the real curve with one
-    batched simulator sweep over the candidate counts
-    (:func:`repro.core.selection.true_runtime_curve`) and applies the
-    same objective to it — perfect curve knowledge, zero prediction
-    error.  Results are memoized per query id: the oracle exists as the
-    bound predictions are judged against.
+    *predicted* ``t(n)``; the oracle applies the same objective to the
+    real curve, measured with one batched simulator sweep over the
+    candidate counts (:func:`repro.core.selection.oracle_executors`) —
+    perfect curve knowledge, zero prediction error.  Results are
+    memoized per query id: the oracle exists as the bound predictions
+    are judged against.
     """
-    from repro.core.selection import elbow_point, true_runtime_curve
+    from repro.core.selection import elbow_point, oracle_executors
 
     if objective is None:
         objective = elbow_point
     usable = [n for n in candidates if 1 <= n <= cluster.max_executors]
     if len(usable) < 2:
         raise ValueError("need at least two usable candidate counts")
-    grid = np.asarray(usable)
     cache: dict[str, int] = {}
 
     def allocate(query_id: str, plan: object) -> int:
         if query_id not in cache:
             graph = workload.stage_graph(query_id)
-            curve = true_runtime_curve(graph, usable, cluster, config)
-            cache[query_id] = int(objective(grid, curve))
+            cache[query_id] = oracle_executors(
+                graph, usable, cluster, objective, config
+            )
         return cache[query_id]
 
     allocate.policy_name = "oracle"

@@ -813,11 +813,6 @@ class ClusterMetrics(_Accounting):
         return all(pool.capacity_respected for pool in self.pools)
 
     @property
-    def total_capacity(self) -> int:
-        """Summed pool capacities (peak provisioned for autoscaled pools)."""
-        return sum(pool.capacity for pool in self.pools)
-
-    @property
     def total_executor_seconds(self) -> float:
         return sum(pool.total_executor_seconds for pool in self.pools)
 
@@ -871,9 +866,6 @@ class ClusterMetrics(_Accounting):
     @property
     def provisioned_dollar_cost(self) -> float:
         return sum(pool.provisioned_dollar_cost for pool in self.pools)
-
-    def queries_per_pool(self) -> list[int]:
-        return [pool.n_queries for pool in self.pools]
 
     def summary(self) -> dict[str, float]:
         """The pool count plus the shared headline keys."""

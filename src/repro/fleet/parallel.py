@@ -60,9 +60,9 @@ import traceback
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.engine.cluster import Cluster
+from repro.engine.driver import EventHeap
 from repro.fleet.arrivals import QueryArrival
 from repro.fleet.cluster import (
-    EventHeap,
     PoolSpec,
     ShardedFleet,
     _arrival_source,

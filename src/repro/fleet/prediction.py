@@ -11,14 +11,14 @@ predictions through a service that behaves like the deployed one:
 - **measured overhead**: every prediction reports the wall-clock seconds
   it cost, and the fleet engine charges that latency to the query instead
   of assuming selection is free;
-- **batched inference** for cache warm-up: scoring many plans through one
-  :class:`repro.export.runtime.PortablePPMScorer` call amortizes the
-  runtime dispatch the way the paper's ONNX runtime batches do.
+- **batched inference**: :meth:`PredictionService.predict_batch` scores
+  all of a batch's cache misses in one ``predict_ppm_batch`` call,
+  amortizing the model dispatch the way the paper's ONNX runtime
+  batches do.
 
-Any object with ``predict_ppm(features)`` works as the scorer: a trained
-:class:`repro.core.parameter_model.ParameterModel`, an
-:class:`repro.core.autoexecutor.AutoExecutor`, or a portable-model scorer
-from :mod:`repro.export`.
+The scorer is any :class:`PPMScorer`: a trained
+:class:`repro.core.parameter_model.ParameterModel` or a portable-model
+scorer from :mod:`repro.export`.
 """
 
 from __future__ import annotations
@@ -49,11 +49,16 @@ class PPMScorer(Protocol):
     """Structural type for scorers: features in, fitted PPM out.
 
     Satisfied by a trained :class:`~repro.core.parameter_model
-    .ParameterModel`, an :class:`~repro.core.autoexecutor.AutoExecutor`'s
-    model, or a portable-model scorer from :mod:`repro.export`.
+    .ParameterModel` and by the portable-model scorer
+    :class:`~repro.export.runtime.PortablePPMScorer`.  Output ``i`` of
+    ``predict_ppm_batch`` must equal ``predict_ppm`` on row ``i``.
     """
 
     def predict_ppm(self, features: QueryFeatures) -> PricePerfModel: ...
+
+    def predict_ppm_batch(
+        self, features_matrix: np.ndarray
+    ) -> list[PricePerfModel]: ...
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class PredictionService:
     """Cached, measured executor-count selection for the live query path.
 
     Args:
-        scorer: an object with ``predict_ppm(features) -> PricePerfModel``.
+        scorer: a :class:`PPMScorer` (one PPM per row, singly or batched).
         n_grid: candidate executor counts.
         objective: selection strategy over predicted curves (paper
             default: elbow).
@@ -152,12 +157,6 @@ class PredictionService:
         self.hits = 0
         self.misses = 0
         self.total_seconds = 0.0
-        #: Whether the scorer supports single-dispatch batch inference
-        #: (``predict_ppm_batch``).  Probed once here instead of silently
-        #: per call, so callers (the serving layer's ``/metrics``, the
-        #: fleet drivers) can see when batching is actually in effect.
-        self.batched = callable(getattr(scorer, "predict_ppm_batch", None))
-        self._fallback_traced = False
 
     @classmethod
     def from_autoexecutor(
@@ -183,11 +182,6 @@ class PredictionService:
     def cache_size(self) -> int:
         return len(self._cache)
 
-    @property
-    def features_memo_len(self) -> int:
-        """Current size of the bounded per-query featurization memo."""
-        return len(self._features_by_query)
-
     def invalidate(self) -> None:
         """Drop every memoized decision and bump the model generation.
 
@@ -202,17 +196,14 @@ class PredictionService:
     def swap_scorer(self, scorer: PPMScorer) -> int:
         """Hot-swap the model behind the service.
 
-        Atomic from a caller's view: the scorer is replaced, the batch
-        capability re-probed, the fallback announcement re-armed for the
-        new scorer, and every cached decision invalidated, so the next
-        decision — cached or not — comes from the new model.
+        Atomic from a caller's view: the scorer is replaced and every
+        cached decision invalidated, so the next decision — cached or
+        not — comes from the new model.
 
         Returns:
             The new model generation.
         """
         self.scorer = scorer
-        self.batched = callable(getattr(scorer, "predict_ppm_batch", None))
-        self._fallback_traced = False
         self.invalidate()
         return self.generation
 
@@ -263,27 +254,6 @@ class PredictionService:
             estimated_runtime_seconds=decision[1],
         )
 
-    def _note_fallback(self, n_misses: int) -> None:
-        """Trace the first per-miss inference loop taken in a batch call.
-
-        One event per service lifetime: the condition is structural (the
-        scorer lacks ``predict_ppm_batch``), so repeating it per call
-        would only pad the log.
-        """
-        if self._fallback_traced or self.tracer is None:
-            return
-        self._fallback_traced = True
-        self.tracer.emit(
-            TraceEvent(
-                0.0,
-                "prediction_fallback",
-                data={
-                    "scorer": type(self.scorer).__name__,
-                    "misses": n_misses,
-                },
-            )
-        )
-
     def _featurize(
         self, plan_or_features: LogicalPlan | QueryFeatures
     ) -> QueryFeatures:
@@ -305,57 +275,11 @@ class PredictionService:
             runtime = float(np.asarray(ppm.predict_curve([chosen]))[0])
         return chosen, runtime
 
-    def predict(self, plan_or_features: LogicalPlan | QueryFeatures) -> Prediction:
-        """Serve one decision, measuring its wall-clock overhead."""
-        start = time.perf_counter()
-        features = self._featurize(plan_or_features)
-        return self._serve(features, start)
-
-    def _serve(self, features: QueryFeatures, start: float) -> Prediction:
-        """Cache lookup + (on miss) inference, timed from ``start``."""
-        key = self.signature(features)
-        decision = self._live(key)
-        cached = decision is not None
-        if decision is None:
-            self.misses += 1
-            decision = self._select(self.scorer.predict_ppm(features))
-            self._remember(key, decision)
-        else:
-            self.hits += 1
-        chosen, runtime = decision
-        elapsed = time.perf_counter() - start
-        self.total_seconds += elapsed
-        if self.tracer is not None:
-            self.tracer.emit(
-                TraceEvent(
-                    0.0,
-                    "prediction",
-                    data={
-                        "executors": chosen,
-                        "cached": cached,
-                        "seconds": elapsed,
-                        "estimated_runtime_s": runtime,
-                    },
-                )
-            )
-        return Prediction(
-            executors=chosen,
-            cached=cached,
-            seconds=elapsed,
-            estimated_runtime_seconds=runtime,
-        )
-
     def predict_batch(self, plans: Sequence) -> list[Prediction]:
         """Serve many decisions at once, batching uncached inference.
 
-        When the scorer supports batch scoring (``predict_ppm_batch``,
-        provided by the portable-model runtime), all cache misses go
-        through a single inference call; the batch's wall-clock cost is
-        split evenly across the misses.  Whether that path is live is
-        exposed as :attr:`batched`; a scorer without it silently costs a
-        per-miss inference loop, so the first time the fallback actually
-        runs the service emits one ``prediction_fallback`` trace event
-        rather than degrading invisibly.
+        All cache misses go through a single ``predict_ppm_batch`` call;
+        the batch's wall-clock cost is split evenly across the misses.
         """
         start = time.perf_counter()
         featurized = [self._featurize(p) for p in plans]
@@ -378,18 +302,8 @@ class PredictionService:
                 decisions[key] = decision
 
         if miss_order:
-            batch_scorer = getattr(self.scorer, "predict_ppm_batch", None)
-            if self.batched and batch_scorer is not None:
-                matrix = np.stack(
-                    [featurized[i].values for i in miss_order]
-                )
-                ppms = batch_scorer(matrix)
-            else:
-                self._note_fallback(len(miss_order))
-                ppms = [
-                    self.scorer.predict_ppm(featurized[i])
-                    for i in miss_order
-                ]
+            matrix = np.stack([featurized[i].values for i in miss_order])
+            ppms = self.scorer.predict_ppm_batch(matrix)
             for i, ppm in zip(miss_order, ppms):
                 decision = decisions[keys[i]] = self._select(ppm)
                 self._remember(keys[i], decision)
@@ -439,7 +353,38 @@ class PredictionService:
         memo[query_id] = entry  # reinsert = most recently used
         while len(memo) > self.features_memo_size:
             memo.pop(next(iter(memo)))
-        return self._serve(entry[1], start)
+        features = entry[1]
+        key = self.signature(features)
+        decision = self._live(key)
+        cached = decision is not None
+        if decision is None:
+            self.misses += 1
+            decision = self._select(self.scorer.predict_ppm(features))
+            self._remember(key, decision)
+        else:
+            self.hits += 1
+        chosen, runtime = decision
+        elapsed = time.perf_counter() - start
+        self.total_seconds += elapsed
+        if self.tracer is not None:
+            self.tracer.emit(
+                TraceEvent(
+                    0.0,
+                    "prediction",
+                    data={
+                        "executors": chosen,
+                        "cached": cached,
+                        "seconds": elapsed,
+                        "estimated_runtime_s": runtime,
+                    },
+                )
+            )
+        return Prediction(
+            executors=chosen,
+            cached=cached,
+            seconds=elapsed,
+            estimated_runtime_seconds=runtime,
+        )
 
     # Bound methods proxy attribute reads to the function, so the fleet
     # drivers' ``allocator_annotations`` sees this on ``service.allocate``.

@@ -95,18 +95,6 @@ class RepeatedKFold:
             kf = KFold(self.n_splits, shuffle=True, random_state=fold_seed)
             yield from kf.split(n)
 
-    def split_by_repeat(
-        self, n_samples_or_X
-    ) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
-        """Yield one list of fold pairs per repeat (grouping used when the
-        paper averages within each repeat before reporting spread)."""
-        n = _n_samples(n_samples_or_X)
-        seed_rng = np.random.default_rng(self.random_state)
-        for _ in range(self.n_repeats):
-            fold_seed = int(seed_rng.integers(0, 2**31 - 1))
-            kf = KFold(self.n_splits, shuffle=True, random_state=fold_seed)
-            yield list(kf.split(n))
-
 
 def train_test_split(
     *arrays: np.ndarray,

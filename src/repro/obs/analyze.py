@@ -28,7 +28,7 @@ or load a JSONL log with :meth:`TraceAnalyzer.from_jsonl`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -368,10 +368,3 @@ class TraceAnalyzer:
     def estimator(self, query: int) -> SparklensEstimator:
         """A Sparklens estimator over one traced query's rebuilt log."""
         return SparklensEstimator(self.execution_log(query))
-
-    def sparklens_curve(
-        self, query: int, n_values: Sequence[int]
-    ) -> np.ndarray:
-        """Sparklens t(n) estimates for a traced query — the round-trip:
-        simulate, trace, rebuild the log, re-estimate."""
-        return self.estimator(query).estimate_curve(n_values)

@@ -44,15 +44,10 @@ class Counter:
 
 
 class MetricsRegistry:
-    """Named counters and quantile sketches, created on first use.
+    """Named counters and quantile sketches (1 % relative accuracy),
+    created on first use."""
 
-    Args:
-        relative_accuracy: accuracy of sketches created via
-            :meth:`sketch`.
-    """
-
-    def __init__(self, relative_accuracy: float = 0.01) -> None:
-        self.relative_accuracy = relative_accuracy
+    def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.sketches: dict[str, QuantileSketch] = {}
 
@@ -67,7 +62,7 @@ class MetricsRegistry:
         """Get or create the named quantile sketch."""
         found = self.sketches.get(name)
         if found is None:
-            found = self.sketches[name] = QuantileSketch(self.relative_accuracy)
+            found = self.sketches[name] = QuantileSketch()
         return found
 
 

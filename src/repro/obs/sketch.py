@@ -196,27 +196,3 @@ class QuantileSketch:
             f"QuantileSketch(relative_accuracy={self.relative_accuracy}, "
             f"count={self._count}, buckets={self.bucket_count})"
         )
-
-    def to_dict(self) -> dict:
-        """JSON-safe snapshot (counts keyed by stringified bucket index)."""
-        return {
-            "relative_accuracy": self.relative_accuracy,
-            "counts": {str(k): v for k, v in sorted(self._counts.items())},
-            "zeros": self._zeros,
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuantileSketch":
-        """Rebuild a sketch from :meth:`to_dict` output."""
-        out = cls(float(data["relative_accuracy"]))
-        out._counts = {int(k): int(v) for k, v in data["counts"].items()}
-        out._zeros = int(data["zeros"])
-        out._count = int(data["count"])
-        out._sum = float(data["sum"])
-        out._min = None if data["min"] is None else float(data["min"])
-        out._max = None if data["max"] is None else float(data["max"])
-        return out

@@ -85,11 +85,8 @@ EVENT_KINDS = frozenset(
         "autoscale_up",
         "autoscale_down",
         # Prediction-service events (off the simulation clock; the
-        # on-clock decision is query_predict).  prediction_fallback fires
-        # once per service lifetime when batch inference is requested of
-        # a scorer without predict_ppm_batch.
+        # on-clock decision is query_predict).
         "prediction",
-        "prediction_fallback",
         # Continual learning (repro.fleet.adaptive): drift_alarm fires
         # when the rolling prediction error crosses the configured
         # threshold; model_retrain marks a completed retraining pass

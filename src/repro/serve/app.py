@@ -303,7 +303,6 @@ class RecommendApp:
                 "cache_size": service.cache_size,
                 "evictions": service.evictions,
                 "model_generation": service.generation,
-                "batched": service.batched,
                 "mean_overhead_ms": service.mean_overhead_seconds() * 1e3,
             },
             "shed": int(self.metrics.counter("serve.shed").value),

@@ -71,17 +71,3 @@ class SparklensEstimator:
             )
             finish[stage.stage_id] = start + stage.critical_task
         return self.log.driver_seconds + max(finish.values())
-
-    def recommended_executors(self, tolerance: float = 0.02) -> int:
-        """Smallest n whose estimate is within ``tolerance`` of saturation.
-
-        This mirrors Sparklens' headline recommendation: the executor count
-        past which adding more buys (almost) nothing.
-        """
-        if tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
-        floor = self.saturation_time()
-        n = 1
-        while self.estimate(n) > floor * (1.0 + tolerance):
-            n += 1
-        return n

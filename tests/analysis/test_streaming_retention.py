@@ -75,3 +75,59 @@ class TestStreamingRetention:
             )
             == []
         )
+
+
+class TestKeyedStores:
+    """``self.x[k] = v`` grows a dict as surely as ``append`` grows a
+    list, including through a local bound to the attribute."""
+
+    def check(self, check_source, body, config=None):
+        src = textwrap.dedent(
+            """
+            class PoolStreamStats:
+                def observe(self, record):
+            """
+        ) + textwrap.indent(textwrap.dedent(body), " " * 8)
+        return check_source(
+            StreamingRetentionChecker, src, "repro.fleet.metrics", config=config
+        )
+
+    def test_direct_store_is_flagged(self, check_source):
+        findings = self.check(
+            check_source, "self.by_query[record.query_id] = record\n"
+        )
+        assert len(findings) == 1
+        assert "self.by_query" in findings[0].message
+        assert "[k] = v" in findings[0].message
+
+    def test_aliased_store_is_flagged(self, check_source):
+        findings = self.check(
+            check_source,
+            """
+            cache = self._cache
+            cache.pop(record.query_id, None)
+            cache[record.query_id] = record
+            """,
+        )
+        assert len(findings) == 1
+        assert "self._cache" in findings[0].message
+
+    def test_local_dict_is_fine(self, check_source):
+        body = """
+        scratch = {}
+        scratch[record.query_id] = record
+        latest = self.history.get(0)  # a call's result is not an alias
+        latest[0] = record
+        """
+        assert self.check(check_source, body) == []
+
+    def test_allowlisted_attribute_is_fine(self, check_source):
+        config = AnalysisConfig.from_mapping(
+            {"streaming-bounded-attrs": ["_lru"]}
+        )
+        body = """
+        self._lru[record.query_id] = record
+        lru = self._lru
+        lru[record.query_id] = record
+        """
+        assert self.check(check_source, body, config=config) == []

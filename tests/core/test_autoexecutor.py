@@ -22,9 +22,8 @@ class _FixedScorer:
 
 @pytest.fixture(scope="module")
 def trained(workload_small, cluster, dataset_small):
-    system = AutoExecutor(family="power_law")
-    system.train_from_dataset(dataset_small)
-    return system
+    model = dataset_small.fit_parameter_model("power_law")
+    return AutoExecutor(family="power_law", model=model, dataset=dataset_small)
 
 
 class TestFacade:
@@ -50,7 +49,8 @@ class TestFacade:
         system = AutoExecutor(
             family="amdahl",
             objective=lambda grid, curve: limited_slowdown(grid, curve, 1.0),
-        ).train_from_dataset(dataset_small)
+            model=dataset_small.fit_parameter_model("amdahl"),
+        )
         # AE_AL with H=1 must always select the max (no saturation)
         n = system.select_executors(workload_small.optimized_plan("q1"))
         assert n == 48

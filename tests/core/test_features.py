@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.features import FEATURE_NAMES, QueryFeatures, featurize_plans
+from repro.core.parameter_model import ParameterModel
 from repro.engine.optimizer import Optimizer
 from repro.engine.plan import (
     OPERATOR_KINDS,
@@ -81,10 +82,14 @@ class TestFromPlan:
             features["NoSuchFeature"]
 
     def test_masked_projection(self, features):
-        subset = features.masked(("TotalInputBytes", "MaxDepth"))
-        assert subset.shape == (2,)
-        assert subset[0] == features["TotalInputBytes"]
-        assert subset[1] == features["MaxDepth"]
+        # The Section 5.7 ablation projects full vectors onto a subset
+        # inside the parameter model.
+        keep = ("TotalInputBytes", "MaxDepth")
+        model = ParameterModel(family="amdahl", feature_names=keep)
+        subset = model._project(features.values[None, :])
+        assert subset.shape == (1, 2)
+        assert subset[0, 0] == features["TotalInputBytes"]
+        assert subset[0, 1] == features["MaxDepth"]
 
 
 class TestValidation:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.features import FEATURE_NAMES
+from repro.core.features import FEATURE_NAMES, QueryFeatures
 from repro.core.parameter_model import ParameterModel
 from repro.core.ppm import AmdahlPPM, PowerLawPPM
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression
+from repro.workloads.generator import Workload
+from repro.workloads.tpcds import QUERY_IDS
 
 
 def synthetic_dataset(n=60, seed=0):
@@ -97,6 +100,45 @@ class TestFitPredict:
         X, Y = synthetic_dataset()
         with pytest.raises(ValueError, match="row counts"):
             ParameterModel(family="amdahl").fit(X[:-1], Y)
+
+
+class TestBatchScoring:
+    """``predict_ppm_batch`` is the prediction service's one inference
+    path, so its rows must be ``predict_ppm``'s, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def tpcds_features(self):
+        rows = []
+        for scale_factor in (10, 100):
+            workload = Workload(scale_factor=scale_factor)
+            for qid in QUERY_IDS:
+                plan = workload.optimized_plan(qid)
+                rows.append(QueryFeatures.from_plan(plan).values)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("family", ["power_law", "amdahl"])
+    def test_rows_equal_single_scoring_on_every_tpcds_plan(
+        self, family, dataset_small, tpcds_features
+    ):
+        forest = RandomForestRegressor(n_estimators=20, random_state=0)
+        model = dataset_small.fit_parameter_model(family, estimator=forest)
+        grid = np.arange(1, 49)
+        batch = model.predict_ppm_batch(tpcds_features)
+        assert len(batch) == len(tpcds_features) == 2 * len(QUERY_IDS)
+        for row, ppm in zip(tpcds_features, batch):
+            single = model.predict_ppm(row)
+            assert type(ppm) is type(single)
+            assert ppm.parameters().tobytes() == single.parameters().tobytes()
+            assert (
+                ppm.predict_curve(grid).tobytes()
+                == single.predict_curve(grid).tobytes()
+            )
+
+    def test_one_row_vector_is_promoted(self):
+        X, Y = synthetic_dataset()
+        model = ParameterModel(family="amdahl").fit(X, Y)
+        (ppm,) = model.predict_ppm_batch(X[0])
+        assert ppm == model.predict_ppm(X[0])
 
 
 class TestFeatureSubsets:

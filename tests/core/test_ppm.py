@@ -29,12 +29,6 @@ class TestPowerLawPPM:
         with pytest.raises(ValueError):
             PowerLawPPM(a=-1.0, b=10.0, m=0.0).predict(0.5)
 
-    def test_saturation_n(self):
-        ppm = PowerLawPPM(a=-1.0, b=100.0, m=10.0)
-        assert ppm.saturation_n() == pytest.approx(10.0)
-        assert PowerLawPPM(a=-1.0, b=100.0, m=0.0).saturation_n() == np.inf
-        assert PowerLawPPM(a=0.0, b=100.0, m=10.0).saturation_n() == np.inf
-
     def test_from_parameters_clamps(self):
         ppm = PowerLawPPM.from_parameters(np.array([0.7, -5.0, -2.0]))
         assert ppm.a == 0.0

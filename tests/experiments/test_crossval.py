@@ -68,9 +68,13 @@ class TestErrors:
         assert isinstance(cv.mean_error_at("power_law", 8), float)
 
     def test_test_curves_enumeration(self, cv, dataset_small):
-        triples = cv.test_curves("power_law")
+        tested = [
+            (fold.repeat, qid, fold.predicted_curves["power_law"][qid])
+            for fold in cv.folds
+            for qid in fold.test_ids
+        ]
         # every query appears once per repeat
-        assert len(triples) == 2 * len(dataset_small.query_ids)
+        assert len(tested) == 2 * len(dataset_small.query_ids)
 
     def test_deterministic(self, dataset_small, actuals_small):
         a = run_cross_validation(

@@ -54,12 +54,11 @@ class TestRuntime:
     def test_model_cached_after_first_load(self, registry):
         root, _, X = registry
         runtime = PortableModelRuntime(root)
-        assert not runtime.is_cached("ae_al")
+        assert runtime.timings["load"].count == 0
         runtime.predict("ae_al", X[:1])
-        assert runtime.is_cached("ae_al")
-        loads_before = runtime.timings["load"].count
+        assert runtime.timings["load"].count == 1
         runtime.predict("ae_al", X[:1])
-        assert runtime.timings["load"].count == loads_before  # no reload
+        assert runtime.timings["load"].count == 1  # no reload
 
     def test_timings_recorded(self, registry):
         root, _, X = registry

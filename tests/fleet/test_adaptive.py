@@ -278,6 +278,9 @@ class TestAdaptiveServe:
             def predict_ppm(self, features):
                 return PowerLawPPM(a=-0.8, b=400.0, m=10.0)
 
+            def predict_ppm_batch(self, matrix):
+                return [self.predict_ppm(row) for row in matrix]
+
         controller = AdaptiveController(PredictionService(FixedScorer()))
         with pytest.raises(ValueError, match="feedback"):
             ProcessShardExecutor(

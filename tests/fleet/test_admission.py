@@ -94,10 +94,10 @@ class TestArbiterBookkeeping:
         arbiter = CapacityArbiter(capacity=8)
         arbiter.submit(req(0, app=3, n=6))
         arbiter.admit()
-        assert arbiter.granted_to(0) == 6
+        assert arbiter.in_use == 6
         assert arbiter.app_usage(3) == 6
         assert arbiter.release(0, 2) == 2
-        assert arbiter.granted_to(0) == 4
+        assert arbiter.in_use == 4
         assert arbiter.free == 4
         assert arbiter.release(0) == 4  # rest of the grant
         assert arbiter.in_use == 0

@@ -27,6 +27,9 @@ class FixedScorer:
     def predict_ppm(self, features):
         return PowerLawPPM(a=-0.8, b=400.0, m=10.0)
 
+    def predict_ppm_batch(self, matrix):
+        return [self.predict_ppm(row) for row in matrix]
+
 
 @pytest.fixture(scope="module")
 def arrivals(workload_small):

@@ -26,9 +26,9 @@ from repro.fleet import (
 from repro.engine import execution
 from repro.engine.allocation import DynamicAllocation
 from repro.engine.cluster import Cluster
+from repro.engine.driver import EventHeap
 from repro.engine.faults import FaultPlan, SpotMarket
 from repro.engine.scheduler import simulate_query
-from repro.fleet.cluster import EventHeap
 from repro.fleet.engine import PoolRuntime
 from repro.obs import RingBufferTracer
 from repro.workloads.generator import Workload
@@ -170,7 +170,7 @@ class TestRoutingBehavior:
         metrics = ShardedFleet(
             workload, [16, 16, 16], static_allocator(4), router=RoundRobinRouter()
         ).serve(arrivals)
-        assert metrics.queries_per_pool() == [2, 2, 2]
+        assert [pool.n_queries for pool in metrics.pools] == [2, 2, 2]
 
     def test_cost_aware_avoids_backlogged_pool(self, workload):
         """Back-to-back big queries must not convoy on one pool."""
@@ -181,7 +181,7 @@ class TestRoutingBehavior:
             static_allocator(16),
             router=CostAwareRouter(),
         ).serve(arrivals)
-        spread = metrics.queries_per_pool()
+        spread = [pool.n_queries for pool in metrics.pools]
         assert sorted(spread) == [2, 2]
         # and the informed placement beats convoying them on one pool
         convoy = ShardedFleet(
@@ -285,7 +285,7 @@ class TestAutoscaling:
             static_allocator(4),
             router=RoundRobinRouter(),
         ).serve([QueryArrival(0, "q1", 0, 0.0)])
-        assert metrics.queries_per_pool() == [1, 0]
+        assert [pool.n_queries for pool in metrics.pools] == [1, 0]
         used, idle_pool = metrics.pools
         span = metrics.makespan
         assert idle_pool.provisioned_executor_seconds == pytest.approx(8 * span)

@@ -173,8 +173,7 @@ class TestClusterRollups:
         assert cluster.n_pools == 2
         assert cluster.n_queries == 2
         assert cluster.makespan == 210.0  # first arrival 0 -> last finish 210
-        assert cluster.queries_per_pool() == [1, 1]
-        assert cluster.total_capacity == pool_a.capacity + pool_b.capacity
+        assert [pool.n_queries for pool in cluster.pools] == [1, 1]
 
     def test_costs_are_pool_sums(self):
         pool_a, pool_b, cluster = self.build()

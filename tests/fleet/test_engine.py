@@ -1,9 +1,12 @@
 """Fleet-engine tests: determinism, capacity invariants, serving
 semantics, metrics plumbing."""
 
+import numpy as np
 import pytest
 
+from repro.core.selection import elbow_point, limited_slowdown, true_runtime_curve
 from repro.engine.allocation import DynamicAllocation
+from repro.engine.cluster import Cluster
 from repro.engine.execution import SchedulerConfig
 from repro.fleet import (
     AutoscalerConfig,
@@ -15,6 +18,7 @@ from repro.fleet import (
     Prediction,
     QueryArrival,
     ShardedFleet,
+    oracle_allocator,
     poisson_arrivals,
     static_allocator,
     trace_arrivals,
@@ -29,6 +33,35 @@ QIDS = ("q1", "q2", "q3", "q5", "q94")
 @pytest.fixture(scope="module")
 def workload():
     return Workload(scale_factor=50, query_ids=QIDS)
+
+
+class TestOracleAllocator:
+    """The oracle is ``oracle_executors`` per query id: its decisions
+    equal the objective applied to the true curve over the usable
+    candidates, computed here the long way."""
+
+    @pytest.mark.parametrize(
+        "objective",
+        [elbow_point, lambda grid, curve: limited_slowdown(grid, curve, 1.2)],
+        ids=["elbow", "slowdown"],
+    )
+    def test_decisions_match_true_curve_selection(self, workload, objective):
+        config = SchedulerConfig()
+        for cluster in (Cluster(), Cluster(max_nodes=6)):
+            allocate = oracle_allocator(
+                workload, cluster, objective=objective, config=config
+            )
+            usable = [
+                n
+                for n in (1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48)
+                if n <= cluster.max_executors
+            ]
+            for qid in QIDS:
+                graph = workload.stage_graph(qid)
+                curve = true_runtime_curve(graph, usable, cluster, config)
+                expected = int(objective(np.asarray(usable), curve))
+                assert allocate(qid, None) == expected
+                assert allocate(qid, None) == expected  # memoized
 
 
 class TestServingSemantics:

@@ -1,11 +1,13 @@
 """One metrics fold: record-mode metrics equal the record formulas.
 
-Record-backed :class:`FleetMetrics` derive their :class:`PoolStreamStats`
-by replaying records (stream order) and skylines (point by point).  The
-reference below is the record-formula view the fold replaced — sums in
-stream order, ``FaultStats.merged``, ``Skyline.auc`` window differences
-and the pointwise two-skyline capacity check — and every number must
-match it with ``==``, not ``approx``.
+Both serve modes keep one online :class:`PoolStreamStats` per pool: every
+usage and capacity step feeds its trackers and the capacity check as it
+happens.  Record mode settles the trackers at each finish and folds its
+records in stream order at ``finalize``.  The reference below is the
+record-formula view the fold replaced — sums in stream order,
+``FaultStats.merged``, ``Skyline.auc`` window differences and the
+pointwise two-skyline capacity check — and every number must match it
+with ``==``, not ``approx``.
 """
 
 import numpy as np

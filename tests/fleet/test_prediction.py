@@ -12,7 +12,7 @@ from repro.workloads.generator import Workload
 
 
 class CountingScorer:
-    """Fixed-curve scorer that counts inference calls."""
+    """Fixed-curve scorer that counts scored rows."""
 
     def __init__(self):
         self.calls = 0
@@ -20,6 +20,9 @@ class CountingScorer:
     def predict_ppm(self, features):
         self.calls += 1
         return PowerLawPPM(a=-0.8, b=400.0, m=10.0)
+
+    def predict_ppm_batch(self, matrix):
+        return [self.predict_ppm(QueryFeatures(values=row)) for row in matrix]
 
 
 def features(seed: float) -> QueryFeatures:
@@ -32,10 +35,10 @@ class TestMemoCache:
         scorer = CountingScorer()
         service = PredictionService(scorer)
         f1, f2 = features(1.0), features(2.0)
-        service.predict(f1)
-        service.predict(f2)
-        service.predict(f1)
-        service.predict(f1)
+        service.predict_batch([f1])
+        service.predict_batch([f2])
+        service.predict_batch([f1])
+        service.predict_batch([f1])
         assert service.misses == 2
         assert service.hits == 2
         assert service.cache_size == 2
@@ -43,8 +46,8 @@ class TestMemoCache:
 
     def test_cached_flag_and_overhead(self):
         service = PredictionService(CountingScorer())
-        first = service.predict(features(1.0))
-        second = service.predict(features(1.0))
+        first = service.predict_batch([features(1.0)])[0]
+        second = service.predict_batch([features(1.0)])[0]
         assert not first.cached
         assert second.cached
         assert first.seconds >= 0.0
@@ -56,8 +59,8 @@ class TestMemoCache:
         w1 = Workload(scale_factor=50, query_ids=("q3",))
         w2 = Workload(scale_factor=50, query_ids=("q3",))
         service = PredictionService(CountingScorer())
-        a = service.predict(w1.optimized_plan("q3"))
-        b = service.predict(w2.optimized_plan("q3"))
+        a = service.predict_batch([w1.optimized_plan("q3")])[0]
+        b = service.predict_batch([w2.optimized_plan("q3")])[0]
         assert a.executors == b.executors
         assert not a.cached
         assert b.cached
@@ -74,7 +77,7 @@ class TestMemoCache:
         service = PredictionService(
             CountingScorer(), min_executors=3, max_executors=3
         )
-        assert service.predict(features(1.0)).executors == 3
+        assert service.predict_batch([features(1.0)])[0].executors == 3
 
     def test_invalid_clamp_rejected(self):
         with pytest.raises(ValueError):
@@ -118,10 +121,10 @@ class TestAllocateFeaturizationMemo:
         service = PredictionService(scorer)
         workload = Workload(scale_factor=10, query_ids=("q1", "q2"))
         via_allocate = service.allocate("q2", workload.optimized_plan("q2"))
-        via_predict = PredictionService(CountingScorer()).predict(
-            workload.optimized_plan("q2")
-        )
-        assert via_allocate.executors == via_predict.executors
+        via_batch = PredictionService(CountingScorer()).predict_batch(
+            [workload.optimized_plan("q2")]
+        )[0]
+        assert via_allocate.executors == via_batch.executors
 
 
 class TestGenerationAndSwap:
@@ -130,7 +133,7 @@ class TestGenerationAndSwap:
 
     def test_invalidate_bumps_generation_and_clears_cache(self):
         service = PredictionService(CountingScorer())
-        service.predict(features(1.0))
+        service.predict_batch([features(1.0)])
         assert service.generation == 0
         assert service.cache_size == 1
         service.invalidate()
@@ -144,18 +147,18 @@ class TestGenerationAndSwap:
         workload = Workload(scale_factor=10, query_ids=("q1",))
         service.allocate("q1", workload.optimized_plan("q1"))
         service.invalidate()
-        assert service.features_memo_len == 1
+        assert len(service._features_by_query) == 1
 
     def test_stale_generation_entry_is_a_miss(self):
         # Belt and braces: even an entry that somehow survived the clear
         # is dead, because its generation tag no longer matches.
         scorer = CountingScorer()
         service = PredictionService(scorer)
-        service.predict(features(1.0))
+        service.predict_batch([features(1.0)])
         key, entry = next(iter(service._cache.items()))
         service.invalidate()
         service._cache[key] = entry  # resurrect a generation-0 entry
-        pred = service.predict(features(1.0))
+        pred = service.predict_batch([features(1.0)])[0]
         assert pred.cached is False
         assert scorer.calls == 2
         assert service._cache[key][0] == 1  # re-tagged at the new generation
@@ -167,41 +170,17 @@ class TestGenerationAndSwap:
                 return PowerLawPPM(a=-0.8, b=800.0, m=20.0)
 
         service = PredictionService(CountingScorer())
-        before = service.predict(features(1.0))
+        before = service.predict_batch([features(1.0)])[0]
         generation = service.swap_scorer(SlowerScorer())
         assert generation == 1
         assert service.generation == 1
-        after = service.predict(features(1.0))
+        after = service.predict_batch([features(1.0)])[0]
         # Without invalidation this would be a cache hit serving the old
         # model's decision — the exact stale-model bug.
         assert after.cached is False
         assert (
             after.estimated_runtime_seconds != before.estimated_runtime_seconds
         )
-
-    def test_swap_reprobes_batch_capability(self):
-        class BatchScorer(CountingScorer):
-            def predict_ppm_batch(self, matrix):
-                return [self.predict_ppm(None) for _ in np.atleast_2d(matrix)]
-
-        service = PredictionService(CountingScorer())
-        assert service.batched is False
-        service.swap_scorer(BatchScorer())
-        assert service.batched is True
-        service.swap_scorer(CountingScorer())
-        assert service.batched is False
-
-    def test_swap_rearms_fallback_announcement(self):
-        from repro.obs.trace import RingBufferTracer
-
-        tracer = RingBufferTracer()
-        service = PredictionService(CountingScorer(), tracer=tracer)
-        service.predict_batch([features(1.0)])
-        service.swap_scorer(CountingScorer())
-        service.predict_batch([features(2.0)])
-        kinds = [e.kind for e in tracer.events]
-        # Once per scorer lifetime: the swap started a new lifetime.
-        assert kinds.count("prediction_fallback") == 2
 
 
 class TestFeaturesMemoLRU:
@@ -213,7 +192,7 @@ class TestFeaturesMemoLRU:
         plan = workload.optimized_plan("q1")
         for i in range(12):
             service.allocate(f"id{i}", plan)
-        assert service.features_memo_len == 4
+        assert len(service._features_by_query) == 4
         assert list(service._features_by_query) == ["id8", "id9", "id10", "id11"]
 
     def test_hit_refreshes_recency(self):
@@ -268,7 +247,7 @@ class TestLookup:
 
     def test_stale_generation_entry_is_not_a_hit(self):
         service = PredictionService(CountingScorer())
-        service.predict(features(1.0))
+        service.predict_batch([features(1.0)])
         key, entry = next(iter(service._cache.items()))
         service.invalidate()
         service._cache[key] = entry  # resurrect a generation-0 entry
@@ -283,22 +262,25 @@ class TestDecisionCacheLRU:
         service = PredictionService(CountingScorer())
         service.decision_cache_size = 3
         for seed in range(6):
-            service.predict(features(float(seed)))
+            service.predict_batch([features(float(seed))])
         assert service.cache_size == 3
         assert service.evictions == 3
         assert [key[0] for key in service._cache] == [3.0, 4.0, 5.0]
 
-    @pytest.mark.parametrize("path", ["lookup", "predict", "predict_batch"])
+    @pytest.mark.parametrize("path", ["lookup", "allocate", "predict_batch"])
     def test_every_hit_path_refreshes_recency(self, path):
         service = PredictionService(CountingScorer())
         service.decision_cache_size = 2
-        service.predict(features(1.0))
-        service.predict(features(2.0))
+        service.predict_batch([features(1.0)])
+        service.predict_batch([features(2.0)])
         if path == "predict_batch":
             service.predict_batch([features(1.0)])
+        elif path == "allocate":
+            # allocate featurizes a plan; a QueryFeatures passes through.
+            service.allocate("q", features(1.0))
         else:
-            getattr(service, path)(features(1.0))
-        service.predict(features(3.0))  # evicts 2.0, not the refreshed 1.0
+            service.lookup(features(1.0))
+        service.predict_batch([features(3.0)])  # evicts 2.0, not the refreshed 1.0
         assert [key[0] for key in service._cache] == [1.0, 3.0]
         assert service.evictions == 1
 
@@ -306,9 +288,9 @@ class TestDecisionCacheLRU:
         scorer = CountingScorer()
         service = PredictionService(scorer)
         service.decision_cache_size = 1
-        first = service.predict(features(1.0))
-        service.predict(features(2.0))  # evicts 1.0
-        again = service.predict(features(1.0))
+        first = service.predict_batch([features(1.0)])[0]
+        service.predict_batch([features(2.0)])  # evicts 1.0
+        again = service.predict_batch([features(1.0)])[0]
         assert again.cached is False
         assert again.executors == first.executors
         assert scorer.calls == 3
@@ -341,7 +323,9 @@ class TestBatching:
     def test_batch_matches_sequential(self):
         plans = [features(float(i % 3)) for i in range(7)]
         sequential = PredictionService(CountingScorer())
-        one_by_one = [sequential.predict(p).executors for p in plans]
+        one_by_one = [
+            sequential.predict_batch([p])[0].executors for p in plans
+        ]
         batched = PredictionService(CountingScorer())
         batch = batched.predict_batch(plans)
         assert [p.executors for p in batch] == one_by_one
@@ -357,46 +341,28 @@ class TestBatching:
         assert [p.cached for p in out] == [False, True, False]
         assert scorer.calls == 2
 
-    def test_batched_flag_reflects_scorer_capability(self):
-        assert PredictionService(CountingScorer()).batched is False
-
-        class BatchScorer(CountingScorer):
-            def predict_ppm_batch(self, matrix):
-                return [
-                    self.predict_ppm(None) for _ in np.atleast_2d(matrix)
-                ]
-
-        assert PredictionService(BatchScorer()).batched is True
-
-    def test_fallback_emits_one_trace_event(self):
-        from repro.obs.trace import RingBufferTracer
-
-        tracer = RingBufferTracer()
-        service = PredictionService(CountingScorer(), tracer=tracer)
-        service.predict_batch([features(1.0), features(2.0)])
-        service.predict_batch([features(3.0)])  # second fallback: no event
-        kinds = [e.kind for e in tracer.events]
-        assert kinds.count("prediction_fallback") == 1
-        event = next(
-            e for e in tracer.events if e.kind == "prediction_fallback"
-        )
-        assert event.data["scorer"] == "CountingScorer"
-        assert event.data["misses"] == 2
-
     def test_no_fallback_event_for_batched_scorer(self):
-        from repro.obs.trace import RingBufferTracer
+        """Every miss of a batch goes through one ``predict_ppm_batch``
+        call; there is no per-miss path and no event beyond the
+        taxonomy."""
+        from repro.obs.trace import EVENT_KINDS, RingBufferTracer
 
         class BatchScorer(CountingScorer):
-            def predict_ppm_batch(self, matrix):
-                return [
-                    PowerLawPPM(a=-0.8, b=400.0, m=10.0)
-                    for _ in np.atleast_2d(matrix)
-                ]
+            def __init__(self):
+                super().__init__()
+                self.batches = []
 
+            def predict_ppm_batch(self, matrix):
+                self.batches.append(len(matrix))
+                return super().predict_ppm_batch(matrix)
+
+        scorer = BatchScorer()
         tracer = RingBufferTracer()
-        service = PredictionService(BatchScorer(), tracer=tracer)
-        service.predict_batch([features(1.0), features(2.0)])
-        assert all(e.kind != "prediction_fallback" for e in tracer.events)
+        service = PredictionService(scorer, tracer=tracer)
+        service.predict_batch([features(1.0), features(2.0), features(1.0)])
+        service.predict_batch([features(2.0)])  # all hits: no call
+        assert scorer.batches == [2]
+        assert all(e.kind in EVENT_KINDS for e in tracer.events)
 
 
 class TestPortableRuntime:
@@ -420,7 +386,7 @@ class TestPortableRuntime:
         for qid in ("q1", "q94"):
             plan = workload.optimized_plan(qid)
             assert (
-                service.predict(plan).executors
+                service.predict_batch([plan])[0].executors
                 == system.select_executors(plan)
             )
 

@@ -382,6 +382,9 @@ class TestMemoryFlatness:
             def predict_ppm(self, features):
                 return PowerLawPPM(a=-0.8, b=60.0, m=2.0)
 
+            def predict_ppm_batch(self, matrix):
+                return [self.predict_ppm(row) for row in matrix]
+
         class RecurringPlan:
             """One real plan behind an endless supply of query ids."""
 
@@ -403,7 +406,7 @@ class TestMemoryFlatness:
         def stream():
             for i in range(600):
                 if i and i % 150 == 0:
-                    samples.append(service.features_memo_len)
+                    samples.append(len(service._features_by_query))
                 yield QueryArrival(i, f"u{i}", 0, i * 0.1)
 
         metrics = FleetEngine(
@@ -415,7 +418,7 @@ class TestMemoryFlatness:
         assert metrics.stats.n_queries == 600
         assert len(samples) == 3
         assert all(s <= 16 for s in samples), samples
-        assert service.features_memo_len == 16
+        assert len(service._features_by_query) == 16
         # Eviction never costs a wrong answer: one signature, one miss.
         assert service.misses == 1
         assert service.hits == 599

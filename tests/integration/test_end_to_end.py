@@ -25,7 +25,7 @@ from repro.export.runtime import PortableModelRuntime, PortablePPMScorer
 
 class TestTrainPredictSelect:
     def test_facade_end_to_end(self, workload_mid, cluster, dataset_mid):
-        system = AutoExecutor(family="power_law").train_from_dataset(dataset_mid)
+        system = AutoExecutor(model=dataset_mid.fit_parameter_model("power_law"))
         for qid in list(workload_mid)[:10]:
             n = system.select_executors(workload_mid.optimized_plan(qid))
             assert 1 <= n <= 48
@@ -39,7 +39,8 @@ class TestTrainPredictSelect:
         system = AutoExecutor(
             family="power_law",
             objective=lambda g, c: limited_slowdown(g, c, 1.0),
-        ).train_from_dataset(dataset_mid)
+            model=dataset_mid.fit_parameter_model("power_law"),
+        )
         grid = np.arange(1, 49)
         speedups = []
         for qid in list(workload_mid)[::4]:
@@ -91,7 +92,7 @@ class TestInteractiveApplication:
     def test_figure7_lifecycle(self, workload_mid, cluster, dataset_mid):
         """Two queries in one app: predictive allocation per query,
         reactive deallocation in the gap."""
-        system = AutoExecutor(family="power_law").train_from_dataset(dataset_mid)
+        system = AutoExecutor(model=dataset_mid.fit_parameter_model("power_law"))
         optimizer = Optimizer()
         optimizer.inject_rule(system.make_rule())
         app = SparkApplication(

@@ -54,14 +54,17 @@ class TestRepeatedKFold:
 
     def test_each_repeat_is_a_full_partition(self):
         rkf = RepeatedKFold(n_splits=4, n_repeats=3, random_state=0)
-        for folds in rkf.split_by_repeat(20):
-            covered = sorted(i for _, test in folds for i in test)
+        folds = list(rkf.split(20))
+        assert len(folds) == 12
+        for start in range(0, len(folds), 4):  # one repeat per 4 folds
+            repeat = folds[start : start + 4]
+            covered = sorted(i for _, test in repeat for i in test)
             assert covered == list(range(20))
 
     def test_repeats_use_different_shuffles(self):
         rkf = RepeatedKFold(n_splits=2, n_repeats=2, random_state=0)
-        repeats = list(rkf.split_by_repeat(16))
-        assert repeats[0][0][1].tolist() != repeats[1][0][1].tolist()
+        folds = list(rkf.split(16))  # two folds per repeat
+        assert folds[0][1].tolist() != folds[2][1].tolist()
 
     def test_deterministic_given_seed(self):
         r1 = [t.tolist() for _, t in RepeatedKFold(3, 2, random_state=5).split(9)]

@@ -150,7 +150,7 @@ class TestSparklensRoundTrip:
         metrics, analyzer = traced_fleet
         n_values = [2, 4, 8, 16]
         for q in (0, 5, 11):
-            from_trace = analyzer.sparklens_curve(q, n_values)
+            from_trace = analyzer.estimator(q).estimate_curve(n_values)
             from_engine = SparklensEstimator(
                 metrics.records[q].execution_log
             ).estimate_curve(n_values)

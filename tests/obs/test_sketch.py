@@ -117,15 +117,6 @@ class TestMergeAlgebra:
 
 
 class TestSerialization:
-    @given(values=positive_values)
-    @settings(max_examples=50, deadline=None)
-    def test_dict_round_trip(self, values):
-        sketch = QuantileSketch()
-        sketch.extend(values)
-        back = QuantileSketch.from_dict(sketch.to_dict())
-        assert back == sketch
-        assert back.quantiles([50, 95, 99]) == sketch.quantiles([50, 95, 99])
-
     def test_bounded_memory(self):
         """Bucket count grows logarithmically, not with stream length."""
         sketch = QuantileSketch(relative_accuracy=0.01)

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from repro.core.features import FEATURE_NAMES, QueryFeatures
+from repro.core.parameter_model import ParameterModel
 from repro.core.ppm import PowerLawPPM
 from repro.core.selection import elbow_point
 from repro.core.training import DEFAULT_N_GRID
 from repro.export.runtime import PortableModelRuntime, PortablePPMScorer
 from repro.fleet.prediction import PredictionService
+from repro.ml.forest import RandomForestRegressor
 from repro.obs.trace import EVENT_KINDS, RingBufferTracer
 from repro.serve import RecommendApp, ServeClient, ServerConfig
 from repro.serve.server import RecommendationServer
@@ -56,17 +58,6 @@ class StubScorer:
         self.batch_calls += 1
         self.batch_sizes.append(matrix.shape[0])
         return [_ppm_for(row[0]) for row in matrix]
-
-
-class UnbatchedStubScorer:
-    """Same predictions, no batch entry point: the fallback path."""
-
-    def __init__(self):
-        self.single_calls = 0
-
-    def predict_ppm(self, features):
-        self.single_calls += 1
-        return _ppm_for(np.asarray(features.values)[0])
 
 
 @contextlib.asynccontextmanager
@@ -332,28 +323,42 @@ class TestBatchingBehaviour:
             assert a["executors"] == b["executors"]
             assert a["estimated_runtime_s"] == b["estimated_runtime_s"]
 
-    def test_unbatched_scorer_still_serves(self):
+    def test_parameter_model_scorer_serves_its_own_answers(self):
+        """An in-process ParameterModel is a batch scorer too: the HTTP
+        answers equal its single-row ``predict_ppm`` plus elbow."""
+        rng = np.random.default_rng(5)
+        X = rng.random((40, N_FEATURES))
+        Y = np.column_stack(
+            [-rng.random(40) - 0.1, rng.random(40) * 50 + 10, rng.random(40) * 2]
+        )
+        forest = RandomForestRegressor(n_estimators=6, random_state=0)
+        model = ParameterModel("power_law", estimator=forest).fit(X, Y)
+        matrix = rng.random((6, N_FEATURES))
+
         async def run():
-            scorer = UnbatchedStubScorer()
-            tracer = RingBufferTracer(capacity=64)
-            async with serve_stack(scorer, tracer=tracer) as (
+            async with serve_stack(model, app_kwargs={"max_wait_s": 0.05}) as (
                 _,
-                app,
+                _,
                 host,
                 port,
             ):
-                async with ServeClient(host, port) as client:
-                    reply = await client.post_json(
-                        "/v1/recommend", features_payload(1.0)
-                    )
-                    metrics = (await client.get("/metrics")).json()
-                    return reply.json(), metrics, list(tracer.events)
 
-        body, metrics, events = asyncio.run(run())
-        assert body["executors"] >= 1
-        assert metrics["prediction"]["batched"] is False
-        kinds = [event.kind for event in events]
-        assert kinds.count("prediction_fallback") == 1
+                async def one(row):
+                    async with ServeClient(host, port) as client:
+                        payload = {"features": [float(v) for v in row]}
+                        reply = await client.post_json("/v1/recommend", payload)
+                        return reply.json()
+
+                return await asyncio.gather(*(one(row) for row in matrix))
+
+        served = asyncio.run(run())
+        assert max(body["batch_size"] for body in served) > 1
+        for body, row in zip(served, matrix):
+            curve = model.predict_ppm(row).predict_curve(DEFAULT_N_GRID)
+            chosen = int(np.clip(elbow_point(DEFAULT_N_GRID, curve), 1, 48))
+            runtime = float(curve[np.nonzero(DEFAULT_N_GRID == chosen)[0][0]])
+            assert body["executors"] == chosen
+            assert body["estimated_runtime_s"] == runtime
 
 
 class TestOverloadAndDeadlines:
@@ -520,7 +525,6 @@ class TestMetricsAndTracing:
         assert metrics["prediction"]["hits"] == 1
         assert metrics["prediction"]["misses"] == 2
         assert metrics["prediction"]["hit_rate"] == pytest.approx(1 / 3)
-        assert metrics["prediction"]["batched"] is True
         assert metrics["shed"] == 0
         assert metrics["timeouts"] == 0
 
@@ -617,9 +621,9 @@ class TestCacheHitFastPath:
         assert after["cached"] is False
         assert after["batch_size"] == 1
         assert new_batch_calls == 1
-        fresh = PredictionService(StubScorer()).predict(
-            QueryFeatures(np.full(N_FEATURES, 6.0))
-        )
+        fresh = PredictionService(StubScorer()).predict_batch(
+            [QueryFeatures(np.full(N_FEATURES, 6.0))]
+        )[0]
         assert after["estimated_runtime_s"] == fresh.estimated_runtime_seconds
         assert after["estimated_runtime_s"] != cached["estimated_runtime_s"]
 

@@ -50,17 +50,6 @@ class TestEstimates:
         with pytest.raises(ValueError):
             SparklensEstimator(make_log()).estimate(0)
 
-    def test_recommended_executors_reaches_saturation(self):
-        est = SparklensEstimator(make_log())
-        n_rec = est.recommended_executors(tolerance=0.05)
-        assert est.estimate(n_rec) <= est.saturation_time() * 1.05
-        if n_rec > 1:
-            assert est.estimate(n_rec - 1) > est.saturation_time() * 1.05
-
-    def test_recommended_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            SparklensEstimator(make_log()).recommended_executors(-0.1)
-
 
 class TestAgainstSimulator:
     """Sparklens replays the scheduler — on friction-free workloads its

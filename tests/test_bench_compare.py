@@ -460,7 +460,6 @@ def serve_json(
             "hits": n_requests - 50,
             "misses": 50,
             "hit_rate": (n_requests - 50) / n_requests,
-            "batched": True,
         },
         "parity": {
             "n_checked": n_requests,
@@ -707,7 +706,6 @@ def test_checked_in_serve_baseline_is_valid():
     assert data["serve"]["p99_ms"] <= data["serve"]["p99_budget_ms"]
     assert data["batch"]["batching_active"] is True
     assert data["batch"]["mean_size"] > 1.0
-    assert data["cache"]["batched"] is True
     assert data["parity"]["bit_identical"] is True
     assert data["parity"]["mismatches"] == 0
 
