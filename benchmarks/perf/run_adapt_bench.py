@@ -147,7 +147,7 @@ def adaptive_config(args, **overrides):
 
 def check_zero_retrain_parity(workload, system, arrivals, args):
     """An inert controller must serve bit-identically to none at all."""
-    config = FleetConfig(record_logs=True, charge_prediction_overhead=False)
+    config = FleetConfig(charge_prediction_overhead=False)
     frozen = PredictionService.from_autoexecutor(system)
     reference = FleetEngine(
         workload, capacity=args.capacity, allocator=frozen.allocate, config=config
@@ -211,7 +211,7 @@ def run(args):
     print("checking zero-retrain parity ...")
     zero_retrain = check_zero_retrain_parity(workload, system, arrivals, args)
 
-    config = FleetConfig(record_logs=True, charge_prediction_overhead=False)
+    config = FleetConfig(charge_prediction_overhead=False)
 
     print("serving frozen ...")
     frozen_service = PredictionService.from_autoexecutor(system)

@@ -11,9 +11,9 @@ contracts as AST checks that fail CI at the offending line instead.
 The framework is deliberately dependency-free: :mod:`ast` plus a small
 visitor core (:mod:`repro.analysis.core`) with parent links, scope
 tracking, and import-alias resolution.  Checkers live in
-:mod:`repro.analysis.checkers`; configuration (scopes and allowlists)
-comes from ``[tool.repro-analysis]`` in ``pyproject.toml``
-(:mod:`repro.analysis.config`).
+:mod:`repro.analysis.checkers`; their scopes and allowlists are the
+:class:`~repro.analysis.config.AnalysisConfig` defaults, the linter's
+whole contract (:mod:`repro.analysis.config`).
 
 Run it as a CLI (nonzero exit on findings)::
 
@@ -31,7 +31,7 @@ allowlist entry, for sites where the contract genuinely does not apply
 (e.g. a measured-overhead wall-clock read).
 """
 
-from repro.analysis.config import AnalysisConfig, load_config
+from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import Finding, ModuleContext, parse_module
 from repro.analysis.driver import collect_files, run_analysis
 from repro.analysis.checkers import ALL_CHECKERS
@@ -42,7 +42,6 @@ __all__ = [
     "Finding",
     "ModuleContext",
     "collect_files",
-    "load_config",
     "parse_module",
     "run_analysis",
 ]

@@ -1,8 +1,11 @@
 """CLI: ``python -m repro.analysis [paths] [--format=text|json]``.
 
-Exit status: 0 clean, 1 findings, 2 bad invocation/config.  This module
-is the one place in ``src/`` allowed to print — reporting to stdout is
-its whole job (see the ruff per-file-ignores note in pyproject.toml).
+Exit status: 0 clean, 1 findings, 2 bad invocation (an unknown
+``--select`` rule, or an argument argparse rejects).  The scopes and
+allowlists are the :class:`~repro.analysis.config.AnalysisConfig`
+defaults; there is no configuration file.  This module is the one place
+in ``src/`` allowed to print — reporting to stdout is its whole job (see
+the ruff per-file-ignores note in pyproject.toml).
 """
 
 from __future__ import annotations
@@ -10,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from repro.analysis.checkers import ALL_CHECKERS
-from repro.analysis.config import load_config
+from repro.analysis.config import AnalysisConfig
 from repro.analysis.driver import run_analysis
 
 __all__ = ["main"]
@@ -36,7 +38,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--root",
         default=".",
-        help="repo root holding pyproject.toml and the taxonomy module",
+        help="repo root that module names and the taxonomy module path "
+        "are resolved against",
     )
     parser.add_argument(
         "--format",
@@ -61,24 +64,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{checker.name}: {checker.description}")
         return 0
 
-    try:
-        config = load_config(args.root)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    known = {checker.name for checker in ALL_CHECKERS}
+    names = tuple(s.strip() for s in args.select.split(",") if s.strip())
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(
+            f"error: unknown rule(s) {unknown}; known: {sorted(known)}",
+            file=sys.stderr,
+        )
         return 2
-    if args.select:
-        known = {checker.name for checker in ALL_CHECKERS}
-        names = tuple(s.strip() for s in args.select.split(",") if s.strip())
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            print(
-                f"error: unknown rule(s) {unknown}; known: {sorted(known)}",
-                file=sys.stderr,
-            )
-            return 2
-        config = replace(config, select=names)
 
-    findings = run_analysis(args.paths, root=args.root, config=config)
+    findings = run_analysis(
+        args.paths, root=args.root, config=AnalysisConfig(select=names)
+    )
 
     if args.format == "json":
         report = {

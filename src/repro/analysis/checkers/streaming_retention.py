@@ -12,10 +12,12 @@ streaming accumulator classes
 container-growth call reachable from ``self`` — ``append``, ``extend``,
 ``insert``, ``appendleft``, ``extendleft``, ``add`` — any
 ``self.x += [...]`` and any keyed store ``self.x[k] = v`` is a finding,
-unless the grown attribute is declared bounded in
-:attr:`~repro.analysis.config.AnalysisConfig.streaming_bounded_attrs`
+unless the grown attribute is declared bounded as a ``Class.attr`` entry
+in :attr:`~repro.analysis.config.AnalysisConfig.streaming_bounded_attrs`
 (the sketch attributes, whose ``add`` is a histogram fold, not growth;
-an LRU dict that evicts past its bound).
+an LRU dict that evicts past its bound).  An entry covers its own class
+only: ``PredictionService._cache`` says nothing about a ``_cache`` of
+any other scoped class.
 
 Growth on locals is fine (temporaries die with the frame); only state
 that survives the call can leak.  A local bound to a ``self`` attribute
@@ -133,7 +135,7 @@ class StreamingRetentionChecker(Checker):
                 continue
             for receiver, verb in grown:
                 attr = _self_root_attr(receiver, aliases.get(ctx.scope_of(node)))
-                if attr is None or attr in bounded:
+                if attr is None or f"{enclosing.name}.{attr}" in bounded:
                     continue
                 item = self.finding(
                     ctx,
@@ -142,7 +144,7 @@ class StreamingRetentionChecker(Checker):
                     f"streaming accumulator {enclosing.name}: per-query "
                     "state must fold into bounded accumulators (O(1)-memory "
                     f"contract); if self.{attr} is provably bounded, declare "
-                    "it in streaming_bounded_attrs",
+                    f"{enclosing.name}.{attr} in streaming_bounded_attrs",
                 )
                 if item is not None:
                     findings.append(item)

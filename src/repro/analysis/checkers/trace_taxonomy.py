@@ -245,12 +245,10 @@ def emit_site_census(
     The taxonomy-agreement test uses this to assert the static view,
     ``EVENT_KINDS``, and the runtime serialization all agree.
     """
-    from repro.analysis.config import load_config
     from repro.analysis.driver import collect_files
     from repro.analysis.core import parse_module
 
-    cfg = config if config is not None else load_config(root)
-    checker = TraceTaxonomyChecker(cfg, root)
+    checker = TraceTaxonomyChecker(config or AnalysisConfig(), root)
     for path in collect_files(paths):
         checker.check_module(parse_module(path, root=root))
     return checker.census

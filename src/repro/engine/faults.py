@@ -61,7 +61,7 @@ query runs degraded unless a scaling policy re-acquires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -219,12 +219,6 @@ class FaultStats:
             self.ondemand_executor_seconds
             + self.spot_executor_seconds * self.spot_discount
         )
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat numeric view (determinism tests serialize this)."""
-        out = {f.name: float(getattr(self, f.name)) for f in fields(self)}
-        out["billed_executor_seconds"] = float(self.billed_executor_seconds)
-        return out
 
     @classmethod
     def merged(cls, parts: Iterable["FaultStats"]) -> "FaultStats":

@@ -97,7 +97,6 @@ from repro.fleet.engine import (
     FleetConfig,
     FleetEngine,
     PoolRuntime,
-    allocator_annotations,
     oracle_allocator,
     static_allocator,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "SpotMarket",
     "static_allocator",
     "oracle_allocator",
-    "allocator_annotations",
     "FleetMetrics",
     "ClusterMetrics",
     "QueryRecord",

@@ -286,14 +286,14 @@ class AdaptiveController:
     """The continual-learning loop behind a :class:`PredictionService`.
 
     Attach as :attr:`FleetConfig.feedback
-    <repro.fleet.engine.FleetConfig>` (with ``record_logs=True`` — the
-    retraining pipeline consumes each finished query's execution log)
-    while the same service's :meth:`~repro.fleet.prediction
+    <repro.fleet.engine.FleetConfig>` (which turns on execution logs:
+    the retraining pipeline consumes each finished query's log) while
+    the same service's :meth:`~repro.fleet.prediction
     .PredictionService.allocate` serves as the fleet's allocator::
 
         service = PredictionService.from_autoexecutor(system)
         controller = AdaptiveController(service, AdaptiveConfig(seed=7))
-        config = FleetConfig(record_logs=True, feedback=controller)
+        config = FleetConfig(feedback=controller)
         engine = FleetEngine(
             workload, capacity=64, allocator=service.allocate, config=config
         )
@@ -348,11 +348,8 @@ class AdaptiveController:
     ) -> None:
         """Fold one finished query into the loop (fleet-called)."""
         log = record.execution_log
-        if log is None:
-            raise ValueError(
-                "adaptive mode needs FleetConfig(record_logs=True): "
-                "retraining consumes each finished query's ExecutionLog"
-            )
+        # A serve with a feedback sink always records execution logs.
+        assert log is not None
         self.observations += 1
         self._since_retrain += 1
         features = QueryFeatures.from_plan(plan)

@@ -39,13 +39,7 @@ from repro.engine.execution import CompiledPlan
 from repro.fleet.admission import AdmissionPolicy
 from repro.fleet.arrivals import QueryArrival
 from repro.fleet.autoscaler import AutoscalerConfig, PoolAutoscaler
-from repro.fleet.engine import (
-    Allocator,
-    FleetConfig,
-    PoolRuntime,
-    allocator_annotations,
-    decision_fields,
-)
+from repro.fleet.engine import Allocator, FleetConfig, PoolRuntime, Submit
 from repro.fleet.metrics import ClusterMetrics, FleetMetrics, cluster_serving_window
 from repro.obs.trace import TraceEvent, Tracer
 from repro.fleet.routing import (
@@ -331,7 +325,6 @@ class ShardedFleet:
                 if not exhausted:
                     pull()
             elif kind == "submit":
-                arrival, budget, cached, seconds, estimate, notes = payload
                 if pool < 0:
                     pool = route(
                         now,
@@ -349,16 +342,14 @@ class ShardedFleet:
                                 "query_route",
                                 pool,
                                 q,
-                                arrival.query_id,
+                                payload[0].query_id,
                                 {"router": self.router.name},
                             )
                         )
                 elif not exhausted:
                     # A worker's routed submit is its feed's stream entry.
                     pull()
-                runtimes[pool].submit(
-                    now, q, arrival, budget, cached, seconds, notes, estimate
-                )
+                runtimes[pool].submit(now, q, payload)
             elif kind == "driver_done":
                 runtimes[pool].handle_driver_done(now, q)
             elif kind == "exec_arrive":
@@ -391,24 +382,37 @@ class ShardedFleet:
             _raise_cluster_stalled(runtimes, total - finished)
         return runtimes, total
 
-    def _decide(
-        self, arrival: QueryArrival, max_budget: int
-    ) -> tuple[float, tuple]:
+    def _decide(self, arrival: QueryArrival, max_budget: int) -> tuple[float, Submit]:
         """Run the allocator on one arrival.
 
         Returns the delay from arrival to submit (the selection overhead,
-        when charged) and the submit payload ``(arrival, budget, cached,
-        seconds, estimated_runtime_seconds, annotations)``.
+        when charged) and the :data:`~repro.fleet.engine.Submit` the
+        query carries to its record.  Plain-int allocators carry no
+        cache/overhead/runtime metadata.  The annotations hold the
+        allocator's self-declared ``policy`` (``"static"``, ``"oracle"``,
+        ``"prediction"``, or ``"custom"`` for unnamed callables) and the
+        ``predicted_executors`` *before* clamping, so a budget a pool
+        truncated stays visible next to ``QueryRecord.executors_granted``.
         """
         decision = self.allocator(
             arrival.query_id, self.workload.optimized_plan(arrival.query_id)
         )
-        budget, cached, seconds, estimate = decision_fields(decision, max_budget)
+        if hasattr(decision, "executors"):
+            raw = int(decision.executors)
+            cached = decision.cached
+            seconds = float(decision.seconds)
+            estimate = getattr(decision, "estimated_runtime_seconds", None)
+        else:
+            raw, cached, seconds, estimate = int(decision), None, 0.0, None
         delay = seconds if self.config.charge_prediction_overhead else 0.0
-        notes = allocator_annotations(self.allocator, decision)
+        notes = {
+            "policy": getattr(self.allocator, "policy_name", "custom"),
+            "predicted_executors": raw,
+        }
+        budget = max(1, min(raw, max_budget))
         return delay, (arrival, budget, cached, seconds, estimate, notes)
 
-    def _route(self, now: float, submit: tuple, views: Sequence[PoolView]) -> int:
+    def _route(self, now: float, submit: Submit, views: Sequence[PoolView]) -> int:
         """The pool the router places a submit payload on."""
         arrival, budget, _, _, estimate, _ = submit
         chosen = self.router.pick(

@@ -82,7 +82,6 @@ __all__ = [
     "FleetConfig",
     "FleetEngine",
     "PoolRuntime",
-    "allocator_annotations",
     "static_allocator",
     "oracle_allocator",
 ]
@@ -103,8 +102,8 @@ class FeedbackSink(Protocol):
     finished query, on the simulation clock, with everything the
     continual-learning loop needs: the finished
     :class:`~repro.fleet.metrics.QueryRecord` (observed runtime, granted
-    budget, the execution log when :attr:`FleetConfig.record_logs` is
-    on), the allocator's predicted runtime at decision time (``None``
+    budget, and the execution log, which a serve with a sink always
+    records), the allocator's predicted runtime at decision time (``None``
     for non-predictive allocators), and the optimized plan whose
     features the prediction was made from.
 
@@ -166,7 +165,8 @@ class FleetConfig:
             accounting that the trace-rebuilt logs
             (:meth:`repro.obs.analyze.TraceAnalyzer.execution_logs`) are
             cross-checked against.  Off by default: logs hold per-task
-            float lists and records are otherwise tiny.
+            float lists and records are otherwise tiny.  A ``feedback``
+            sink turns it on, since retraining consumes the logs.
         streaming: the O(1)-memory serve mode.  ``False`` (the
             default) keeps every :class:`~repro.fleet.metrics.QueryRecord`
             and the full pool and capacity skylines.  ``True`` keeps
@@ -200,44 +200,11 @@ class FleetConfig:
         return self.idle_release_timeout is not None or self.scaling is not None
 
 
-def decision_fields(
-    decision: object, cap: int
-) -> tuple[int, bool | None, float, float | None]:
-    """Normalize an allocator's decision into its four fields.
-
-    Returns ``(budget, cached, seconds, estimated_runtime_seconds)``
-    with the budget clamped to ``[1, cap]``.  Plain-int allocators carry
-    no cache/overhead/runtime metadata.
-    """
-    if hasattr(decision, "executors"):
-        budget = int(decision.executors)
-        cached = decision.cached
-        seconds = float(decision.seconds)
-        estimate = getattr(decision, "estimated_runtime_seconds", None)
-    else:
-        budget, cached, seconds, estimate = int(decision), None, 0.0, None
-    return max(1, min(budget, cap)), cached, seconds, estimate
-
-
-def allocator_annotations(allocator: Allocator, decision: object) -> dict:
-    """The uniform record annotations every fleet driver attaches.
-
-    ``policy`` is the allocator's self-declared ``policy_name``
-    (``"static"``, ``"oracle"``, ``"prediction"``, or ``"custom"`` for
-    unnamed callables) and ``predicted_executors`` is the decision
-    *before* pool clamping — so a budget the pool truncated is still
-    visible next to ``QueryRecord.executors_granted``.
-    """
-    raw = decision.executors if hasattr(decision, "executors") else decision
-    return {
-        "policy": getattr(allocator, "policy_name", "custom"),
-        "predicted_executors": int(raw),
-    }
-
-
-#: A submitted query's facts: arrival, prediction cached, prediction
-#: seconds, annotations, estimated runtime seconds.
-_Pending = tuple[QueryArrival, bool | None, float, dict | None, float | None]
+#: A decided query, carried unchanged from the driver's decision to its
+#: record: arrival, budget (clamped to the cluster's largest pool),
+#: prediction cached, prediction seconds, estimated runtime seconds, and
+#: the record annotations.
+Submit = tuple[QueryArrival, int, bool | None, float, float | None, dict]
 
 
 class _QueryRun(QueryRun):
@@ -245,7 +212,7 @@ class _QueryRun(QueryRun):
     its record needs."""
 
     arrival: QueryArrival
-    pending: _Pending
+    submit: Submit
     budget: int
     finished = False
 
@@ -333,6 +300,7 @@ class PoolRuntime:
         self.pool_index = pool_index
         self.arbiter = CapacityArbiter(capacity, admission, max_capacity=max_capacity)
         self.streaming = config.streaming
+        self.record_logs = config.record_logs or config.feedback is not None
         self.stats = PoolStreamStats()
         self.pool_skyline = Skyline()
         self.pool_skyline.record(0.0, 0)
@@ -341,7 +309,7 @@ class PoolRuntime:
         #: Admitted queries not yet finished.
         self.active_queries = 0
         self.records: dict[int, QueryRecord] = {}
-        self._pending: dict[int, _Pending] = {}
+        self._pending: dict[int, Submit] = {}
         self._compiled = compiled
         self._ec = cluster.cores_per_executor
         # view()'s memo and the (arbiter.version, active_queries) it was
@@ -501,17 +469,7 @@ class PoolRuntime:
                 self.drain_admissions(now)
 
     # --- admission --------------------------------------------------------
-    def submit(
-        self,
-        now: float,
-        q: int,
-        arrival: QueryArrival,
-        budget: int,
-        cached: bool | None,
-        prediction_seconds: float,
-        annotations: dict | None = None,
-        estimated_runtime_seconds: float | None = None,
-    ) -> None:
+    def submit(self, now: float, q: int, submit: Submit) -> None:
         """Queue a routed query's budget request on this pool.
 
         A budget beyond this pool's ``max_capacity`` is clamped — the
@@ -521,7 +479,8 @@ class PoolRuntime:
         :class:`~repro.fleet.routing.CostAwareRouter`) rank pools that
         cannot cover the budget last to avoid it where possible.
         """
-        budget = max(1, min(int(budget), self.arbiter.max_capacity))
+        arrival = submit[0]
+        budget = min(submit[1], self.arbiter.max_capacity)
         if self.tracer is not None:
             self._trace(
                 now,
@@ -530,13 +489,7 @@ class PoolRuntime:
                 arrival.query_id,
                 {"executors": budget},
             )
-        self._pending[q] = (
-            arrival,
-            cached,
-            prediction_seconds,
-            annotations,
-            estimated_runtime_seconds,
-        )
+        self._pending[q] = submit
         self.arbiter.submit(
             AdmissionRequest(
                 query_index=q,
@@ -566,8 +519,8 @@ class PoolRuntime:
 
     def _start_query(self, now: float, request: AdmissionRequest) -> None:
         q = request.query_index
-        pending = self._pending.pop(q)
-        arrival = pending[0]
+        submit = self._pending.pop(q)
+        arrival = submit[0]
         graph = self.workload.stage_graph(arrival.query_id)
         plan = self._compiled_plan(arrival.query_id, graph)
         config = self.config
@@ -586,14 +539,14 @@ class PoolRuntime:
             # stable across routing/admission interleavings.
             faults=config.faults,
             fault_key=q,
-            record_log=config.record_logs,
+            record_log=self.record_logs,
             start_time=now,
             tracer=self.tracer,
             trace_pool=self.pool_index,
             q=q,
             query_id=arrival.query_id,
         )
-        run.arrival, run.pending, run.budget = arrival, pending, request.executors
+        run.arrival, run.submit, run.budget = arrival, submit, request.executors
         self.runs[q] = run
         self.active_queries += 1
         if self.tracer is not None:
@@ -678,7 +631,7 @@ class PoolRuntime:
         run.core.executors.clear()
         if arrived:
             self.give_back(now, run, arrived, "finish")
-        arrival, cached, seconds, annotations, estimate = run.pending
+        arrival, _, cached, seconds, estimate, annotations = run.submit
         if self.tracer is not None:
             self._trace(now, "query_finish", q, arrival.query_id)
         record = QueryRecord(
@@ -693,7 +646,7 @@ class PoolRuntime:
             prediction_seconds=seconds,
             skyline=None if self.streaming else run.core.skyline,
             fault_stats=None if run.injector is None else run.injector.finalize(now),
-            annotations={} if annotations is None else annotations,
+            annotations=annotations,
             execution_log=run.core.build_log(),
         )
         feedback = self.config.feedback

@@ -81,6 +81,10 @@ if TYPE_CHECKING:  # multiprocessing.Queue is a factory method, not a type
 
 __all__ = ["ProcessShardExecutor"]
 
+#: Arrivals the parent dispatches between feed messages: a latency and
+#: throughput constant with no effect on results.
+BATCH_SIZE = 512
+
 
 def _decided_upstream(query_id: str, plan: object) -> int:
     """A worker fleet's allocator: never called, its submits arrive
@@ -154,8 +158,6 @@ class ProcessShardExecutor:
             False`` (default round-robin qualifies).
         cluster: node/executor shapes and provisioning lag (shared).
         config: fleet knobs (shared by every pool).
-        batch_size: arrivals dispatched between feed messages — a
-            latency/throughput knob with no effect on results.
     """
 
     def __init__(
@@ -166,7 +168,6 @@ class ProcessShardExecutor:
         router: Router | None = None,
         cluster: Cluster = Cluster(),
         config: FleetConfig = FleetConfig(),
-        batch_size: int = 512,
     ) -> None:
         # The parent decides and routes with the in-process driver's own
         # helpers, so it holds an (unserved) fleet of the same shape.
@@ -186,8 +187,6 @@ class ProcessShardExecutor:
                 "uses_pool_state = False (e.g. RoundRobinRouter) or the "
                 "single-process ShardedFleet"
             )
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if config.feedback is not None:
             raise ValueError(
                 "ProcessShardExecutor cannot run a feedback sink: the "
@@ -201,7 +200,6 @@ class ProcessShardExecutor:
         self.allocator = allocator
         self.cluster = cluster
         self.config = config
-        self.batch_size = batch_size
 
     @property
     def n_pools(self) -> int:
@@ -298,7 +296,7 @@ class ProcessShardExecutor:
         stream = _arrival_source(_play_order(arrivals, self.config.streaming))
         for n, (t_arrive, pos, arrival) in enumerate(stream):
             flush(t_arrive)
-            if n and n % self.batch_size == 0:
+            if n and n % BATCH_SIZE == 0:
                 send()
             delay, submit = fleet._decide(arrival, max_budget)
             reorder.push_arrival(t_arrive + delay, pos, submit, "submit")

@@ -387,5 +387,5 @@ class PredictionService:
         )
 
     # Bound methods proxy attribute reads to the function, so the fleet
-    # drivers' ``allocator_annotations`` sees this on ``service.allocate``.
+    # drivers' decision annotations see this on ``service.allocate``.
     allocate.policy_name = "prediction"

@@ -43,7 +43,6 @@ from repro.obs.trace import (
     EVENT_KINDS,
     RAW_DATA_FIELDS,
     JsonlTracer,
-    NullTracer,
     RingBufferTracer,
     TraceEvent,
     Tracer,
@@ -56,7 +55,6 @@ __all__ = [
     "RAW_DATA_FIELDS",
     "TraceEvent",
     "Tracer",
-    "NullTracer",
     "RingBufferTracer",
     "JsonlTracer",
     "materialize",

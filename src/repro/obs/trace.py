@@ -40,7 +40,6 @@ __all__ = [
     "RAW_DATA_FIELDS",
     "TraceEvent",
     "Tracer",
-    "NullTracer",
     "RingBufferTracer",
     "JsonlTracer",
     "materialize",
@@ -208,18 +207,6 @@ class Tracer(Protocol):
     def emit(self, event: "TraceEvent | tuple") -> None:
         """Record one event (typed, or hot-path raw tuple)."""
         ...
-
-
-class NullTracer:
-    """A tracer that drops everything.
-
-    Exists for call sites that want an always-valid tracer object;
-    engines prefer ``tracer=None``, which skips event construction
-    entirely and is the path the bit-identity contract covers.
-    """
-
-    def emit(self, event: "TraceEvent | tuple") -> None:
-        """Discard the event."""
 
 
 class RingBufferTracer:

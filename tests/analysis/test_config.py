@@ -1,15 +1,6 @@
-"""Spec for config loading: defaults, extension semantics, TOML subset."""
+"""Spec for the config: scope patterns and the shape of the defaults."""
 
-import textwrap
-
-import pytest
-
-from repro.analysis.config import (
-    AnalysisConfig,
-    load_config,
-    module_matches,
-    parse_toml_subset,
-)
+from repro.analysis.config import AnalysisConfig, module_matches
 
 
 class TestModuleMatches:
@@ -25,78 +16,18 @@ class TestModuleMatches:
         )
 
 
-class TestFromMapping:
-    def test_unknown_key_is_a_hard_error(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            AnalysisConfig.from_mapping({"wall-clock-allowlist": ["x"]})
+class TestDefaults:
+    """The defaults are the linter's whole contract, so their shape is
+    checked here: a typoed entry would silently widen nothing."""
 
-    def test_allowlists_extend_rather_than_replace(self):
-        config = AnalysisConfig.from_mapping(
-            {"wall-clock-allow-modules": ["repro.custom.timing"]}
-        )
-        # The shipped exceptions survive...
-        assert "repro.fleet.prediction" in config.wall_clock_allow_modules
-        # ...and the local waiver is appended.
-        assert "repro.custom.timing" in config.wall_clock_allow_modules
+    def test_every_streaming_scope_names_a_class(self):
+        for spec in AnalysisConfig().streaming_classes:
+            module, _, cls = spec.partition(":")
+            assert module.startswith("repro.") and cls.isidentifier(), spec
 
-    def test_scopes_replace(self):
-        config = AnalysisConfig.from_mapping({"heap-key-modules": ["my.loop"]})
-        assert config.heap_key_modules == ("my.loop",)
-
-    def test_string_shorthand_for_single_entry(self):
-        config = AnalysisConfig.from_mapping({"emit-helpers": "_emit_event"})
-        assert "_emit_event" in config.emit_helpers
-        assert "_trace" in config.emit_helpers  # default kept
-
-    def test_non_string_values_are_rejected(self):
-        with pytest.raises(ValueError, match="list of strings"):
-            AnalysisConfig.from_mapping({"rng-modules": [1, 2]})
-
-
-class TestTomlSubset:
-    def test_tables_scalars_and_lists(self):
-        text = textwrap.dedent(
-            """
-            # a comment
-            [tool.repro-analysis]
-            taxonomy_module = "src/repro/obs/trace.py"   # trailing comment
-            emit-helpers = ["_trace", '_emit']
-            flag = true
-            count = 3
-
-            [tool.other]
-            noise = "ignored # not a comment inside quotes"
-            """
-        )
-        tables = parse_toml_subset(text)
-        section = tables["tool.repro-analysis"]
-        assert section["taxonomy_module"] == "src/repro/obs/trace.py"
-        assert section["emit-helpers"] == ["_trace", "_emit"]
-        assert section["flag"] is True
-        assert section["count"] == 3
-        assert tables["tool.other"]["noise"].endswith("inside quotes")
-
-    def test_multiline_lists(self):
-        text = '[t]\nmods = [\n  "a.b",\n  "c.d",\n]\n'
-        assert parse_toml_subset(text)["t"]["mods"] == ["a.b", "c.d"]
-
-    def test_unsupported_lines_raise(self):
-        with pytest.raises(ValueError, match="unsupported TOML"):
-            parse_toml_subset("[t]\nx = { inline = 'table' }\n")
-
-
-class TestLoadConfig:
-    def test_missing_pyproject_gives_defaults(self, tmp_path):
-        assert load_config(str(tmp_path)) == AnalysisConfig()
-
-    def test_repo_pyproject_loads(self):
-        # The shipped pyproject's [tool.repro-analysis] section (if any)
-        # must always be loadable — CI runs exactly this path.
-        config = load_config(".")
-        assert isinstance(config, AnalysisConfig)
-
-    def test_section_is_read(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-analysis]\nheap-key-modules = ["my.loop"]\n'
-        )
-        assert load_config(str(tmp_path)).heap_key_modules == ("my.loop",)
+    def test_every_bounded_attr_is_qualified_by_a_scoped_class(self):
+        config = AnalysisConfig()
+        scoped = {spec.partition(":")[2] for spec in config.streaming_classes}
+        for entry in config.streaming_bounded_attrs:
+            cls, _, attr = entry.partition(".")
+            assert cls in scoped and attr.isidentifier(), entry

@@ -6,6 +6,7 @@ O(1)-memory contract dying one line at a time.
 """
 
 import textwrap
+from dataclasses import replace
 
 from repro.analysis.checkers import StreamingRetentionChecker
 from repro.analysis.config import AnalysisConfig
@@ -20,6 +21,15 @@ KNOWN_BAD = textwrap.dedent(
             self.by_pool.setdefault(0, []).append(record)  # nested
     """
 )
+
+def bounded(*entries):
+    """The default config with extra ``Class.attr`` entries declared."""
+    defaults = AnalysisConfig()
+    return replace(
+        defaults,
+        streaming_bounded_attrs=defaults.streaming_bounded_attrs + entries,
+    )
+
 
 KNOWN_GOOD = textwrap.dedent(
     """
@@ -46,7 +56,12 @@ class TestStreamingRetention:
 
     def test_passes_known_good(self, check_source):
         assert (
-            check_source(StreamingRetentionChecker, KNOWN_GOOD, "repro.fleet.metrics")
+            check_source(
+                StreamingRetentionChecker,
+                KNOWN_GOOD,
+                "repro.fleet.metrics",
+                config=bounded("PoolStreamStats.latency"),
+            )
             == []
         )
 
@@ -63,8 +78,11 @@ class TestStreamingRetention:
         )
 
     def test_bounded_attr_allowlist_extends(self, check_source):
-        config = AnalysisConfig.from_mapping(
-            {"streaming-bounded-attrs": ["seen", "ids", "history", "by_pool"]}
+        config = bounded(
+            "PoolStreamStats.seen",
+            "PoolStreamStats.ids",
+            "PoolStreamStats.history",
+            "PoolStreamStats.by_pool",
         )
         assert (
             check_source(
@@ -75,6 +93,44 @@ class TestStreamingRetention:
             )
             == []
         )
+
+
+class TestClassQualifiedAllowlist:
+    """A ``Class.attr`` entry declares one class's attribute bounded;
+    the same attribute name in another scoped class is still checked."""
+
+    SRC = textwrap.dedent(
+        """
+        class PoolStreamStats:
+            def observe(self, record):
+                self._cache[record.query_id] = record
+
+        class SkylineTracker:
+            def record(self, t, level):
+                self._cache[t] = level
+        """
+    )
+
+    def test_bound_for_one_class_does_not_cover_another(self, check_source):
+        # PredictionService._cache is declared bounded by default; a
+        # _cache of a streaming accumulator is not.
+        findings = check_source(
+            StreamingRetentionChecker, self.SRC, "repro.fleet.metrics"
+        )
+        assert "PredictionService._cache" in AnalysisConfig().streaming_bounded_attrs
+        assert len(findings) == 2
+        assert all("self._cache" in f.message for f in findings)
+
+    def test_qualified_entry_suppresses_only_its_class(self, check_source):
+        findings = check_source(
+            StreamingRetentionChecker,
+            self.SRC,
+            "repro.fleet.metrics",
+            config=bounded("SkylineTracker._cache"),
+        )
+        assert len(findings) == 1
+        assert "PoolStreamStats" in findings[0].message
+        assert "PoolStreamStats._cache" in findings[0].message
 
 
 class TestKeyedStores:
@@ -122,9 +178,7 @@ class TestKeyedStores:
         assert self.check(check_source, body) == []
 
     def test_allowlisted_attribute_is_fine(self, check_source):
-        config = AnalysisConfig.from_mapping(
-            {"streaming-bounded-attrs": ["_lru"]}
-        )
+        config = bounded("PoolStreamStats._lru")
         body = """
         self._lru[record.query_id] = record
         lru = self._lru

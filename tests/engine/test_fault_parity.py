@@ -80,7 +80,7 @@ class TestSimulateQueryZeroFaultParity:
             assert result.runtime == loop.runtime
             assert result.auc == loop.auc
             assert result.skyline.points == loop.skyline.points
-            assert result.fault_stats.as_dict() == loop.fault_stats.as_dict()
+            assert result.fault_stats == loop.fault_stats
 
 
 class TestShardedFleetZeroFaultParity:

@@ -164,7 +164,7 @@ class TestSingleQueryInvariants:
         assert first.auc == second.auc
         assert first.skyline.points == second.skyline.points
         if plan.active:
-            assert first.fault_stats.as_dict() == second.fault_stats.as_dict()
+            assert first.fault_stats == second.fault_stats
 
 
 class _GraphWorkload:

@@ -260,18 +260,20 @@ class TestAdaptiveServe:
         _, c2, _ = adaptive_serve(trained, shifted, arrivals, seed=1)
         assert _retained(c1.buffer) != _retained(c2.buffer)
 
-    def test_requires_record_logs(self, trained):
-        train = Workload(scale_factor=10, query_ids=("q1",))
+    def test_feedback_alone_records_logs_and_retrains(self, trained, shifted):
+        # No record_logs=True: the feedback sink turns the logs on.
         service = PredictionService.from_autoexecutor(trained)
         controller = AdaptiveController(service, AdaptiveConfig(**FAST))
-        engine = FleetEngine(
-            train,
-            capacity=16,
+        arrivals = poisson_arrivals(QIDS, n_queries=30, rate_qps=0.5, seed=5)
+        metrics = FleetEngine(
+            shifted,
+            capacity=64,
             allocator=service.allocate,
-            config=FleetConfig(feedback=controller),  # record_logs off
-        )
-        with pytest.raises(ValueError, match="record_logs"):
-            engine.serve(poisson_arrivals(("q1",), 2, 1.0, seed=0))
+            config=FleetConfig(feedback=controller),
+        ).serve(arrivals)
+        assert controller.observations == 30
+        assert controller.retrains >= 1
+        assert all(r.execution_log is not None for r in metrics.records)
 
     def test_process_shard_executor_rejects_feedback(self, shifted):
         class FixedScorer:

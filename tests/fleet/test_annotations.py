@@ -14,7 +14,6 @@ from repro.fleet import (
     PoolSpec,
     PredictionService,
     ShardedFleet,
-    allocator_annotations,
     poisson_arrivals,
     static_allocator,
 )
@@ -91,9 +90,9 @@ def test_annotations_match_traced_policy(workload_small, arrivals):
         )
 
 
-def test_allocator_annotations_helper():
-    assert allocator_annotations(static_allocator(4), 4) == {
-        "policy": "static",
-        "predicted_executors": 4,
-    }
-    assert allocator_annotations(lambda query_id, plan: 2, 2)["policy"] == "custom"
+def test_unnamed_allocator_records_custom_policy(workload_small, arrivals):
+    metrics = FleetEngine(
+        workload_small, capacity=16, allocator=lambda query_id, plan: 2
+    ).serve(arrivals)
+    for record in metrics.records:
+        assert record.annotations == {"policy": "custom", "predicted_executors": 2}

@@ -17,6 +17,7 @@ The behavioural contracts of serving under an active
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -71,7 +72,7 @@ def serialized(metrics):
                 "finish": r.finish_time,
                 "auc": r.auc,
                 "skyline": r.skyline.points,
-                "faults": None if r.fault_stats is None else r.fault_stats.as_dict(),
+                "faults": None if r.fault_stats is None else asdict(r.fault_stats),
             }
             for r in metrics.records
         ],

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.engine.allocation import DynamicAllocation
 from repro.engine.faults import FaultPlan, SpotMarket
+from repro.fleet import parallel
 from repro.fleet import (
     FleetConfig,
     LeastQueuedRouter,
@@ -147,12 +148,6 @@ class TestRestrictions:
                 router=LeastQueuedRouter(),
             )
 
-    def test_bad_batch_size_rejected(self, workload):
-        with pytest.raises(ValueError, match="batch_size"):
-            ProcessShardExecutor(
-                workload, [16, 16], static_allocator(4), batch_size=0
-            )
-
     def test_no_pools_rejected(self, workload):
         with pytest.raises(ValueError, match="at least one pool"):
             ProcessShardExecutor(workload, [], static_allocator(4))
@@ -206,13 +201,14 @@ class TestMergeEqualsSingleProcess:
         ).serve(arrivals)
         assert_identical_record_mode(multi, single)
 
-    def test_small_batches_change_nothing(self, workload):
+    def test_small_batches_change_nothing(self, workload, monkeypatch):
+        monkeypatch.setattr(parallel, "BATCH_SIZE", 7)
         arrivals = poisson_arrivals(QIDS, n_queries=60, rate_qps=1.5, seed=3)
         single = ShardedFleet(workload, [16, 24], static_allocator(8)).serve(
             arrivals
         )
         multi = ProcessShardExecutor(
-            workload, [16, 24], static_allocator(8), batch_size=7
+            workload, [16, 24], static_allocator(8)
         ).serve(arrivals)
         assert_identical_record_mode(multi, single)
 

@@ -21,7 +21,6 @@ from repro.fleet import (
 from repro.obs import (
     EVENT_KINDS,
     JsonlTracer,
-    NullTracer,
     RingBufferTracer,
     TraceEvent,
     read_jsonl,
@@ -84,10 +83,6 @@ class TestSinks:
         )
         assert TraceEvent.from_json(event.to_json()) == event
         assert json.loads(event.to_json())["kind"] == "task_assign"
-
-    def test_null_tracer_swallows(self):
-        tracer = NullTracer()
-        tracer.emit(TraceEvent(0.0, "query_arrive"))  # no-op, no error
 
 
 class TestTaxonomy:
