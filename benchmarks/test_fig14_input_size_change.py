@@ -29,15 +29,12 @@ def _cross_sf_errors(ctx, train_sf, test_sf):
     series = {}
     for label, family in (("AE_PL", "power_law"), ("AE_AL", "amdahl")):
         model = train_ds.fit_parameter_model(family)
-        params = model.predict_params(test_ds.features)
+        ppms = model.predict_ppm_batch(test_ds.features)
         errs = []
         for j, n in zip(cols, REPORT_N):
             actual = actuals.times_by_query(n)
             predicted = {
-                qid: float(
-                    model.ppm_class.from_parameters(row).predict(n)
-                )
-                for qid, row in zip(test_ds.query_ids, params)
+                qid: ppm.predict(n) for qid, ppm in zip(test_ds.query_ids, ppms)
             }
             errs.append(e_metric(actual, predicted))
         series[label] = np.array(errs)

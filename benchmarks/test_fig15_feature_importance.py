@@ -48,10 +48,11 @@ def _importance_scores(dataset, n_repeats=25, seed=0):
 
 
 def _to_targets(family, params):
-    """Mirror the parameter model's log-space target transform."""
-    from repro.core.parameter_model import _LOG_PARAMS, _to_target_space
+    """The parameter model's log-space target encoding."""
+    from repro.core.parameter_model import _LOG_PARAMS
+    from repro.core.ppm import to_targets
 
-    return _to_target_space(params, _LOG_PARAMS[family])
+    return to_targets(params, _LOG_PARAMS[family])
 
 
 def test_fig15_feature_importance(ctx, report, benchmark):

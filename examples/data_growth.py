@@ -38,14 +38,11 @@ def report_errors(label: str, predicted_by_n: dict, actuals) -> None:
 
 
 def model_predictions(model, dataset, n_values):
-    params = model.predict_params(dataset.features)
-    out = {}
-    for n in n_values:
-        out[n] = {
-            qid: float(model.ppm_class.from_parameters(row).predict(n))
-            for qid, row in zip(dataset.query_ids, params)
-        }
-    return out
+    ppms = model.predict_ppm_batch(dataset.features)
+    return {
+        n: {qid: ppm.predict(n) for qid, ppm in zip(dataset.query_ids, ppms)}
+        for n in n_values
+    }
 
 
 def main() -> None:

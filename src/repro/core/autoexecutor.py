@@ -32,7 +32,7 @@ from repro.core.cores import Factorization, factorize_cores
 from repro.core.features import QueryFeatures
 from repro.core.parameter_model import ParameterModel
 from repro.core.ppm import PricePerfModel
-from repro.core.selection import elbow_point
+from repro.core.selection import SelectionObjective, elbow_point, select_on_curve
 from repro.core.training import (
     DEFAULT_N_GRID,
     TrainingDataset,
@@ -44,9 +44,6 @@ from repro.obs.sketch import QuantileSketch
 from repro.workloads.generator import Workload
 
 __all__ = ["AutoExecutor", "AutoExecutorRule", "SelectionObjective"]
-
-#: An objective maps (n_grid, predicted curve) to a chosen executor count.
-SelectionObjective = Callable[[np.ndarray, np.ndarray], int]
 
 
 @dataclass
@@ -195,11 +192,11 @@ class AutoExecutorRule:
         self.timings["score"].add(time.perf_counter() - start)
 
         start = time.perf_counter()
-        curve = ppm.predict_curve(self.n_grid)  # PPM arithmetic, not scoring
-        chosen = self.objective(self.n_grid, curve)  # step 4
+        chosen, _ = select_on_curve(  # step 4: PPM arithmetic, not scoring
+            ppm, self.n_grid, self.objective, self.min_executors, self.max_executors
+        )
         self.timings["select"].add(time.perf_counter() - start)
 
-        chosen = int(np.clip(chosen, self.min_executors, self.max_executors))
         context.request_executors(chosen)  # step 5
         context.annotations["autoexecutor.ppm_params"] = ppm.parameters()
         context.annotations["autoexecutor.executors"] = chosen

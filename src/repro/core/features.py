@@ -18,12 +18,13 @@ No runtime statistics appear here, by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.engine.plan import OPERATOR_KINDS, LogicalPlan, OperatorKind
 
-__all__ = ["FEATURE_NAMES", "QueryFeatures", "featurize_plans"]
+__all__ = ["FEATURE_NAMES", "QueryFeatures", "featurize_plans", "project_features"]
 
 
 #: Feature vector layout.  The names for the two data-size features match
@@ -116,6 +117,21 @@ class QueryFeatures:
         return float(self.values[index])
 
 
-def featurize_plans(plans) -> np.ndarray:
+def featurize_plans(plans: Iterable[LogicalPlan]) -> np.ndarray:
     """Stack Table 2 feature vectors for a sequence of plans into a matrix."""
     return np.stack([QueryFeatures.from_plan(p).values for p in plans])
+
+
+def project_features(matrix: np.ndarray, feature_names: Sequence[str]) -> np.ndarray:
+    """Project full Table 2 rows onto a model's feature subset (the
+    Section 5.7 ablation), in ``feature_names`` order.  A matrix that
+    already has one column per subset feature is returned as is."""
+    if matrix.shape[1] == len(feature_names):
+        return matrix
+    if matrix.shape[1] != len(FEATURE_NAMES):
+        raise ValueError(
+            f"feature matrix has {matrix.shape[1]} columns; expected "
+            f"{len(FEATURE_NAMES)} (full) or {len(feature_names)}"
+        )
+    cols = [FEATURE_NAMES.index(name) for name in feature_names]
+    return matrix[:, cols]

@@ -19,43 +19,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.features import FEATURE_NAMES, QueryFeatures
-from repro.core.ppm import AmdahlPPM, PowerLawPPM, PricePerfModel
+from repro.core.features import FEATURE_NAMES, QueryFeatures, project_features
+from repro.core.ppm import FAMILIES, PricePerfModel, from_targets, to_targets
 from repro.ml.forest import RandomForestRegressor
 
 __all__ = ["ParameterModel"]
 
-_FAMILIES = {
-    "power_law": PowerLawPPM,
-    "amdahl": AmdahlPPM,
-}
-
 #: Scale-like parameters (run times / work volumes) span orders of
-#: magnitude across queries; the estimator regresses them in log space so
-#: that leaf averaging is multiplicative, not additive.  Shape parameters
-#: (the power-law exponent ``a``) stay raw.
+#: magnitude across queries; the estimator regresses them in log space
+#: (:func:`repro.core.ppm.to_targets`) so that leaf averaging is
+#: multiplicative, not additive.  Shape parameters (``a``) stay raw.
 _LOG_PARAMS: dict[str, tuple[bool, ...]] = {
     "power_law": (False, True, True),  # (a, b, m)
     "amdahl": (True, True),  # (s, p)
 }
-
-_LOG_EPSILON = 1e-3
-
-
-def _to_target_space(params: np.ndarray, log_mask: tuple[bool, ...]) -> np.ndarray:
-    out = np.array(params, dtype=float, copy=True)
-    for col, use_log in enumerate(log_mask):
-        if use_log:
-            out[:, col] = np.log(np.maximum(out[:, col], 0.0) + _LOG_EPSILON)
-    return out
-
-
-def _from_target_space(targets: np.ndarray, log_mask: tuple[bool, ...]) -> np.ndarray:
-    out = np.array(targets, dtype=float, copy=True)
-    for col, use_log in enumerate(log_mask):
-        if use_log:
-            out[..., col] = np.maximum(np.exp(out[..., col]) - _LOG_EPSILON, 0.0)
-    return out
 
 
 @dataclass
@@ -77,10 +54,10 @@ class ParameterModel:
     _fitted: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown PPM family {self.family!r}; "
-                f"expected one of {sorted(_FAMILIES)}"
+                f"expected one of {sorted(FAMILIES)}"
             )
         if self.estimator is None:
             self.estimator = RandomForestRegressor(
@@ -91,24 +68,8 @@ class ParameterModel:
             raise ValueError(f"unknown feature names: {sorted(unknown)}")
 
     @property
-    def ppm_class(self) -> type[PricePerfModel]:
-        return _FAMILIES[self.family]
-
-    @property
     def param_names(self) -> tuple[str, ...]:
-        return self.ppm_class.PARAM_NAMES
-
-    def _project(self, features: np.ndarray) -> np.ndarray:
-        """Select the configured feature columns from full feature rows."""
-        if features.shape[1] == len(self.feature_names):
-            return features
-        if features.shape[1] != len(FEATURE_NAMES):
-            raise ValueError(
-                f"feature matrix has {features.shape[1]} columns; expected "
-                f"{len(FEATURE_NAMES)} (full) or {len(self.feature_names)}"
-            )
-        cols = [FEATURE_NAMES.index(name) for name in self.feature_names]
-        return features[:, cols]
+        return FAMILIES[self.family].PARAM_NAMES
 
     def fit(self, features: np.ndarray, params: np.ndarray) -> "ParameterModel":
         """Train on one row per query.
@@ -128,8 +89,8 @@ class ParameterModel:
             )
         if features.shape[0] != params.shape[0]:
             raise ValueError("features and params row counts differ")
-        targets = _to_target_space(params, _LOG_PARAMS[self.family])
-        self.estimator.fit(self._project(features), targets)
+        targets = to_targets(params, _LOG_PARAMS[self.family])
+        self.estimator.fit(project_features(features, self.feature_names), targets)
         self._fitted = True
         return self
 
@@ -141,45 +102,35 @@ class ParameterModel:
         single = features.ndim == 1
         if single:
             features = features[None, :]
-        targets = self.estimator.predict(self._project(features))
-        out = _from_target_space(np.atleast_2d(targets), _LOG_PARAMS[self.family])
+        projected = project_features(features, self.feature_names)
+        targets = np.atleast_2d(self.estimator.predict(projected))
+        out = from_targets(targets, _LOG_PARAMS[self.family])
         return out[0] if single else out
 
     def predict_ppm(self, features: QueryFeatures | np.ndarray) -> PricePerfModel:
-        """Score once and instantiate the predicted PPM for one query.
-
-        Predicted parameters are clamped into the family's monotone-valid
-        region by ``from_parameters`` (the paper's monotonicity constraint
-        applied to ML outputs).
-        """
+        """Score once and instantiate the predicted PPM for one query:
+        row 0 of :meth:`predict_ppm_batch`."""
         if isinstance(features, QueryFeatures):
-            vector = features.values
-        else:
-            vector = np.asarray(features, dtype=float)
-        params = self.predict_params(vector)
-        return self.ppm_class.from_parameters(params)
+            features = features.values
+        return self.predict_ppm_batch(features)[0]
 
     def predict_ppm_batch(self, features_matrix) -> list[PricePerfModel]:
         """Score a batch of feature rows with one estimator call.
 
-        Output ``i`` is identical to :meth:`predict_ppm` on row ``i``:
-        the forest scores each row independently, so batching changes
-        the call count, never a parameter.
+        Predicted parameters are clamped into the family's monotone-valid
+        region by ``from_parameters`` (the paper's monotonicity constraint
+        applied to ML outputs).  The forest scores each row independently,
+        so batching changes the call count, never a parameter.
         """
         matrix = np.atleast_2d(np.asarray(features_matrix, dtype=float))
-        family = self.ppm_class
+        family = FAMILIES[self.family]
         return [family.from_parameters(row) for row in self.predict_params(matrix)]
-
-    def predict_curve(
-        self, features: QueryFeatures | np.ndarray, n_grid
-    ) -> np.ndarray:
-        """Convenience: predicted run-time curve over a candidate grid."""
-        return self.predict_ppm(features).predict_curve(n_grid)
 
     def export_metadata(self) -> dict:
         """Metadata a portable-model scorer needs to reproduce this model's
         predictions exactly: the PPM family and the log-space target mask
-        (the estimator predicts transformed targets; see ``_LOG_PARAMS``).
+        (the estimator predicts transformed targets; see ``_LOG_PARAMS``),
+        and the feature subset a full Table 2 row is projected onto.
         """
         return {
             "family": self.family,

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.ml.linear import LinearRegression
 
@@ -32,6 +34,9 @@ __all__ = [
     "PricePerfModel",
     "PowerLawPPM",
     "AmdahlPPM",
+    "FAMILIES",
+    "to_targets",
+    "from_targets",
     "fit_power_law",
     "fit_amdahl",
 ]
@@ -51,7 +56,12 @@ class PricePerfModel(ABC):
     def parameters(self) -> np.ndarray:
         """Parameter vector, ordered as :attr:`PARAM_NAMES`."""
 
-    def predict_curve(self, n_values) -> np.ndarray:
+    @classmethod
+    @abstractmethod
+    def from_parameters(cls, params: np.ndarray) -> "PricePerfModel":
+        """Build from a raw parameter vector, clamped into validity."""
+
+    def predict_curve(self, n_values: ArrayLike) -> np.ndarray:
         """Vectorized :meth:`predict` over a grid of resource levels."""
         return np.array([self.predict(float(n)) for n in np.asarray(n_values)])
 
@@ -138,9 +148,38 @@ class AmdahlPPM(PricePerfModel):
         return cls(s=max(s, 0.0), p=max(p, 0.0))
 
 
+#: The PPM families by the name model metadata records them under.
+FAMILIES: dict[str, type[PricePerfModel]] = {
+    "power_law": PowerLawPPM,
+    "amdahl": AmdahlPPM,
+}
+
+_EPSILON = 1e-3  # keeps log(0) finite
+
+
+def to_targets(params: ArrayLike, log_mask: Sequence[bool]) -> np.ndarray:
+    """Encode ``(n, n_params)`` parameters as regression targets: the
+    ``log_mask`` columns as ``log(max(x, 0) + ε)``, the rest raw."""
+    out = np.array(params, dtype=float, copy=True)
+    for col, use_log in enumerate(log_mask):
+        if use_log:
+            out[:, col] = np.log(np.maximum(out[:, col], 0.0) + _EPSILON)
+    return out
+
+
+def from_targets(targets: ArrayLike, log_mask: Sequence[bool]) -> np.ndarray:
+    """Decode predicted targets back to raw parameters (:func:`to_targets`
+    inverted, floored at zero).  Every scorer decodes through here."""
+    out = np.array(targets, dtype=float, copy=True)
+    for col, use_log in enumerate(log_mask):
+        if use_log:
+            out[..., col] = np.maximum(np.exp(out[..., col]) - _EPSILON, 0.0)
+    return out
+
+
 def fit_power_law(
-    n_values,
-    t_values,
+    n_values: ArrayLike,
+    t_values: ArrayLike,
     saturation_tolerance: float = 0.02,
 ) -> PowerLawPPM:
     """Fit AE_PL to (n, t) samples (paper Section 3.4).
@@ -179,7 +218,7 @@ def fit_power_law(
     return PowerLawPPM(a=a, b=max(b, 1e-9), m=m)
 
 
-def fit_amdahl(n_values, t_values) -> AmdahlPPM:
+def fit_amdahl(n_values: ArrayLike, t_values: ArrayLike) -> AmdahlPPM:
     """Fit AE_AL by regressing ``t`` on ``1/n`` (paper Section 3.4).
 
     Negative fitted components are clamped with a constrained refit: a

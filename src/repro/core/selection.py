@@ -22,14 +22,20 @@ selection every prediction is judged against.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Callable, Sequence
 
+import numpy as np
+from numpy.typing import ArrayLike
+
+from repro.core.ppm import PricePerfModel
 from repro.engine.cluster import Cluster
 from repro.engine.scheduler import DEFAULT_SCHEDULER_CONFIG, SchedulerConfig
 from repro.engine.stages import StageGraph
 from repro.engine.sweep import simulate_query_sweep
 
 __all__ = [
+    "SelectionObjective",
+    "select_on_curve",
     "min_time_executors",
     "limited_slowdown",
     "elbow_point",
@@ -38,7 +44,11 @@ __all__ = [
 ]
 
 
-def _validate(n_grid, t_curve) -> tuple[np.ndarray, np.ndarray]:
+#: An objective maps (n_grid, predicted curve) to a chosen executor count.
+SelectionObjective = Callable[[np.ndarray, np.ndarray], int]
+
+
+def _validate(n_grid: ArrayLike, t_curve: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
     n = np.asarray(n_grid, dtype=float)
     t = np.asarray(t_curve, dtype=float)
     if n.shape != t.shape or n.ndim != 1:
@@ -52,13 +62,15 @@ def _validate(n_grid, t_curve) -> tuple[np.ndarray, np.ndarray]:
     return n, t
 
 
-def min_time_executors(n_grid, t_curve) -> int:
+def min_time_executors(n_grid: ArrayLike, t_curve: ArrayLike) -> int:
     """Smallest ``n`` achieving the minimum time on the curve."""
     n, t = _validate(n_grid, t_curve)
     return int(n[int(np.argmin(t))])
 
 
-def limited_slowdown(n_grid, t_curve, target_slowdown: float) -> int:
+def limited_slowdown(
+    n_grid: ArrayLike, t_curve: ArrayLike, target_slowdown: float
+) -> int:
     """Smallest ``n`` with ``t(n) ≤ H · t_min`` (paper's first scenario).
 
     Args:
@@ -73,7 +85,7 @@ def limited_slowdown(n_grid, t_curve, target_slowdown: float) -> int:
     return int(n[eligible[0]])
 
 
-def elbow_point(n_grid, t_curve) -> int:
+def elbow_point(n_grid: ArrayLike, t_curve: ArrayLike) -> int:
     """The paper's elbow selection (Equations 7–9).
 
     Both axes are range-scaled to [0, 1]:
@@ -111,9 +123,27 @@ def elbow_point(n_grid, t_curve) -> int:
     return int(n[0])
 
 
+def select_on_curve(
+    ppm: PricePerfModel,
+    n_grid: np.ndarray,
+    objective: SelectionObjective,
+    lo: int,
+    hi: int,
+) -> tuple[int, float]:
+    """The one step from a predicted PPM to a decision: the objective's
+    pick on ``ppm``'s curve, clamped to ``[lo, hi]``, and the predicted
+    run time there (off the scored curve unless the clamp left the grid)."""
+    curve = ppm.predict_curve(n_grid)
+    chosen = int(min(max(objective(n_grid, curve), lo), hi))
+    on_grid = np.nonzero(n_grid == chosen)[0]
+    if on_grid.size:
+        return chosen, float(curve[on_grid[0]])
+    return chosen, ppm.predict(float(chosen))
+
+
 def true_runtime_curve(
     graph: StageGraph,
-    n_grid,
+    n_grid: Sequence[int],
     cluster: Cluster | None = None,
     config: SchedulerConfig = DEFAULT_SCHEDULER_CONFIG,
 ) -> np.ndarray:
@@ -130,9 +160,9 @@ def true_runtime_curve(
 
 def oracle_executors(
     graph: StageGraph,
-    n_grid,
+    n_grid: Sequence[int],
     cluster: Cluster | None = None,
-    objective=elbow_point,
+    objective: SelectionObjective = elbow_point,
     config: SchedulerConfig = DEFAULT_SCHEDULER_CONFIG,
 ) -> int:
     """Hindsight selection: the objective applied to the true curve.

@@ -138,12 +138,11 @@ def run_cross_validation(
             # One batched score for all queries, then pure PPM arithmetic
             # (the parametric approach: model scoring is per-query, curve
             # evaluation is per-configuration).
-            params = model.predict_params(dataset.features)
-            curves: dict[str, np.ndarray] = {}
-            for qid, row in zip(dataset.query_ids, params):
-                ppm = model.ppm_class.from_parameters(row)
-                curves[qid] = ppm.predict_curve(dataset.n_grid)
-            fold.predicted_curves[family] = curves
+            ppms = model.predict_ppm_batch(dataset.features)
+            fold.predicted_curves[family] = {
+                qid: ppm.predict_curve(dataset.n_grid)
+                for qid, ppm in zip(dataset.query_ids, ppms)
+            }
         folds.append(fold)
     return CrossValResult(
         folds=folds,

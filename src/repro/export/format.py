@@ -4,17 +4,17 @@ A portable model is a JSON document:
 
     {
       "format_version": 1,
-      "kind": "random_forest" | "linear",
+      "kind": "random_forest",      # the one kind; a tree is a 1-tree forest
       "n_features": int, "n_outputs": int,
-      "metadata": {...},            # feature names, PPM family, ...
-      "trees": [                    # for random forests
+      "metadata": {...},            # PPM family, log mask, feature names
+      "trees": [
         {"feature": [...], "threshold": [...],
          "left": [...], "right": [...], "value": [[...], ...]},
         ...
-      ],
-      "coef": [[...]], "intercept": [...]   # for linear models
+      ]
     }
 
+Any other ``kind``, a ``linear`` one included, is rejected as unknown.
 Like ONNX, the format captures only what inference needs — no training
 state — and is independent of the library that produced it.  File sizes
 land in the same ~1 MB ballpark the paper reports for its 103-query
@@ -25,19 +25,22 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.linear import LinearRegression
 from repro.ml.tree import DecisionTreeRegressor
+
+if TYPE_CHECKING:
+    from repro.core.parameter_model import ParameterModel
 
 __all__ = ["FORMAT_VERSION", "export_model", "save_model_file", "load_model_file"]
 
 FORMAT_VERSION = 1
 
 
-def _export_tree(tree: DecisionTreeRegressor) -> dict:
+def _export_tree(tree: DecisionTreeRegressor) -> dict[str, Any]:
     features, thresholds, left, right, values = tree._compile()
     return {
         "feature": features.tolist(),
@@ -50,54 +53,38 @@ def _export_tree(tree: DecisionTreeRegressor) -> dict:
     }
 
 
-def export_model(model, metadata: dict | None = None) -> dict:
-    """Serialize a fitted estimator into the portable document.
+def export_model(
+    model: object, metadata: dict[str, Any] | None = None
+) -> dict[str, Any]:
+    """Serialize a fitted forest (or single tree) into the portable document.
 
-    Supports the estimators the paper's pipeline uses: random forests,
-    single trees, and linear models.  ``metadata`` is carried verbatim
-    (put feature names and the PPM family there).
+    ``metadata`` is carried verbatim (put feature names and the PPM
+    family there).
     """
     metadata = dict(metadata or {})
     if isinstance(model, RandomForestRegressor):
         if not model.estimators_:
             raise ValueError("cannot export an unfitted forest")
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "random_forest",
-            "n_features": model.n_features_in_,
-            "n_outputs": model.n_outputs_,
-            "metadata": metadata,
-            "trees": [_export_tree(t) for t in model.estimators_],
-        }
-    if isinstance(model, DecisionTreeRegressor):
+        trees = model.estimators_
+    elif isinstance(model, DecisionTreeRegressor):
         if not model.nodes_:
             raise ValueError("cannot export an unfitted tree")
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "random_forest",  # a forest with one tree
-            "n_features": model.n_features_in_,
-            "n_outputs": model.n_outputs_,
-            "metadata": metadata,
-            "trees": [_export_tree(model)],
-        }
-    if isinstance(model, LinearRegression):
-        if model.coef_ is None:
-            raise ValueError("cannot export an unfitted linear model")
-        coef = np.atleast_2d(model.coef_)
-        intercept = np.atleast_1d(model.intercept_)
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "linear",
-            "n_features": model.n_features_in_,
-            "n_outputs": coef.shape[0],
-            "metadata": metadata,
-            "coef": coef.tolist(),
-            "intercept": [float(b) for b in intercept],
-        }
-    raise TypeError(f"cannot export models of type {type(model).__name__}")
+        trees = [model]
+    else:
+        raise TypeError(f"cannot export models of type {type(model).__name__}")
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "random_forest",
+        "n_features": model.n_features_in_,
+        "n_outputs": model.n_outputs_,
+        "metadata": metadata,
+        "trees": [_export_tree(t) for t in trees],
+    }
 
 
-def save_model_file(model, path: str | Path, metadata: dict | None = None) -> int:
+def save_model_file(
+    model: object, path: str | Path, metadata: dict[str, Any] | None = None
+) -> int:
     """Export and write a model; returns the file size in bytes."""
     document = export_model(model, metadata)
     path = Path(path)
@@ -107,19 +94,19 @@ def save_model_file(model, path: str | Path, metadata: dict | None = None) -> in
     return path.stat().st_size
 
 
-def save_parameter_model(parameter_model, path: str | Path) -> int:
+def save_parameter_model(parameter_model: ParameterModel, path: str | Path) -> int:
     """Export a fitted :class:`repro.core.parameter_model.ParameterModel`.
 
     Writes the underlying estimator together with the metadata a
-    :class:`repro.export.runtime.PortablePPMScorer` needs (PPM family and
-    log-space target mask).  Returns the file size in bytes.
+    :class:`repro.export.runtime.PortablePPMScorer` needs (see
+    ``export_metadata``).  Returns the file size in bytes.
     """
     return save_model_file(
         parameter_model.estimator, path, parameter_model.export_metadata()
     )
 
 
-def load_model_file(path: str | Path) -> dict:
+def load_model_file(path: str | Path) -> dict[str, Any]:
     """Read and validate a portable model document."""
     with open(path, encoding="utf-8") as f:
         document = json.load(f)
@@ -127,24 +114,20 @@ def load_model_file(path: str | Path) -> dict:
     return document
 
 
-def validate_document(document: dict) -> None:
+def validate_document(document: dict[str, Any]) -> None:
     """Structural validation of a portable model document."""
     if document.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported format version: {document.get('format_version')!r}"
         )
     kind = document.get("kind")
-    if kind == "random_forest":
-        trees = document.get("trees")
-        if not trees:
-            raise ValueError("forest document has no trees")
-        for tree in trees:
-            n = len(tree["feature"])
-            for key in ("threshold", "left", "right", "value"):
-                if len(tree[key]) != n:
-                    raise ValueError(f"tree arrays disagree on length ({key})")
-    elif kind == "linear":
-        if "coef" not in document or "intercept" not in document:
-            raise ValueError("linear document missing coefficients")
-    else:
+    if kind != "random_forest":
         raise ValueError(f"unknown model kind: {kind!r}")
+    trees = document.get("trees")
+    if not trees:
+        raise ValueError("forest document has no trees")
+    for tree in trees:
+        n = len(tree["feature"])
+        for key in ("threshold", "left", "right", "value"):
+            if len(tree[key]) != n:
+                raise ValueError(f"tree arrays disagree on length ({key})")

@@ -9,20 +9,25 @@ It imports no training classes from :mod:`repro.ml`, just as the ONNX
 runtime is independent of scikit-learn.
 
 :class:`PortablePPMScorer` adapts a loaded model to the ``predict_ppm``
-interface :class:`repro.core.autoexecutor.AutoExecutorRule` expects, using
-the PPM family recorded in the model's metadata.
+interface :class:`repro.core.autoexecutor.AutoExecutorRule` expects,
+decoding as the in-process parameter model does: through
+:mod:`repro.core.ppm`'s family table and target codec and
+:func:`repro.core.features.project_features`.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
+from typing import Any
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.core.ppm import AmdahlPPM, PowerLawPPM, PricePerfModel
+from repro.core.features import FEATURE_NAMES, QueryFeatures, project_features
+from repro.core.ppm import FAMILIES, PricePerfModel, from_targets
 from repro.export.format import load_model_file
-from repro.ml.packed import PackedForest, reject_non_finite
+from repro.ml.packed import PackedForest
 from repro.obs.sketch import QuantileSketch
 
 __all__ = ["PortableModelRuntime", "PortablePPMScorer"]
@@ -31,18 +36,14 @@ __all__ = ["PortableModelRuntime", "PortablePPMScorer"]
 class _CompiledForest:
     """Inference-ready representation of a forest document."""
 
-    def __init__(self, document: dict) -> None:
-        self.kind = document["kind"]
+    def __init__(self, document: dict[str, Any]) -> None:
         self.n_features = int(document["n_features"])
+        self.n_outputs = int(document["n_outputs"])
         self.metadata = dict(document.get("metadata", {}))
-        if self.kind == "linear":
-            self.coef = np.asarray(document["coef"], dtype=float)
-            self.intercept = np.asarray(document["intercept"], dtype=float)
-        else:
-            keys = ("feature", "threshold", "left", "right", "value")
-            self.forest = PackedForest(
-                [[tree[key] for key in keys] for tree in document["trees"]]
-            )
+        keys = ("feature", "threshold", "left", "right", "value")
+        self.forest = PackedForest(
+            [[tree[key] for key in keys] for tree in document["trees"]]
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -54,13 +55,7 @@ class _CompiledForest:
                 f"input has {X.shape[1]} features; model expects "
                 f"{self.n_features}"
             )
-        if self.kind == "linear":
-            # A NaN/inf row would price to a NaN/inf curve; refuse it the
-            # way the forest kernel does.
-            reject_non_finite(X)
-            out = X @ self.coef.T + self.intercept
-        else:
-            out = self.forest.predict(X)
+        out = self.forest.predict(X)
         return out[0] if single else out
 
 
@@ -85,14 +80,11 @@ class PortableModelRuntime:
             phase: QuantileSketch() for phase in ("load", "setup", "inference")
         }
 
-    def model_path(self, name: str) -> Path:
-        return self.registry_dir / f"{name}.json"
-
     def load(self, name: str) -> _CompiledForest:
         """Fetch a model, reading and compiling it only on first use."""
         if name not in self._cache:
             start = time.perf_counter()
-            document = load_model_file(self.model_path(name))
+            document = load_model_file(self.registry_dir / f"{name}.json")
             self.timings["load"].add(time.perf_counter() - start)
             start = time.perf_counter()
             self._cache[name] = _CompiledForest(document)
@@ -112,78 +104,65 @@ class PortableModelRuntime:
         return self.timings[phase].mean
 
 
-_FAMILIES: dict[str, type[PricePerfModel]] = {
-    "power_law": PowerLawPPM,
-    "amdahl": AmdahlPPM,
-}
-
-
 class PortablePPMScorer:
     """Adapt a registry model to the AutoExecutor rule's interface.
 
-    The model's metadata must record its PPM family under ``"family"``
-    and — when the training pipeline regressed targets in log space — the
-    per-parameter mask under ``"log_params"``.  Both are written by
-    :meth:`repro.core.parameter_model.ParameterModel.export_metadata`.
+    The metadata :meth:`~repro.core.parameter_model.ParameterModel
+    .export_metadata` writes names the PPM ``"family"``, the
+    ``"log_params"`` target mask (absent: all raw) and the
+    ``"feature_names"`` full rows are projected onto (absent: none).
+    Metadata that disagrees with the model raises a ``ValueError``
+    naming the model at first use.
     """
-
-    _LOG_EPSILON = 1e-3  # must match the parameter model's transform
 
     def __init__(self, runtime: PortableModelRuntime, name: str) -> None:
         self.runtime = runtime
         self.name = name
 
-    def _family(self) -> type[PricePerfModel]:
-        metadata = self.runtime.load(self.name).metadata
+    def _decoding(
+        self, model: _CompiledForest
+    ) -> tuple[type[PricePerfModel], list[bool], list[str] | None]:
+        """The model's PPM family, log mask and feature subset, checked."""
+        metadata = model.metadata
         family = metadata.get("family")
-        if family not in _FAMILIES:
-            raise ValueError(
-                f"model {self.name!r} metadata lacks a valid PPM family "
-                f"(got {family!r})"
-            )
-        return _FAMILIES[family]
+        ppm_class = FAMILIES.get(family) if isinstance(family, str) else None
+        n_params = len(ppm_class.PARAM_NAMES) if ppm_class else 0
+        log_mask = list(metadata.get("log_params", [False] * n_params))
+        names = metadata.get("feature_names")
+        unknown = sorted(set(names or ()) - set(FEATURE_NAMES))
+        if ppm_class is None:
+            problem = f"metadata lacks a valid PPM family (got {family!r})"
+        elif model.n_outputs != n_params:
+            problem = f"has {model.n_outputs} outputs; family {family!r} has {n_params}"
+        elif len(log_mask) != n_params:
+            problem = f"log_params has {len(log_mask)} entries for {n_params} outputs"
+        elif unknown:
+            problem = f"names unknown features: {unknown}"
+        elif names is not None and len(names) != model.n_features:
+            problem = f"lists {len(names)} feature names; it reads {model.n_features}"
+        else:
+            return ppm_class, log_mask, names
+        raise ValueError(f"model {self.name!r} {problem}")
 
-    def _untransform(self, params: np.ndarray) -> np.ndarray:
-        """Undo the training pipeline's log-space target transform."""
-        metadata = self.runtime.load(self.name).metadata
-        log_mask = metadata.get("log_params", [False] * params.shape[-1])
-        for col, use_log in enumerate(log_mask):
-            if use_log:
-                params[..., col] = np.maximum(
-                    np.exp(params[..., col]) - self._LOG_EPSILON, 0.0
-                )
-        return params
+    def predict_ppm(self, features: QueryFeatures | ArrayLike) -> PricePerfModel:
+        """One query's PPM: row 0 of :meth:`predict_ppm_batch`."""
+        return self.predict_ppm_batch(getattr(features, "values", features))[0]
 
-    def predict_ppm(self, features) -> PricePerfModel:
-        vector = getattr(features, "values", features)
-        raw = self.runtime.predict(self.name, np.asarray(vector, dtype=float))
-        family = self._family()
-        params = self._untransform(np.array(raw, dtype=float))
-        return family.from_parameters(params)
+    def predict_ppm_batch(self, features_matrix: ArrayLike) -> list[PricePerfModel]:
+        """Score a batch of feature rows in one runtime call.
 
-    def predict_ppm_batch(self, features_matrix) -> list[PricePerfModel]:
-        """Score a whole batch of feature rows in one runtime call.
-
-        This is the batch-inference contract every consumer leans on —
-        :meth:`repro.fleet.prediction.PredictionService.predict_batch`
-        for cache warm-up, and the HTTP serving layer's micro-batcher
-        (:mod:`repro.serve.batching`) for request coalescing:
-
-        - **Input shape**: ``features_matrix`` is array-like of shape
-          ``(n, n_features)`` with one feature vector per row, ordered
-          as :data:`repro.core.features.FEATURE_NAMES`.  A single
-          1-D vector is promoted to a one-row matrix.
-        - **Ordering**: the result is one fitted PPM per row, with
-          output ``i`` scoring input row ``i``.
-        - **Equivalence**: output ``i`` is *identical* to calling
-          :meth:`predict_ppm` on row ``i`` alone — batching changes the
-          dispatch count (one runtime call instead of ``n``; the
-          batching the paper's in-optimizer ONNX runtime relies on),
-          never the predictions.  The serving layer's byte-identical
-          recommendation guarantee rests on this.
+        Rows are full Table 2 vectors (ordered as
+        :data:`~repro.core.features.FEATURE_NAMES`, even for a subset
+        model); a 1-D vector is one row.  Output ``i`` scores row ``i``,
+        :meth:`predict_ppm` is row 0, and the forest scores each row
+        independently, so batching (``PredictionService.predict_batch``,
+        the HTTP micro-batcher) changes the dispatch count, never a
+        prediction — the serving layer's byte-identical guarantee.
         """
+        model = self.runtime.load(self.name)
+        ppm_class, log_mask, names = self._decoding(model)
         matrix = np.atleast_2d(np.asarray(features_matrix, dtype=float))
-        raw = self.runtime.predict(self.name, matrix)
-        family = self._family()
-        params = self._untransform(np.array(raw, dtype=float))
-        return [family.from_parameters(row) for row in params]
+        if names is not None:
+            matrix = project_features(matrix, names)
+        params = from_targets(self.runtime.predict(self.name, matrix), log_mask)
+        return [ppm_class.from_parameters(row) for row in params]

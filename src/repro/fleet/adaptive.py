@@ -259,8 +259,7 @@ class _ShadowTrial:
 
     @staticmethod
     def _predict(scorer: PPMScorer, features: QueryFeatures, n: int) -> float:
-        curve = scorer.predict_ppm(features).predict_curve([n])
-        return float(np.asarray(curve)[0])
+        return scorer.predict_ppm(features).predict(float(n))
 
     def score(self, features: QueryFeatures, executors: int, observed: float) -> bool:
         """Score one finished query; returns ``True`` when the window

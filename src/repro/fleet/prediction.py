@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.features import QueryFeatures
 from repro.core.ppm import PricePerfModel
-from repro.core.selection import elbow_point
+from repro.core.selection import SelectionObjective, elbow_point, select_on_curve
 from repro.core.training import DEFAULT_N_GRID
 from repro.engine.plan import LogicalPlan
 from repro.obs.trace import TraceEvent, Tracer
@@ -41,17 +41,15 @@ if TYPE_CHECKING:
 
 __all__ = ["PPMScorer", "Prediction", "PredictionService"]
 
-#: Selection objective signature (same as AutoExecutor's).
-_Objective = Callable[[np.ndarray, np.ndarray], int]
-
 
 class PPMScorer(Protocol):
     """Structural type for scorers: features in, fitted PPM out.
 
     Satisfied by a trained :class:`~repro.core.parameter_model
     .ParameterModel` and by the portable-model scorer
-    :class:`~repro.export.runtime.PortablePPMScorer`.  Output ``i`` of
-    ``predict_ppm_batch`` must equal ``predict_ppm`` on row ``i``.
+    :class:`~repro.export.runtime.PortablePPMScorer`.  ``predict_ppm``
+    is row 0 of ``predict_ppm_batch``, so output ``i`` of a batch equals
+    ``predict_ppm`` on row ``i``.
     """
 
     def predict_ppm(self, features: QueryFeatures) -> PricePerfModel: ...
@@ -97,12 +95,15 @@ class PredictionService:
             events are stamped at time ``0.0`` — they account for the
             service, not the fleet timeline (the engines emit the
             on-clock ``query_predict`` events).
-        features_memo_size: bound on the per-query featurization memo.
-            The memo is an LRU: the streaming-mode O(1)-memory contract
-            forbids any per-query state that outlives the bound, and an
-            evicted entry only costs a re-featurization on its next
-            arrival — never a wrong answer.
     """
+
+    #: Bound on the per-query featurization memo, copied to
+    #: ``self.features_memo_size``.  The memo is an LRU (a hit refreshes
+    #: its entry, an insert past the bound evicts the least recently used
+    #: query id): the streaming-mode O(1)-memory contract forbids any
+    #: per-query state that outlives the bound, and an evicted entry only
+    #: costs a re-featurization on its next arrival — never a wrong answer.
+    FEATURES_MEMO_SIZE = 4096
 
     #: Bound on the plan-signature memo cache, copied to
     #: ``self.decision_cache_size``.  The cache is an LRU like the
@@ -116,23 +117,20 @@ class PredictionService:
         self,
         scorer: PPMScorer,
         n_grid: np.ndarray = DEFAULT_N_GRID,
-        objective: _Objective = elbow_point,
+        objective: SelectionObjective = elbow_point,
         min_executors: int = 1,
         max_executors: int = 48,
         tracer: Tracer | None = None,
-        features_memo_size: int = 4096,
     ) -> None:
         if min_executors < 1 or max_executors < min_executors:
             raise ValueError("invalid executor clamp range")
-        if features_memo_size < 1:
-            raise ValueError("features_memo_size must be positive")
         self.scorer = scorer
         self.n_grid = np.asarray(n_grid)
         self.objective = objective
         self.min_executors = int(min_executors)
         self.max_executors = int(max_executors)
         self.tracer = tracer
-        self.features_memo_size = int(features_memo_size)
+        self.features_memo_size = self.FEATURES_MEMO_SIZE
         self.decision_cache_size = self.DECISION_CACHE_SIZE
         #: Model generation: bumped by :meth:`invalidate` (and so by
         #: :meth:`swap_scorer`).  Every memo-cache entry is tagged with
@@ -149,10 +147,9 @@ class PredictionService:
         # compiled-plan memo: one optimized plan per query id, so the id
         # keys its feature vector and recurring arrivals skip the plan
         # walk.  The plan object rides along as an identity guard — if a
-        # query id ever maps to a new plan, it is re-featurized.  The
-        # dict is used as an LRU (insertion order = recency; hits
-        # reinsert) and bounded by ``features_memo_size``; it survives
-        # :meth:`invalidate` because features are model-independent.
+        # query id ever maps to a new plan, it is re-featurized.  An LRU
+        # (insertion order = recency) bounded by features_memo_size; it
+        # survives :meth:`invalidate` (features are model-independent).
         self._features_by_query: dict[str, tuple[object, QueryFeatures]] = {}
         self.hits = 0
         self.misses = 0
@@ -223,9 +220,7 @@ class PredictionService:
         self._cache[key] = entry
         return entry[1], entry[2]
 
-    def _remember(
-        self, key: tuple[float, ...], decision: tuple[int, float]
-    ) -> None:
+    def _remember(self, key: tuple[float, ...], decision: tuple[int, float]) -> None:
         """Cache a freshly scored decision, evicting past the bound."""
         cache = self._cache
         cache.pop(key, None)
@@ -263,17 +258,9 @@ class PredictionService:
 
     def _select(self, ppm: PricePerfModel) -> tuple[int, float]:
         """The chosen count and the predicted run time at that count."""
-        curve = ppm.predict_curve(self.n_grid)
-        chosen = self.objective(self.n_grid, curve)
-        chosen = int(np.clip(chosen, self.min_executors, self.max_executors))
-        # The objective picks off the grid we already scored; only a
-        # clamp that moved the count off-grid costs a second inference.
-        on_grid = np.nonzero(self.n_grid == chosen)[0]
-        if on_grid.size:
-            runtime = float(curve[on_grid[0]])
-        else:
-            runtime = float(np.asarray(ppm.predict_curve([chosen]))[0])
-        return chosen, runtime
+        return select_on_curve(
+            ppm, self.n_grid, self.objective, self.min_executors, self.max_executors
+        )
 
     def predict_batch(self, plans: Sequence) -> list[Prediction]:
         """Serve many decisions at once, batching uncached inference.
@@ -338,12 +325,7 @@ class PredictionService:
         once and every later arrival is a pure signature lookup.  The
         memo lookup and any featurization stay inside the measured
         window, so ``Prediction.seconds`` keeps its "featurize + lookup"
-        contract.
-
-        The memo is a bounded LRU (``features_memo_size``): a hit
-        refreshes the entry's recency, an insert past the bound evicts
-        the least-recently-used query id.  Eviction is invisible except
-        in cost — the evicted query re-featurizes on its next arrival.
+        contract.  The memo is bounded by :attr:`FEATURES_MEMO_SIZE`.
         """
         start = time.perf_counter()
         memo = self._features_by_query

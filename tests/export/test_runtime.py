@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.features import FEATURE_NAMES, QueryFeatures
+from repro.core.parameter_model import ParameterModel
 from repro.core.ppm import AmdahlPPM, PowerLawPPM
-from repro.export.format import save_model_file
+from repro.export.format import save_model_file, save_parameter_model
 from repro.export.runtime import PortableModelRuntime, PortablePPMScorer
+from repro.fleet.prediction import PredictionService
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.linear import LinearRegression
 from repro.ml.packed import NonFiniteFeaturesError
 
 
@@ -19,8 +21,6 @@ def registry(tmp_path_factory):
     Y_al = np.abs(rng.random((60, 2))) + 0.1
     forest = RandomForestRegressor(n_estimators=6, random_state=0).fit(X, Y_al)
     save_model_file(forest, root / "ae_al.json", metadata={"family": "amdahl"})
-    linear = LinearRegression().fit(X, Y_al)
-    save_model_file(linear, root / "lin.json", metadata={"family": "amdahl"})
     forest_nofam = RandomForestRegressor(n_estimators=2, random_state=0).fit(
         X, Y_al
     )
@@ -44,12 +44,6 @@ class TestRuntime:
         assert np.allclose(
             runtime.predict("ae_al", X[0]), forest.predict(X[:1])[0]
         )
-
-    def test_linear_model_scoring(self, registry):
-        root, _, X = registry
-        runtime = PortableModelRuntime(root)
-        out = runtime.predict("lin", X[:5])
-        assert out.shape == (5, 2)
 
     def test_model_cached_after_first_load(self, registry):
         root, _, X = registry
@@ -119,25 +113,6 @@ class TestPPMScorer:
             scorer.predict_ppm_batch(batch)
         assert info.value.row == 2
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_linear_single_row_non_finite_rejected(self, registry, value):
-        root, _, X = registry
-        runtime = PortableModelRuntime(root)
-        row = X[0].copy()
-        row[7] = value
-        with pytest.raises(NonFiniteFeaturesError, match="row 0"):
-            runtime.predict("lin", row)
-
-    def test_linear_batch_non_finite_names_first_bad_row(self, registry):
-        root, _, X = registry
-        runtime = PortableModelRuntime(root)
-        batch = X[:6].copy()
-        batch[3, 2] = -np.inf
-        batch[5, 0] = np.nan
-        with pytest.raises(NonFiniteFeaturesError, match="row 3") as info:
-            runtime.predict("lin", batch)
-        assert info.value.row == 3
-
     def test_integrates_with_autoexecutor_rule(self, registry):
         from repro.core.autoexecutor import AutoExecutorRule
         from repro.engine.optimizer import Optimizer
@@ -151,3 +126,97 @@ class TestPPMScorer:
         opt = Optimizer(extension_rules=[rule])
         context = opt.optimize(build_query("q55", scale_factor=1))
         assert context.requested_executors is not None
+
+
+class TestMetadataValidation:
+    """Metadata that disagrees with the model's shape is refused at first
+    use, naming the model, instead of decoding to a wrong PPM."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bad_registry")
+        rng = np.random.default_rng(1)
+        X = rng.random((40, len(FEATURE_NAMES)))
+        two = RandomForestRegressor(n_estimators=2, random_state=0)
+        two.fit(X, rng.random((40, 2)) + 0.1)
+        three = RandomForestRegressor(n_estimators=2, random_state=0)
+        three.fit(X, rng.random((40, 3)) + 0.1)
+        cases = {
+            "unknown_family": (two, {"family": "cubic"}),
+            "wrong_outputs": (two, {"family": "power_law"}),
+            "short_mask": (three, {"family": "power_law", "log_params": [0, 1]}),
+            "unknown_feature": (
+                two,
+                {"family": "amdahl", "feature_names": ["NoSuchFeature"]},
+            ),
+            "names_vs_width": (
+                two,
+                {"family": "amdahl", "feature_names": ["NumOps", "MaxDepth"]},
+            ),
+        }
+        for name, (forest, metadata) in cases.items():
+            save_model_file(forest, root / f"{name}.json", metadata=metadata)
+        return root, X
+
+    MESSAGES = {
+        "unknown_family": "valid PPM family",
+        "wrong_outputs": "2 outputs; family 'power_law' has 3",
+        "short_mask": "log_params has 2 entries for 3 outputs",
+        "unknown_feature": r"unknown features: \['NoSuchFeature'\]",
+        "names_vs_width": "lists 2 feature names; it reads 19$",
+    }
+
+    @pytest.mark.parametrize("name", sorted(MESSAGES))
+    def test_rejected_naming_the_model(self, root, name):
+        registry, X = root
+        scorer = PortablePPMScorer(PortableModelRuntime(registry), name)
+        pattern = f"model '{name}'.*{self.MESSAGES[name]}"
+        for score in (scorer.predict_ppm, scorer.predict_ppm_batch):
+            with pytest.raises(ValueError, match=pattern):
+                score(X[0])
+
+
+class TestSubsetModel:
+    """A Section 5.7 feature-subset model scores the same exported as in
+    process, from the same full Table 2 rows."""
+
+    KEEP = ("TotalInputBytes", "TotalRowsProcessed")
+
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        rng = np.random.default_rng(2)
+        X = rng.random((50, len(FEATURE_NAMES))) * 100.0
+        params = np.column_stack(
+            [-rng.random(50), rng.random(50) * 500 + 1, rng.random(50) * 20]
+        )
+        model = ParameterModel(
+            family="power_law",
+            estimator=RandomForestRegressor(n_estimators=5, random_state=0),
+            feature_names=self.KEEP,
+        ).fit(X, params)
+        root = tmp_path_factory.mktemp("subset_registry")
+        save_parameter_model(model, root / "subset.json")
+        scorer = PortablePPMScorer(PortableModelRuntime(root), "subset")
+        return model, scorer, X
+
+    def test_scores_bit_identical_to_in_process(self, exported):
+        model, scorer, X = exported
+        for row in X[:10]:
+            assert scorer.predict_ppm(row).parameters().tobytes() == (
+                model.predict_ppm(row).parameters().tobytes()
+            )
+        batch = scorer.predict_ppm_batch(X)
+        expected = model.predict_ppm_batch(X)
+        assert [p.parameters().tobytes() for p in batch] == [
+            p.parameters().tobytes() for p in expected
+        ]
+
+    def test_served_answers_match_in_process(self, exported):
+        model, scorer, X = exported
+        rows = [QueryFeatures(values=row) for row in X]
+
+        def answers(scorer):
+            served = PredictionService(scorer).predict_batch(rows)
+            return [(p.executors, p.estimated_runtime_seconds.hex()) for p in served]
+
+        assert answers(scorer) == answers(model)

@@ -187,7 +187,8 @@ class TestFeaturesMemoLRU:
     """The unbounded-memo fix: ``_features_by_query`` is a bounded LRU."""
 
     def test_bound_enforced_with_lru_eviction(self):
-        service = PredictionService(CountingScorer(), features_memo_size=4)
+        service = PredictionService(CountingScorer())
+        service.features_memo_size = 4
         workload = Workload(scale_factor=10, query_ids=("q1",))
         plan = workload.optimized_plan("q1")
         for i in range(12):
@@ -196,7 +197,8 @@ class TestFeaturesMemoLRU:
         assert list(service._features_by_query) == ["id8", "id9", "id10", "id11"]
 
     def test_hit_refreshes_recency(self):
-        service = PredictionService(CountingScorer(), features_memo_size=2)
+        service = PredictionService(CountingScorer())
+        service.features_memo_size = 2
         workload = Workload(scale_factor=10, query_ids=("q1",))
         plan = workload.optimized_plan("q1")
         service.allocate("a", plan)
@@ -207,7 +209,8 @@ class TestFeaturesMemoLRU:
 
     def test_eviction_only_costs_refeaturization(self):
         scorer = CountingScorer()
-        service = PredictionService(scorer, features_memo_size=1)
+        service = PredictionService(scorer)
+        service.features_memo_size = 1
         workload = Workload(scale_factor=10, query_ids=("q1",))
         plan = workload.optimized_plan("q1")
         first = service.allocate("a", plan)
@@ -220,7 +223,10 @@ class TestFeaturesMemoLRU:
         assert service.hits == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # The bound is a class constant, not a constructor option.
+        service = PredictionService(CountingScorer())
+        assert service.features_memo_size == PredictionService.FEATURES_MEMO_SIZE
+        with pytest.raises(TypeError):
             PredictionService(CountingScorer(), features_memo_size=0)
 
 
@@ -381,14 +387,41 @@ class TestPortableRuntime:
         return workload, system, scorer
 
     def test_portable_matches_in_process_model(self, trained):
+        """Every decision surface answers the same from the exported
+        model as from the in-process one, on every plan, to the bit."""
+        from repro.core.autoexecutor import AutoExecutorRule
+        from repro.engine.optimizer import OptimizerContext
+
         workload, system, scorer = trained
-        service = PredictionService(scorer, n_grid=system.n_grid)
-        for qid in ("q1", "q94"):
-            plan = workload.optimized_plan(qid)
-            assert (
-                service.predict_batch([plan])[0].executors
-                == system.select_executors(plan)
-            )
+        qids = workload.query_ids
+        plans = [workload.optimized_plan(q) for q in qids]
+
+        def decisions(model):
+            single = PredictionService(model, n_grid=system.n_grid)
+            batch = PredictionService(model, n_grid=system.n_grid)
+            rule = AutoExecutorRule(lambda: model, n_grid=system.n_grid)
+            rows = []
+            for qid, plan, batched in zip(qids, plans, batch.predict_batch(plans)):
+                allocated = single.allocate(qid, plan)
+                context = OptimizerContext(plan=plan)
+                rule.apply(context)
+                rows.append(
+                    (
+                        allocated.executors,
+                        float.hex(allocated.estimated_runtime_seconds),
+                        batched.executors,
+                        float.hex(batched.estimated_runtime_seconds),
+                        context.requested_executors,
+                    )
+                )
+            return rows
+
+        portable = decisions(scorer)
+        assert portable == decisions(system.model)
+        expected = [system.select_executors(plan) for plan in plans]
+        for row, executors in zip(portable, expected):
+            assert row[0] == row[2] == row[4] == executors
+            assert row[1] == row[3]
 
     def test_batch_inference_single_runtime_dispatch(self, trained):
         workload, system, scorer = trained

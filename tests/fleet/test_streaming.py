@@ -398,9 +398,8 @@ class TestMemoryFlatness:
             def stage_graph(self, query_id):
                 return self._graph
 
-        service = PredictionService(
-            FixedScorer(), features_memo_size=16, max_executors=4
-        )
+        service = PredictionService(FixedScorer(), max_executors=4)
+        service.features_memo_size = 16
         samples = []
 
         def stream():
