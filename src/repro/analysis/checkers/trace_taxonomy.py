@@ -1,29 +1,19 @@
-"""``trace-taxonomy``: the closed ``EVENT_KINDS`` set, enforced both ways.
+"""``trace-taxonomy``: the closed ``EVENT_KINDS`` table, enforced both ways.
 
 The trace vocabulary is a *closed* taxonomy: every event an engine emits
-uses a kind declared in ``repro.obs.trace.EVENT_KINDS``, and every
-declared kind is actually emitted somewhere.  The first direction keeps
-consumers (``TraceAnalyzer``, replay tooling) total over real logs; the
-second keeps the taxonomy honest — a kind nothing emits is documentation
-drift wearing a frozenset.
+uses a kind declared in ``repro.obs.trace.EVENT_KINDS``, with exactly the
+payload that kind declares, and every declared kind is actually emitted
+somewhere.  The first direction keeps consumers (``TraceAnalyzer``,
+replay tooling) total over real logs; the second keeps the taxonomy
+honest — a kind nothing emits is documentation drift wearing a table.
 
-Emit sites come in the three shapes the engines actually use, all
-handled here:
-
-* typed construction — ``TraceEvent(now, "kind", ...)`` (positional or
-  ``kind=`` keyword), including the ``tuple.__new__(TraceEvent, (...))``
-  fast path;
-* raw hot-path tuples — ``tracer.emit((now, "kind", ...))`` /
-  ``trace_emit((...))``, where the kind is element 1 of a tuple literal
-  passed to an ``*emit`` callable;
-* emit helpers — ``self._trace(now, "kind", ...)`` forwarding functions
-  named in :attr:`~repro.analysis.config.AnalysisConfig.emit_helpers`
-  (kind is always their second argument).
-
-Constructions whose kind is a variable are flagged as unverifiable —
-except inside the declared emit helpers themselves and inside the
-taxonomy module (whose deserializers rebuild events from parsed data by
-construction).
+An emit site has one shape: a tuple literal
+``(time, kind, pool, query, query_id, *payload)`` passed to an ``*emit``
+callable (``tracer.emit((...))``, ``trace_emit((...))``).  Its kind must
+be a string literal in the table and its length must be five plus the
+kind's field count.  A ``TraceEvent(...)`` construction in the census
+scope is flagged: engines hand the tracer the flat tuple and
+:func:`repro.obs.trace.materialize` is the one decoder.
 """
 
 from __future__ import annotations
@@ -37,42 +27,35 @@ from repro.analysis.core import Finding, ModuleContext, module_name_for
 
 __all__ = ["TraceTaxonomyChecker", "emit_site_census", "load_taxonomy"]
 
+#: ``(time, kind, pool, query, query_id)`` lead every emitted tuple.
+_IDENTITY_WIDTH = 5
 
-def load_taxonomy(path: str) -> tuple[dict[str, int], dict[str, int]]:
-    """Extract ``EVENT_KINDS`` and ``RAW_DATA_FIELDS`` declarations.
 
-    Returns ``(kinds, raw_kinds)``, each mapping a kind name to the line
-    it is declared on — purely static, so the analyzer never imports the
-    code it is judging.
+def load_taxonomy(path: str) -> dict[str, tuple[int, int]]:
+    """Extract the ``EVENT_KINDS`` table: kind → (declaration line,
+    payload field count).
+
+    Purely static, so the analyzer never imports the code it is judging.
     """
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=path)
-    kinds: dict[str, int] = {}
-    raw_kinds: dict[str, int] = {}
+    kinds: dict[str, tuple[int, int]] = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        if target.id == "EVENT_KINDS":
-            value = node.value
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id == "frozenset"
-                and value.args
-            ):
-                value = value.args[0]
-            if isinstance(value, ast.Set):
-                for elt in value.elts:
-                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                        kinds[elt.value] = elt.lineno
-        elif target.id == "RAW_DATA_FIELDS" and isinstance(node.value, ast.Dict):
-            for key in node.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    raw_kinds[key.value] = key.lineno
-    return kinds, raw_kinds
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == "EVENT_KINDS"
+            and isinstance(node.value, ast.Dict)
+        ):
+            for key, fields in zip(node.value.keys, node.value.values):
+                if (
+                    isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)
+                    and isinstance(fields, ast.Tuple)
+                ):
+                    kinds[key.value] = (key.lineno, len(fields.elts))
+    return kinds
 
 
 def _callable_name(func: ast.AST) -> str | None:
@@ -87,20 +70,20 @@ def _callable_name(func: ast.AST) -> str | None:
 class TraceTaxonomyChecker(Checker):
     name = "trace-taxonomy"
     description = (
-        "every trace emission uses a declared EVENT_KINDS kind, and every "
-        "declared kind has at least one emit site"
+        "every trace emission is a flat tuple of a declared EVENT_KINDS "
+        "kind with its declared payload, and every declared kind has at "
+        "least one emit site"
     )
 
     def __init__(self, config: AnalysisConfig, root: str = ".") -> None:
         super().__init__(config, root)
         taxonomy_path = os.path.join(root, config.taxonomy_module)
         self.taxonomy_path = taxonomy_path
-        if os.path.exists(taxonomy_path):
-            self.kinds, self.raw_kinds = load_taxonomy(taxonomy_path)
-        else:
-            # No taxonomy in reach (e.g. analyzing a lone script): the
-            # rule has nothing to enforce against.
-            self.kinds, self.raw_kinds = {}, {}
+        # No taxonomy in reach (e.g. analyzing a lone script): the rule
+        # has nothing to enforce against.
+        self.kinds = (
+            load_taxonomy(taxonomy_path) if os.path.exists(taxonomy_path) else {}
+        )
         self.taxonomy_module_name = module_name_for(config.taxonomy_module)
         #: kind → emit sites seen across the run, for finalize() and
         #: for the taxonomy-agreement test's census.
@@ -117,124 +100,80 @@ class TraceTaxonomyChecker(Checker):
         self.saw_census_module = True
         if ctx.module == self.taxonomy_module_name:
             self.saw_taxonomy_module = True
-            return []  # declarations + deserializers, not emit sites
+            return []  # the table, the decoder and the deserializer
         findings: list[Finding] = []
         for node in ctx.walk():
             if not isinstance(node, ast.Call):
                 continue
-            for kind_node in self._kind_exprs(node):
-                finding = self._record(ctx, node, kind_node)
-                if finding is not None:
-                    findings.append(finding)
+            message = self._check_call(ctx, node)
+            if message is not None:
+                findings.append(self.finding(ctx, node, message))
         return findings
 
-    def _kind_exprs(self, node: ast.Call) -> list[ast.AST]:
-        """The expressions holding this call's event kind, if any."""
-        name = _callable_name(node.func)
-        out: list[ast.AST] = []
-        # Typed construction: TraceEvent(now, kind, ...) / kind=...
+    def _check_call(self, ctx: ModuleContext, call: ast.Call) -> str | None:
+        """The finding message for one call, ``None`` when it is fine."""
+        name = _callable_name(call.func)
         if name == "TraceEvent":
-            if len(node.args) >= 2:
-                out.append(node.args[1])
-            else:
-                for kw in node.keywords:
-                    if kw.arg == "kind":
-                        out.append(kw.value)
-        # Fast path: tuple.__new__(TraceEvent, (now, kind, ...)).
-        elif (
-            name == "__new__"
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "tuple"
-            and len(node.args) == 2
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id == "TraceEvent"
-            and isinstance(node.args[1], ast.Tuple)
-            and len(node.args[1].elts) >= 2
+            return (
+                "TraceEvent(...) emission — hand the tracer the flat tuple "
+                "(time, kind, pool, query, query_id, *payload); "
+                "materialize() decodes it"
+            )
+        if (
+            name is None
+            or not name.endswith("emit")
+            or len(call.args) != 1
+            or not isinstance(call.args[0], ast.Tuple)
+            or len(call.args[0].elts) < 2
         ):
-            out.append(node.args[1].elts[1])
-        # Emit helper: self._trace(now, kind, ...).
-        elif name in self.config.emit_helpers:
-            if len(node.args) >= 2:
-                out.append(node.args[1])
-        # Raw hot-path tuple handed to an *emit callable.
-        elif (
-            name is not None
-            and name.endswith("emit")
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Tuple)
-            and len(node.args[0].elts) >= 2
+            return None
+        elts = call.args[0].elts
+        kind_node = elts[1]
+        if not (
+            isinstance(kind_node, ast.Constant) and isinstance(kind_node.value, str)
         ):
-            out.append(node.args[0].elts[1])
-        return out
-
-    def _record(
-        self, ctx: ModuleContext, call: ast.Call, kind_node: ast.AST
-    ) -> Finding | None:
-        if isinstance(kind_node, ast.Constant) and isinstance(kind_node.value, str):
-            kind = kind_node.value
-            self.census.setdefault(kind, []).append((ctx.path, call.lineno))
-            if kind not in self.kinds:
-                return self.finding(
-                    ctx,
-                    call,
-                    f"trace emission with kind {kind!r} not in the closed "
-                    "EVENT_KINDS taxonomy "
-                    f"({self.config.taxonomy_module}); declare it there or "
-                    "fix the emit site",
-                )
-            return None
-        # Variable kind: fine inside the declared forwarding helpers
-        # (their parameter *is* the kind), unverifiable anywhere else.
-        scope = ctx.scope_of(call).split(".")[-1]
-        if scope in self.config.emit_helpers:
-            return None
-        return self.finding(
-            ctx,
-            call,
-            "trace emission whose kind is not a string literal — the "
-            "closed-taxonomy rule cannot verify it; emit a literal kind "
-            "or route through a declared emit helper",
-        )
+            return (
+                "trace emission whose kind is not a string literal — the "
+                "closed-taxonomy rule cannot verify it; emit a literal kind"
+            )
+        kind = kind_node.value
+        self.census.setdefault(kind, []).append((ctx.path, call.lineno))
+        if kind not in self.kinds:
+            return (
+                f"trace emission with kind {kind!r} not in the closed "
+                f"EVENT_KINDS taxonomy ({self.config.taxonomy_module}); "
+                "declare it there or fix the emit site"
+            )
+        width = _IDENTITY_WIDTH + self.kinds[kind][1]
+        if len(elts) != width:
+            return (
+                f"trace emission of {kind!r} has {len(elts)} elements; "
+                f"EVENT_KINDS declares {width} (5 identity + "
+                f"{width - _IDENTITY_WIDTH} payload)"
+            )
+        return None
 
     # --- cross-module pass ------------------------------------------------
     def finalize(self) -> list[Finding]:
-        findings: list[Finding] = []
-        for kind, line in sorted(self.raw_kinds.items()):
-            if kind not in self.kinds:
-                findings.append(
-                    Finding(
-                        rule=self.name,
-                        path=self.taxonomy_path,
-                        line=line,
-                        col=0,
-                        message=(
-                            f"RAW_DATA_FIELDS declares hot-path kind "
-                            f"{kind!r} that EVENT_KINDS does not contain"
-                        ),
-                    )
-                )
         # Dead kinds are only judgeable when the run actually covered
         # the emitting library (someone linting a lone benchmark script
         # should not be told every kind is dead).
         if not (self.saw_census_module and self.saw_taxonomy_module):
-            return findings
-        for kind, line in sorted(self.kinds.items()):
-            if kind not in self.census:
-                findings.append(
-                    Finding(
-                        rule=self.name,
-                        path=self.taxonomy_path,
-                        line=line,
-                        col=0,
-                        message=(
-                            f"dead trace kind {kind!r}: declared in "
-                            "EVENT_KINDS but no emit site in the analyzed "
-                            "tree produces it"
-                        ),
-                    )
-                )
-        return findings
+            return []
+        return [
+            Finding(
+                rule=self.name,
+                path=self.taxonomy_path,
+                line=line,
+                col=0,
+                message=(
+                    f"dead trace kind {kind!r}: declared in EVENT_KINDS but "
+                    "no emit site in the analyzed tree produces it"
+                ),
+            )
+            for kind, (line, _) in sorted(self.kinds.items())
+            if kind not in self.census
+        ]
 
 
 def emit_site_census(

@@ -51,13 +51,10 @@ class AnalysisConfig:
             push the two-class ``(time, class-rank, counter, ...)`` key:
             the one module owning the drivers' ``EventHeap``.
         taxonomy_module: repo-relative path of the file declaring
-            ``EVENT_KINDS`` / ``RAW_DATA_FIELDS``.
+            ``EVENT_KINDS``.
         taxonomy_census_modules: scope whose emit sites make up the
             taxonomy census (library code only — a bench script
             replaying a trace is not an emitter).
-        emit_helpers: function names that forward a ``kind`` argument to
-            a tracer, mapped implicitly to "kind is the second
-            positional argument" (``_trace(now, kind, ...)``).
         set_iteration_modules: scope of the ``set-iteration`` rule —
             the event-handling / float-accumulation core where
             iteration order feeds arithmetic.
@@ -104,12 +101,6 @@ class AnalysisConfig:
     heap_key_modules: tuple[str, ...] = ("repro.engine.driver",)
     taxonomy_module: str = "src/repro/obs/trace.py"
     taxonomy_census_modules: tuple[str, ...] = ("repro.*",)
-    emit_helpers: tuple[str, ...] = (
-        "_trace",
-        # AdaptiveController._emit forwards (now, kind, data) to the
-        # tracer: the same shape as the engines' _trace helper.
-        "_emit",
-    )
     set_iteration_modules: tuple[str, ...] = (
         "repro.engine.*",
         "repro.fleet.*",

@@ -38,6 +38,7 @@ from repro.core.training import (
     TrainingDataset,
     build_training_dataset,
 )
+from repro.engine.checks import check_int
 from repro.engine.cluster import Cluster, NodeSpec
 from repro.engine.optimizer import OptimizerContext
 from repro.obs.sketch import QuantileSketch
@@ -156,8 +157,8 @@ class AutoExecutorRule:
         min_executors: int = 1,
         max_executors: int = 48,
     ) -> None:
-        if min_executors < 1 or max_executors < min_executors:
-            raise ValueError("invalid executor clamp range")
+        check_int("min_executors", min_executors, 1)
+        check_int("max_executors", max_executors, min_executors)
         self._model_loader = model_loader
         self._model_cache: object | None = None
         self.n_grid = np.asarray(n_grid)

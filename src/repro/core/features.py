@@ -123,15 +123,15 @@ def featurize_plans(plans: Iterable[LogicalPlan]) -> np.ndarray:
 
 
 def project_features(matrix: np.ndarray, feature_names: Sequence[str]) -> np.ndarray:
-    """Project full Table 2 rows onto a model's feature subset (the
-    Section 5.7 ablation), in ``feature_names`` order.  A matrix that
-    already has one column per subset feature is returned as is."""
-    if matrix.shape[1] == len(feature_names):
-        return matrix
+    """Project full Table 2 rows onto a model's features, in
+    ``feature_names`` order: a Section 5.7 subset, or the full set in
+    another order.  Rows of any other width are rejected."""
     if matrix.shape[1] != len(FEATURE_NAMES):
         raise ValueError(
             f"feature matrix has {matrix.shape[1]} columns; expected "
-            f"{len(FEATURE_NAMES)} (full) or {len(feature_names)}"
+            f"{len(FEATURE_NAMES)} (full Table 2 rows)"
         )
+    if tuple(feature_names) == FEATURE_NAMES:
+        return matrix
     cols = [FEATURE_NAMES.index(name) for name in feature_names]
     return matrix[:, cols]

@@ -23,7 +23,7 @@ from repro.engine.execution import (
     TaskEmit,
 )
 from repro.engine.faults import FaultPlan
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = ["EventHeap", "GrantPort", "QueryRun"]
 
@@ -215,13 +215,6 @@ class QueryRun:
         #: Executors granted but not yet arrived.
         self.outstanding = 0
 
-    def _trace(self, now: float, kind: str, data: dict) -> None:
-        self.tracer.emit(
-            tuple.__new__(
-                TraceEvent, (now, kind, self.trace_pool, self.q, self.query_id, data)
-            )
-        )
-
     def ramp(self, now: float, count: int) -> None:
         """Schedule ``count`` granted executors through the grant ramp."""
         for t in self.core.cluster.grant_schedule(now, count):
@@ -238,8 +231,16 @@ class QueryRun:
             if fail_at is not None:
                 self.push(fail_at, "exec_fail", self.q, eid)
                 if self.tracer is not None:
-                    self._trace(
-                        now, "fault_inject", {"eid": eid, "fail_at": float(fail_at)}
+                    self.tracer.emit(
+                        (
+                            now,
+                            "fault_inject",
+                            self.trace_pool,
+                            self.q,
+                            self.query_id,
+                            eid,
+                            float(fail_at),
+                        )
                     )
         self.core.assign(now, self.emit)
 
@@ -256,15 +257,18 @@ class QueryRun:
             return False
         cause = self.injector.on_failed(now, eid, *outcome)
         if self.tracer is not None:
-            self._trace(
-                now,
-                "exec_fail",
-                {
-                    "eid": eid,
-                    "cause": cause,
-                    "killed": outcome[0],
-                    "wasted_s": float(outcome[1]),
-                },
+            self.tracer.emit(
+                (
+                    now,
+                    "exec_fail",
+                    self.trace_pool,
+                    self.q,
+                    self.query_id,
+                    eid,
+                    cause,
+                    outcome[0],
+                    float(outcome[1]),
+                )
             )
         if self.replace_failed:
             # The failed executor's grant survives: re-provision the

@@ -73,7 +73,7 @@ from repro.engine.cluster import Cluster
 from repro.engine.faults import FaultInjector, FaultStats
 from repro.engine.skyline import Skyline
 from repro.engine.stages import StageGraph
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 from repro.sparklens.log import ExecutionLog, StageLog
 
 __all__ = [
@@ -344,7 +344,7 @@ class ExecutionCore:
             that was running; without one no extra state is kept and
             every code path is bit-identical to the pre-fault engine.
         tracer: optional :class:`~repro.obs.trace.Tracer` receiving this
-            query's execution events (task assign/done/kill, stage
+            query's execution events (task assign/kill, stage
             ready/done, executor add/remove).  ``None`` (the default) is
             the zero-cost off switch: every emission sits behind one
             ``is not None`` check and no event object is built.
@@ -410,28 +410,6 @@ class ExecutionCore:
         self.skyline = Skyline()
         self.skyline.record(start_time, 0)
 
-    def _trace(self, now: float, kind: str, data: dict | None = None) -> None:
-        """Emit one event stamped with this core's query identity.
-
-        Callers guard with ``if self.tracer is not None`` so the
-        untraced hot path pays exactly one attribute load and comparison.
-        ``tuple.__new__`` skips the NamedTuple constructor's default
-        handling (~2x per event).
-        """
-        self.tracer.emit(
-            tuple.__new__(
-                TraceEvent,
-                (
-                    now,
-                    kind,
-                    self._trace_pool,
-                    self._trace_query,
-                    self._trace_qid,
-                    data,
-                ),
-            )
-        )
-
     # --- executors -------------------------------------------------------
     def add_executor(self, now: float) -> int:
         """One granted executor arrives; returns its id."""
@@ -441,7 +419,6 @@ class ExecutionCore:
         heappush(self._free, eid)
         self.skyline.record(now, len(self.executors))
         if self.tracer is not None:
-            # Raw form: grant ramps emit one of these per executor.
             self.tracer.emit(
                 (now, "exec_add", self._trace_pool, self._trace_query, self._trace_qid, eid)
             )
@@ -480,7 +457,16 @@ class ExecutionCore:
             self.skyline.record(now, len(self.executors))
             removed.append(eid)
             if self.tracer is not None:
-                self._trace(now, "exec_remove", {"eid": eid})
+                self.tracer.emit(
+                    (
+                        now,
+                        "exec_remove",
+                        self._trace_pool,
+                        self._trace_query,
+                        self._trace_qid,
+                        eid,
+                    )
+                )
         return removed
 
     def oldest_idle(self) -> float:
@@ -521,10 +507,17 @@ class ExecutionCore:
             self._pending.append((stage_id, task_idx))
             wasted += now - start
             if self.tracer is not None:
-                self._trace(
-                    now,
-                    "task_kill",
-                    {"stage": stage_id, "task": task_idx, "eid": eid},
+                self.tracer.emit(
+                    (
+                        now,
+                        "task_kill",
+                        self._trace_pool,
+                        self._trace_query,
+                        self._trace_qid,
+                        stage_id,
+                        task_idx,
+                        eid,
+                    )
                 )
         return len(killed), wasted
 
@@ -541,7 +534,6 @@ class ExecutionCore:
         for task_idx in range(n_tasks):
             self._pending.append((stage_id, task_idx))
         if self.tracer is not None:
-            # Raw form: fires once per stage per (re)readiness.
             self.tracer.emit(
                 (
                     now,
@@ -562,7 +554,15 @@ class ExecutionCore:
         """
         self.driver_done = True
         if self.tracer is not None:
-            self._trace(now, "driver_done")
+            self.tracer.emit(
+                (
+                    now,
+                    "driver_done",
+                    self._trace_pool,
+                    self._trace_query,
+                    self._trace_qid,
+                )
+            )
         # No task runs before this instant, so only the roots can be
         # ready; they are in id order, the order a full scan emits.
         for sid in self.plan.roots:
@@ -646,8 +646,6 @@ class ExecutionCore:
                 record_log = self.record_log
                 ctx = self._assign_ctx
                 if ctx is not None:
-                    # Raw-tuple hot-path emission (see
-                    # repro.obs.trace.RAW_DATA_FIELDS for the flat layout).
                     trace_emit, t_pool, t_query, t_qid = ctx
             while head < end and free:
                 eid = heappop(free)
@@ -712,7 +710,6 @@ class ExecutionCore:
         """A stage's last task finished: unlock its dependents."""
         self.stages_left -= 1
         if self.tracer is not None:
-            # Raw form: fires once per completed stage.
             self.tracer.emit(
                 (
                     now,

@@ -56,7 +56,7 @@ from repro.engine.plan import LogicalPlan
 from repro.fleet.metrics import AdaptiveStats, QueryRecord
 from repro.fleet.prediction import PPMScorer, PredictionService
 from repro.ml.forest import RandomForestRegressor
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 from repro.sparklens.log import ExecutionLog
 
 __all__ = [
@@ -368,16 +368,20 @@ class AdaptiveController:
             error = abs(predicted_runtime_seconds - observed) / observed
             if self.drift.observe(error):
                 self._drift_pending = True
-                self._emit(
-                    now,
-                    "drift_alarm",
-                    {
-                        "mean_relative_error": self.drift.last_mean,
-                        "threshold": self.config.drift_threshold,
-                        "window": self.config.drift_window,
-                        "observations": self.observations,
-                    },
-                )
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        (
+                            now,
+                            "drift_alarm",
+                            -1,
+                            -1,
+                            None,
+                            self.drift.last_mean,
+                            self.config.drift_threshold,
+                            self.config.drift_window,
+                            self.observations,
+                        )
+                    )
         shadow = self._shadow
         if shadow is not None:
             if shadow.score(features, record.executors_granted, observed):
@@ -420,16 +424,20 @@ class AdaptiveController:
             candidate=candidate,
             window=self.config.shadow_window,
         )
-        self._emit(
-            now,
-            "model_retrain",
-            {
-                "points": len(points),
-                "cost_executor_seconds": cost,
-                "trigger": "drift" if triggered_by_drift else "interval",
-                "retrains": self.retrains,
-            },
-        )
+        if self.tracer is not None:
+            self.tracer.emit(
+                (
+                    now,
+                    "model_retrain",
+                    -1,
+                    -1,
+                    None,
+                    len(points),
+                    cost,
+                    "drift" if triggered_by_drift else "interval",
+                    self.retrains,
+                )
+            )
 
     def _resolve_shadow(self, now: float) -> None:
         """Promote or reject the candidate at the end of its window."""
@@ -441,16 +449,20 @@ class AdaptiveController:
         if candidate_error <= self.config.promote_margin * incumbent_error:
             generation = self.service.swap_scorer(trial.candidate)
             self.promotions += 1
-            self._emit(
-                now,
-                "model_promote",
-                {
-                    "generation": generation,
-                    "incumbent_error": incumbent_error,
-                    "candidate_error": candidate_error,
-                    "shadow_window": trial.scored,
-                },
-            )
+            if self.tracer is not None:
+                self.tracer.emit(
+                    (
+                        now,
+                        "model_promote",
+                        -1,
+                        -1,
+                        None,
+                        generation,
+                        incumbent_error,
+                        candidate_error,
+                        trial.scored,
+                    )
+                )
         else:
             self.rejections += 1
 
@@ -469,7 +481,3 @@ class AdaptiveController:
             retrain_executor_seconds=self.retrain_executor_seconds,
             last_drift_error=self.drift.last_mean,
         )
-
-    def _emit(self, now: float, kind: str, data: dict[str, object]) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(now, kind, data=data))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.engine.checks import check_int, check_range
 from repro.fleet.routing import PoolView
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = ["AutoscalerConfig", "PoolAutoscaler"]
 
@@ -158,12 +158,7 @@ class PoolAutoscaler:
                 self.scale_ups += 1
                 if self.tracer is not None:
                     self.tracer.emit(
-                        TraceEvent(
-                            now,
-                            "autoscale_up",
-                            self.pool,
-                            data={"executors": delta, "pending": self.pending},
-                        )
+                        (now, "autoscale_up", self.pool, -1, None, delta, self.pending)
                     )
                 return delta
 
@@ -184,12 +179,7 @@ class PoolAutoscaler:
                 self.scale_downs += 1
                 if self.tracer is not None:
                     self.tracer.emit(
-                        TraceEvent(
-                            now,
-                            "autoscale_down",
-                            self.pool,
-                            data={"executors": delta},
-                        )
+                        (now, "autoscale_down", self.pool, -1, None, delta)
                     )
                 return -delta
         return 0

@@ -41,7 +41,7 @@ from repro.fleet.arrivals import QueryArrival
 from repro.fleet.autoscaler import AutoscalerConfig, PoolAutoscaler
 from repro.fleet.engine import Allocator, FleetConfig, PoolRuntime, Submit
 from repro.fleet.metrics import ClusterMetrics, FleetMetrics, cluster_serving_window
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 from repro.fleet.routing import (
     PoolView,
     Router,
@@ -160,13 +160,13 @@ class ShardedFleet:
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
-                TraceEvent(
+                (
                     0.0,
                     "serve_begin",
                     -1,
                     -1,
                     None,
-                    {"pools": [spec.capacity for spec in self.pools]},
+                    [spec.capacity for spec in self.pools],
                 )
             )
         runtimes, total = self._play(_arrival_source(stream))
@@ -176,7 +176,7 @@ class ShardedFleet:
         metrics = _cluster_metrics(pools, served)
         if tracer is not None:
             end = metrics.pools[0]._window()[1]
-            tracer.emit(TraceEvent(end, "serve_end", -1, -1, None, {"queries": total}))
+            tracer.emit((end, "serve_end", -1, -1, None, total))
         feedback = config.feedback
         if feedback is not None:
             # One cluster-wide sink, so its ledger attaches once at the
@@ -302,23 +302,19 @@ class ShardedFleet:
                 delay, submit = decide(payload, max_budget)
                 if tracer is not None:
                     _, _, cached, seconds, estimate, notes = submit
+                    tracer.emit((now, "query_arrive", -1, q, payload.query_id))
                     tracer.emit(
-                        TraceEvent(now, "query_arrive", -1, q, payload.query_id)
-                    )
-                    tracer.emit(
-                        TraceEvent(
+                        (
                             now,
                             "query_predict",
                             -1,
                             q,
                             payload.query_id,
-                            {
-                                "executors": notes["predicted_executors"],
-                                "cached": cached,
-                                "seconds": seconds,
-                                "estimated_runtime_s": estimate,
-                                "policy": notes["policy"],
-                            },
+                            notes["predicted_executors"],
+                            cached,
+                            seconds,
+                            estimate,
+                            notes["policy"],
                         )
                     )
                 push(-1, now + delay, "submit", q, submit)
@@ -337,13 +333,13 @@ class ShardedFleet:
                     )
                     if tracer is not None:
                         tracer.emit(
-                            TraceEvent(
+                            (
                                 now,
                                 "query_route",
                                 pool,
                                 q,
                                 payload[0].query_id,
-                                {"router": self.router.name},
+                                self.router.name,
                             )
                         )
                 elif not exhausted:

@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 import numpy as np
 
 from repro.engine.allocation import AllocationPolicy
-from repro.engine.checks import check_range
+from repro.engine.checks import check_int, check_range
 from repro.engine.cluster import Cluster
 from repro.engine.execution import (
     DEFAULT_SCHEDULER_CONFIG,
@@ -74,7 +74,7 @@ from repro.fleet.admission import (
 from repro.fleet.arrivals import QueryArrival
 from repro.fleet.metrics import FleetMetrics, PoolStreamStats, QueryRecord, SkylineTracker
 from repro.fleet.routing import DEFAULT_RUNTIME_ESTIMATE_S, PoolView
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 from repro.workloads.generator import Workload
 
 __all__ = [
@@ -392,29 +392,13 @@ class PoolRuntime:
             if self.capacity_skyline is not None:
                 self.capacity_skyline.record(now, applied)
         if self.tracer is not None:
-            self._trace(now, "pool_resize", -1, None, {"capacity": applied})
+            self.tracer.emit(
+                (now, "pool_resize", self.pool_index, -1, None, applied)
+            )
         self.drain_admissions(now)
         return applied
 
     # --- helpers ----------------------------------------------------------
-    def _trace(
-        self,
-        now: float,
-        kind: str,
-        q: int,
-        query_id: str | None,
-        data: dict | None = None,
-    ) -> None:
-        """Emit one event stamped with this pool's index.
-
-        Callers guard with ``if self.tracer is not None``; the untraced
-        path never reaches here.  ``tuple.__new__`` skips the NamedTuple
-        constructor's default handling — these fire several times per
-        query, so the shortcut is worth ~2x per event.
-        """
-        self.tracer.emit(
-            tuple.__new__(TraceEvent, (now, kind, self.pool_index, q, query_id, data))
-        )
     def _compiled_plan(self, query_id: str, graph: StageGraph) -> CompiledPlan:
         compiled = self._compiled.get(query_id)
         if compiled is None or compiled.graph is not graph:
@@ -443,8 +427,8 @@ class PoolRuntime:
         got = self.arbiter.try_acquire(run.q, run.arrival.app_id, count)
         if got:
             if self.tracer is not None:
-                self._trace(
-                    now, "grant_acquire", run.q, run.query_id, {"executors": got}
+                self.tracer.emit(
+                    (now, "grant_acquire", self.pool_index, run.q, run.query_id, got)
                 )
             self.record_pool(now)
         return got
@@ -456,12 +440,16 @@ class PoolRuntime:
         finishing query admits after its record is made."""
         self.arbiter.release(run.q, count)
         if self.tracer is not None:
-            self._trace(
-                now,
-                "grant_release",
-                run.q,
-                run.query_id,
-                {"executors": count, "reason": reason},
+            self.tracer.emit(
+                (
+                    now,
+                    "grant_release",
+                    self.pool_index,
+                    run.q,
+                    run.query_id,
+                    count,
+                    reason,
+                )
             )
         if reason != "idle":
             self.record_pool(now)
@@ -482,12 +470,8 @@ class PoolRuntime:
         arrival = submit[0]
         budget = min(submit[1], self.arbiter.max_capacity)
         if self.tracer is not None:
-            self._trace(
-                now,
-                "query_submit",
-                q,
-                arrival.query_id,
-                {"executors": budget},
+            self.tracer.emit(
+                (now, "query_submit", self.pool_index, q, arrival.query_id, budget)
             )
         self._pending[q] = submit
         self.arbiter.submit(
@@ -554,17 +538,18 @@ class PoolRuntime:
             # needs to rebuild this query's ExecutionLog without touching
             # the workload: the DAG, the driver prefix, and the executor
             # shape (durations arrive later, one task_assign at a time).
-            self._trace(
-                now,
-                "query_admit",
-                q,
-                arrival.query_id,
-                {
-                    "executors": request.executors,
-                    "driver_seconds": float(plan.driver_seconds),
-                    "cores_per_executor": self._ec,
-                    "stage_deps": [list(deps) for deps in plan.dependencies],
-                },
+            self.tracer.emit(
+                (
+                    now,
+                    "query_admit",
+                    self.pool_index,
+                    q,
+                    arrival.query_id,
+                    request.executors,
+                    float(plan.driver_seconds),
+                    self._ec,
+                    [list(deps) for deps in plan.dependencies],
+                )
             )
         # Push order mirrors the dedicated scheduler's bootstrap
         # (driver_done, then the tick chain, then executor arrivals)
@@ -633,7 +618,9 @@ class PoolRuntime:
             self.give_back(now, run, arrived, "finish")
         arrival, _, cached, seconds, estimate, annotations = run.submit
         if self.tracer is not None:
-            self._trace(now, "query_finish", q, arrival.query_id)
+            self.tracer.emit(
+                (now, "query_finish", self.pool_index, q, arrival.query_id)
+            )
         record = QueryRecord(
             query_id=arrival.query_id,
             app_id=arrival.app_id,
@@ -835,8 +822,7 @@ class FleetEngine:
 
 def static_allocator(n: int) -> Allocator:
     """The fixed-budget baseline: every query gets ``n`` executors."""
-    if n < 1:
-        raise ValueError("static budgets need at least 1 executor")
+    check_int("n", n, 1)
 
     def allocate(query_id: str, plan: object) -> int:
         return n

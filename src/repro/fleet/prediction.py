@@ -33,8 +33,9 @@ from repro.core.features import QueryFeatures
 from repro.core.ppm import PricePerfModel
 from repro.core.selection import SelectionObjective, elbow_point, select_on_curve
 from repro.core.training import DEFAULT_N_GRID
+from repro.engine.checks import check_int
 from repro.engine.plan import LogicalPlan
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:
     from repro.core.autoexecutor import AutoExecutor
@@ -122,8 +123,8 @@ class PredictionService:
         max_executors: int = 48,
         tracer: Tracer | None = None,
     ) -> None:
-        if min_executors < 1 or max_executors < min_executors:
-            raise ValueError("invalid executor clamp range")
+        check_int("min_executors", min_executors, 1)
+        check_int("max_executors", max_executors, min_executors)
         self.scorer = scorer
         self.n_grid = np.asarray(n_grid)
         self.objective = objective
@@ -350,16 +351,7 @@ class PredictionService:
         self.total_seconds += elapsed
         if self.tracer is not None:
             self.tracer.emit(
-                TraceEvent(
-                    0.0,
-                    "prediction",
-                    data={
-                        "executors": chosen,
-                        "cached": cached,
-                        "seconds": elapsed,
-                        "estimated_runtime_s": runtime,
-                    },
-                )
+                (0.0, "prediction", -1, -1, None, chosen, cached, elapsed, runtime)
             )
         return Prediction(
             executors=chosen,

@@ -3,10 +3,11 @@
 The simulators are deterministic, so a run can be *completely* accounted
 for by an event log.  This subpackage provides the three layers:
 
-- :mod:`~repro.obs.trace` — the :class:`TraceEvent` vocabulary, the
-  :class:`Tracer` protocol, and the sinks (in-memory ring buffer, JSONL
-  file).  Every engine takes ``tracer=None`` by default and the off
-  path is guaranteed zero-cost: no event objects, bit-identical runs.
+- :mod:`~repro.obs.trace` — the event vocabulary (``EVENT_KINDS``,
+  each kind's payload fields), the :class:`Tracer` protocol, and the
+  sinks (in-memory ring buffer, JSONL file).  Every engine takes
+  ``tracer=None`` by default and the off path is guaranteed zero-cost:
+  no event objects, bit-identical runs.
 - :mod:`~repro.obs.metrics` — streaming counters and the
   mergeable :class:`QuantileSketch`: bounded-memory percentiles with a
   documented relative-error bound, the opt-in alternative to
@@ -41,7 +42,6 @@ from repro.obs.metrics import (
 from repro.obs.sketch import QuantileSketch
 from repro.obs.trace import (
     EVENT_KINDS,
-    RAW_DATA_FIELDS,
     JsonlTracer,
     RingBufferTracer,
     TraceEvent,
@@ -52,7 +52,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "EVENT_KINDS",
-    "RAW_DATA_FIELDS",
     "TraceEvent",
     "Tracer",
     "RingBufferTracer",

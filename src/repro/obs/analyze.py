@@ -119,7 +119,7 @@ class TraceAnalyzer:
     """
 
     def __init__(self, events: Iterable[TraceEvent]) -> None:
-        # Accept hot-path raw tuples too (repro.obs.trace.materialize):
+        # Emitted flat tuples decode too (repro.obs.trace.materialize):
         # a live RingBufferTracer's internal deque can be fed directly.
         self.events = [materialize(e) for e in events]
         self._builds: dict[int, _QueryBuild] = {}

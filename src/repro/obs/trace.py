@@ -1,14 +1,22 @@
-"""Structured tracing: typed events, sinks, and the zero-cost contract.
+"""Structured tracing: one event form, sinks, and the zero-cost contract.
 
 The simulators are deterministic discrete-event machines, which makes
 them *perfectly* traceable: every state transition happens at a known
 clock instant in a known order, so an event log is a complete, replayable
 account of a run — why a query queued, which executor a task landed on,
 when the autoscaler fired.  This module defines the event vocabulary and
-the sinks; the engines (:mod:`repro.engine.execution`,
-:mod:`repro.engine.scheduler`, :mod:`repro.fleet.engine`,
-:mod:`repro.fleet.cluster`, :mod:`repro.fleet.prediction`,
-:mod:`repro.fleet.autoscaler`) emit into whatever tracer they are handed.
+the sinks; the emitters (:mod:`repro.engine.execution`,
+:mod:`repro.engine.driver`, :mod:`repro.fleet.engine`,
+:mod:`repro.fleet.cluster`, :mod:`repro.fleet.autoscaler`,
+:mod:`repro.fleet.prediction`, :mod:`repro.fleet.adaptive`,
+:mod:`repro.serve.app`) emit into whatever tracer they are handed.
+
+**One event form.**  Every emitter hands ``Tracer.emit`` one flat tuple,
+``(time, kind, pool, query, query_id, *payload)``, and
+:data:`EVENT_KINDS` is the one table naming each kind's payload fields.
+:func:`materialize` is the one decoder from that tuple to a
+:class:`TraceEvent`: the ring buffer decodes on read, the JSONL sink on
+write.
 
 **The zero-cost contract.**  Tracing is off by default: every traced
 component takes ``tracer=None`` and guards each emission behind a single
@@ -16,8 +24,10 @@ component takes ``tracer=None`` and guards each emission behind a single
 code path — no event objects, no sink calls, bit-identical results.  The
 fleet bench (``benchmarks/perf/run_fleet_bench.py``) measures both sides
 of the contract: a traced serve must reproduce the untraced serve's
-records and summary exactly, and the ring-buffer tracer's wall-clock
-overhead is CI-gated at ≤10 %.
+records and summary exactly, and it reports the ring-buffer tracer's
+wall-clock overhead against a 1.10x gate.  On that bench's 96-query
+serve (166 events per query) the ratio measured 1.10-1.18x, median
+1.16x, over seven runs on a 2-vCPU Xeon VM: above the gate.
 
 **Determinism.**  Events carry only simulation-clock times and values
 derived from the run's own deterministic state; two same-seed serves
@@ -35,9 +45,10 @@ import os
 from collections import Counter, deque
 from typing import IO, Iterable, Iterator, NamedTuple, Protocol
 
+from repro.engine.checks import check_int
+
 __all__ = [
     "EVENT_KINDS",
-    "RAW_DATA_FIELDS",
     "TraceEvent",
     "Tracer",
     "RingBufferTracer",
@@ -46,71 +57,82 @@ __all__ = [
     "read_jsonl",
 ]
 
-#: The complete event taxonomy.  Every event an engine emits uses one of
-#: these kinds; the analyzer and the tests treat anything else as a bug.
-EVENT_KINDS = frozenset(
-    {
-        # Run lifecycle (driver-level bookends).
-        "serve_begin",
-        "serve_end",
-        # Query lifecycle on the fleet clock.
-        "query_arrive",
-        "query_predict",
-        "query_submit",
-        "query_route",
-        "query_admit",
-        "query_finish",
-        # Per-query execution (ExecutionCore).  There is deliberately no
-        # per-task completion event: the simulator is deterministic, so
-        # a task's finish instant is exactly ``task_assign.time +
-        # duration_s`` unless a ``task_kill`` retracted it — emitting a
-        # redundant event per task would double the trace's hot-path
-        # cost for zero information.
-        "driver_done",
-        "stage_ready",
-        "stage_done",
-        "task_assign",
-        "task_kill",
-        "exec_add",
-        "exec_remove",
-        "exec_fail",
-        # Faults: the drawn failure schedule (exec_fail carries the cause,
-        # "crash" or "reclaim", when it fires).
-        "fault_inject",
-        # Pool capacity accounting.
-        "grant_acquire",
-        "grant_release",
-        "pool_resize",
-        "autoscale_up",
-        "autoscale_down",
-        # Prediction-service events (off the simulation clock; the
-        # on-clock decision is query_predict).
-        "prediction",
-        # Continual learning (repro.fleet.adaptive): drift_alarm fires
-        # when the rolling prediction error crosses the configured
-        # threshold; model_retrain marks a completed retraining pass
-        # (candidate entering shadow validation); model_promote marks a
-        # shadow candidate winning and being hot-swapped behind the
-        # prediction service.  All three are on the simulation clock —
-        # they fire inside the fleet's query-finish feedback hook.
-        "drift_alarm",
-        "model_retrain",
-        "model_promote",
-        # HTTP serving layer (repro.serve): one event per handled request
-        # and one per coalesced inference dispatch.  Off the simulation
-        # clock like the prediction events.
-        "serve_request",
-        "serve_batch",
-    }
-)
+#: The complete event taxonomy: each kind mapped to its payload field
+#: names.  An emitter hands the tracer one flat tuple,
+#: ``(time, kind, pool, query, query_id, *payload)``, whose payload
+#: lines up with the kind's fields here; :func:`materialize` zips it
+#: into the ``data`` dict in this key order.  A kind with no fields
+#: materializes with ``data=None`` (the identity says everything).
+#: The analyzer and the tests treat any other kind, or a payload of
+#: another length, as a bug.
+EVENT_KINDS = {
+    # Run lifecycle (driver-level bookends).
+    "serve_begin": ("pools",),
+    "serve_end": ("queries",),
+    # Query lifecycle on the fleet clock.
+    "query_arrive": (),
+    "query_predict": (
+        "executors",
+        "cached",
+        "seconds",
+        "estimated_runtime_s",
+        "policy",
+    ),
+    "query_submit": ("executors",),
+    "query_route": ("router",),
+    "query_admit": ("executors", "driver_seconds", "cores_per_executor", "stage_deps"),
+    "query_finish": (),
+    # Per-query execution (ExecutionCore).  There is deliberately no
+    # per-task completion event: the simulator is deterministic, so
+    # a task's finish instant is exactly ``task_assign.time +
+    # duration_s`` unless a ``task_kill`` retracted it — emitting a
+    # redundant event per task would double the trace's hot-path
+    # cost for zero information.
+    "driver_done": (),
+    "stage_ready": ("stage", "tasks"),
+    "stage_done": ("stage",),
+    "task_assign": ("stage", "task", "eid", "duration_s"),
+    "task_kill": ("stage", "task", "eid"),
+    "exec_add": ("eid",),
+    "exec_remove": ("eid",),
+    "exec_fail": ("eid", "cause", "killed", "wasted_s"),
+    # Faults: the drawn failure schedule (exec_fail carries the cause,
+    # "crash" or "reclaim", when it fires).
+    "fault_inject": ("eid", "fail_at"),
+    # Pool capacity accounting.
+    "grant_acquire": ("executors",),
+    "grant_release": ("executors", "reason"),
+    "pool_resize": ("capacity",),
+    "autoscale_up": ("executors", "pending"),
+    "autoscale_down": ("executors",),
+    # Prediction-service events (off the simulation clock; the
+    # on-clock decision is query_predict).
+    "prediction": ("executors", "cached", "seconds", "estimated_runtime_s"),
+    # Continual learning (repro.fleet.adaptive): drift_alarm fires
+    # when the rolling prediction error crosses the configured
+    # threshold; model_retrain marks a completed retraining pass
+    # (candidate entering shadow validation); model_promote marks a
+    # shadow candidate winning and being hot-swapped behind the
+    # prediction service.  All three are on the simulation clock —
+    # they fire inside the fleet's query-finish feedback hook.
+    "drift_alarm": ("mean_relative_error", "threshold", "window", "observations"),
+    "model_retrain": ("points", "cost_executor_seconds", "trigger", "retrains"),
+    "model_promote": (
+        "generation",
+        "incumbent_error",
+        "candidate_error",
+        "shadow_window",
+    ),
+    # HTTP serving layer (repro.serve): one event per handled request
+    # and one per coalesced inference dispatch.  Off the simulation
+    # clock like the prediction events.
+    "serve_request": ("route", "status", "seconds"),
+    "serve_batch": ("size",),
+}
 
 
 class TraceEvent(NamedTuple):
-    """One structured event on a run's timeline.
-
-    A ``NamedTuple`` rather than a dataclass: events are created on the
-    simulator's hot path when tracing is on, and tuple construction is
-    the cheapest immutable record Python offers.
+    """One decoded event on a run's timeline (see :func:`materialize`).
 
     Attributes:
         time: simulation-clock instant (seconds).  Prediction-service
@@ -131,18 +153,8 @@ class TraceEvent(NamedTuple):
     data: dict[str, object] | None = None
 
     def to_json(self) -> str:
-        """One deterministic JSON object (fixed key order, compact)."""
-        return json.dumps(
-            {
-                "time": self.time,
-                "kind": self.kind,
-                "pool": self.pool,
-                "query": self.query,
-                "query_id": self.query_id,
-                "data": self.data,
-            },
-            separators=(",", ":"),
-        )
+        """One deterministic JSON object (field order, compact)."""
+        return json.dumps(self._asdict(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
@@ -158,54 +170,46 @@ class TraceEvent(NamedTuple):
         )
 
 
-#: Payload field names for the *raw* hot-path emission form.  The
-#: per-task kind dominates a trace (tens of thousands of events per
-#: serve) and is emitted as flat plain tuples —
-#: ``(time, kind, pool, query, query_id, *payload)`` — because building
-#: a dict plus a NamedTuple per task would blow the ≤10 % tracing
-#: overhead gate.  :func:`materialize` zips the tail back into the
-#: normal ``data`` dict; sinks do this lazily (ring buffer, on read) or
-#: at serialization time (JSONL).
-RAW_DATA_FIELDS = {
-    "task_assign": ("stage", "task", "eid", "duration_s"),
-    "stage_ready": ("stage", "tasks"),
-    "stage_done": ("stage",),
-    "exec_add": ("eid",),
-}
-
-
 def materialize(event: "TraceEvent | tuple") -> "TraceEvent":
-    """Normalize an emitted event into a :class:`TraceEvent`.
+    """Decode an emitted flat tuple into a :class:`TraceEvent`.
 
-    Pass-through for already-typed events; flat raw tuples (the
-    hot-path form documented at :data:`RAW_DATA_FIELDS`) get their
-    payload tail zipped into the standard ``data`` dict.
+    The payload tail is zipped with the kind's :data:`EVENT_KINDS`
+    fields into the ``data`` dict (``None`` for a kind with no fields).
+    Idempotent: an already-decoded event, such as one read back with
+    :func:`read_jsonl`, passes through.
     """
     if isinstance(event, TraceEvent):
         return event
-    kind = event[1]
+    time, kind, pool, query, query_id, *payload = event
+    fields = EVENT_KINDS[kind]
+    if len(payload) != len(fields):
+        raise ValueError(
+            f"{kind!r} event carries {len(payload)} payload values; "
+            f"EVENT_KINDS declares {fields}"
+        )
+    if not fields:
+        return TraceEvent(time, kind, pool, query, query_id)
     data = {}
-    for name, value in zip(RAW_DATA_FIELDS[kind], event[5:]):
-        # Hot-path emissions skip numpy-scalar conversion (it costs as
-        # much as the append itself); normalize here, at read time.
+    for name, value in zip(fields, payload):
+        # Emitters skip numpy-scalar conversion (on the per-task path it
+        # costs as much as the append itself); normalize here, at read
+        # time.
         item = getattr(value, "item", None)
         data[name] = value if item is None else item()
-    return TraceEvent(event[0], kind, event[2], event[3], event[4], data)
+    return TraceEvent(time, kind, pool, query, query_id, data)
 
 
 class Tracer(Protocol):
-    """Anything that accepts emitted :class:`TraceEvent`\\ s.
+    """Anything that accepts emitted events.
 
     Engines take ``tracer: Tracer | None``; ``None`` (the default) is
     the guaranteed-zero-cost off switch — no event is even constructed.
-
-    ``emit`` must also accept the flat raw-tuple form documented at
-    :data:`RAW_DATA_FIELDS` — engines use it for the per-task kinds on
-    the hot path; normalize with :func:`materialize`.
+    Every emitter passes the flat tuple form documented at
+    :data:`EVENT_KINDS`; sinks decode it with :func:`materialize`.
     """
 
-    def emit(self, event: "TraceEvent | tuple") -> None:
-        """Record one event (typed, or hot-path raw tuple)."""
+    def emit(self, event: tuple) -> None:
+        """Record one flat event tuple."""
         ...
 
 
@@ -217,16 +221,12 @@ class RingBufferTracer:
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("ring capacity must be at least 1 event")
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
-        # Bind emit straight to the deque's append: no wrapper frame on
-        # the hot path.
+        if capacity is not None:
+            check_int("capacity", capacity, 1)
+        self._events: deque[tuple] = deque(maxlen=capacity)
+        #: Record one event: the deque's own ``append``, so the hot
+        #: path pays no wrapper frame.
         self.emit = self._events.append
-
-    def emit(self, event: "TraceEvent | tuple") -> None:  # pragma: no cover
-        """Record one event (rebound to ``deque.append`` in __init__)."""
-        self._events.append(event)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -236,12 +236,11 @@ class RingBufferTracer:
 
     @property
     def events(self) -> list[TraceEvent]:
-        """The buffered events, oldest first (raw tuples materialized)."""
+        """The buffered events, oldest first, materialized."""
         return [materialize(e) for e in self._events]
 
     def counts(self) -> dict[str, int]:
         """Buffered events per kind (taxonomy sanity checks)."""
-        # kind is slot 1 in both the typed and the raw form.
         return dict(Counter(e[1] for e in self._events))
 
     def clear(self) -> None:
@@ -271,7 +270,7 @@ class JsonlTracer:
             self._owns_file = False
         self.events_written = 0
 
-    def emit(self, event: "TraceEvent | tuple") -> None:
+    def emit(self, event: tuple) -> None:
         """Append one event line."""
         self._file.write(materialize(event).to_json())
         self._file.write("\n")

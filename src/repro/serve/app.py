@@ -40,7 +40,7 @@ from repro.core.features import FEATURE_NAMES, QueryFeatures
 from repro.export.runtime import PortableModelRuntime, PortablePPMScorer
 from repro.fleet.prediction import Prediction, PredictionService
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceEvent, Tracer
+from repro.obs.trace import Tracer
 from repro.serve.batching import (
     BatcherClosedError,
     MicroBatcher,
@@ -147,7 +147,7 @@ class RecommendApp:
     def _observe_batch(self, size: int) -> None:
         self.metrics.sketch("serve.batch_size").add(float(size))
         if self.tracer is not None:
-            self.tracer.emit(TraceEvent(0.0, "serve_batch", data={"size": size}))
+            self.tracer.emit((0.0, "serve_batch", -1, -1, None, size))
 
     # --- request handling ------------------------------------------------
     async def handle(self, request: HttpRequest) -> HttpResponse:
@@ -167,15 +167,7 @@ class RecommendApp:
         self.metrics.sketch(f"serve.latency_s.{route}").add(elapsed)
         if self.tracer is not None:
             self.tracer.emit(
-                TraceEvent(
-                    0.0,
-                    "serve_request",
-                    data={
-                        "route": route,
-                        "status": response.status,
-                        "seconds": elapsed,
-                    },
-                )
+                (0.0, "serve_request", -1, -1, None, route, response.status, elapsed)
             )
         return response
 

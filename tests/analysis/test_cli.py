@@ -23,7 +23,7 @@ def bad_repo(tmp_path):
     pkg.mkdir(parents=True)
     (tmp_path / "src" / "repro" / "obs").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "obs" / "trace.py").write_text(
-        'EVENT_KINDS = frozenset({"tick"})\nRAW_DATA_FIELDS = {}\n'
+        'EVENT_KINDS = {"tick": ()}\n'
     )
     (pkg / "execution.py").write_text(
         textwrap.dedent(

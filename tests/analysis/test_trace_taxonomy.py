@@ -1,7 +1,8 @@
 """Fixture spec for the ``trace-taxonomy`` rule.
 
 Both directions of the closed-taxonomy contract: no emission outside
-``EVENT_KINDS``, and no declared kind without an emit site.
+``EVENT_KINDS`` (nor with another payload length), and no declared kind
+without an emit site.
 """
 
 import textwrap
@@ -14,10 +15,10 @@ from repro.analysis.core import ModuleContext
 
 MINI_TAXONOMY = textwrap.dedent(
     """
-    EVENT_KINDS = frozenset({"query_arrive", "task_assign", "serve_end"})
-
-    RAW_DATA_FIELDS = {
+    EVENT_KINDS = {
+        "query_arrive": (),
         "task_assign": ("stage", "task", "eid", "duration_s"),
+        "serve_end": ("queries",),
     }
     """
 )
@@ -25,25 +26,18 @@ MINI_TAXONOMY = textwrap.dedent(
 KNOWN_BAD = textwrap.dedent(
     """
     def serve(tracer, now):
-        tracer.emit(TraceEvent(now, "query_arive", 0, 1))   # typo'd kind
-        tracer.emit((now, "task_teleport", 0, 1, None, 3))  # unknown raw kind
+        tracer.emit((now, "query_arive", 0, 1, "q1"))       # typo'd kind
+        tracer.emit((now, "task_teleport", 0, 1, None, 3))  # unknown kind
     """
 )
 
 KNOWN_GOOD = textwrap.dedent(
     """
     class Engine:
-        def _trace(self, now, kind, data=None):
-            # Forwarding helper: kind is its second argument by the
-            # emit_helpers convention.
-            self.tracer.emit(
-                tuple.__new__(TraceEvent, (now, kind, -1, -1, None, data))
-            )
-
-        def serve(self, now):
-            self.tracer.emit(TraceEvent(now, "query_arrive", 0, 1))
-            self.tracer.emit((now, "task_assign", 0, 1, None, 3, 0, 2, 1.5))
-            self._trace(now, "serve_end")
+        def serve(self, now, trace_emit):
+            self.tracer.emit((now, "query_arrive", 0, 1, "q1"))
+            trace_emit((now, "task_assign", 0, 1, "q1", 3, 0, 2, 1.5))
+            self.tracer.emit((now, "serve_end", -1, -1, None, 7))
     """
 )
 
@@ -85,11 +79,11 @@ class TestTraceTaxonomy:
             ("repro.fleet.engine", KNOWN_GOOD),
         )
         assert findings == []
-        # Typed, raw-tuple, and helper emissions all land in the census.
+        # Both *emit callables' tuples land in the census.
         assert set(checker.census) == {"query_arrive", "task_assign", "serve_end"}
 
     def test_dead_kind_is_reported_with_its_declaration_line(self, repo_root):
-        only_arrive = 'def serve(t, now):\n    t.emit(TraceEvent(now, "query_arrive"))\n'
+        only_arrive = 'def serve(t, now):\n    t.emit((now, "query_arrive", 0, 1, 2))\n'
         _, findings = run_checker(
             repo_root,
             ("repro.obs.trace", MINI_TAXONOMY),
@@ -110,29 +104,32 @@ class TestTraceTaxonomy:
         )
         assert [f for f in findings if "dead" in f.message] == []
 
-    def test_raw_fields_must_be_declared_kinds(self, tmp_path):
-        trace = tmp_path / "src" / "repro" / "obs" / "trace.py"
-        trace.parent.mkdir(parents=True)
-        trace.write_text(
-            'EVENT_KINDS = frozenset({"a"})\nRAW_DATA_FIELDS = {"b": ("x",)}\n'
+    def test_wrong_arity_is_one_finding(self, repo_root):
+        # task_assign declares four fields: nine elements, not eight.
+        src = (
+            "def serve(t, now):\n"
+            '    t.emit((now, "task_assign", 0, 1, "q1", 3, 0, 2))\n'
         )
-        _, findings = run_checker(str(tmp_path))
+        checker, findings = run_checker(repo_root, ("repro.fleet.engine", src))
         assert len(findings) == 1
-        assert "RAW_DATA_FIELDS" in findings[0].message
+        assert "has 8 elements" in findings[0].message
+        assert "declares 9" in findings[0].message
+        assert set(checker.census) == {"task_assign"}
+
+    def test_trace_event_emission_is_one_finding(self, repo_root):
+        src = (
+            "def serve(t, now):\n"
+            '    t.emit(TraceEvent(now, "query_arrive", 0, 1, "q1"))\n'
+        )
+        _, findings = run_checker(repo_root, ("repro.fleet.engine", src))
+        assert len(findings) == 1
+        assert "TraceEvent(...)" in findings[0].message
 
     def test_variable_kind_outside_helpers_is_unverifiable(self, repo_root):
-        src = "def serve(t, now, k):\n    t.emit(TraceEvent(now, k))\n"
+        src = "def serve(t, now, k):\n    t.emit((now, k, 0, 1, None))\n"
         _, findings = run_checker(repo_root, ("repro.fleet.engine", src))
         assert len(findings) == 1
         assert "not a string literal" in findings[0].message
-
-    def test_variable_kind_inside_declared_helper_is_legal(self, repo_root):
-        src = (
-            "def _trace(self, now, kind):\n"
-            "    self.tracer.emit(TraceEvent(now, kind))\n"
-        )
-        _, findings = run_checker(repo_root, ("repro.fleet.engine", src))
-        assert findings == []
 
     def test_missing_taxonomy_file_makes_the_rule_inert(self, tmp_path):
         _, findings = run_checker(

@@ -130,6 +130,18 @@ class TestRule:
                 model_loader=_FixedScorer, min_executors=5, max_executors=2
             )
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"min_executors": 2.5},
+            {"max_executors": 20.5},
+            {"min_executors": True},
+        ],
+    )
+    def test_non_integer_clamp_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AutoExecutorRule(model_loader=_FixedScorer, **bounds)
+
     def test_timings_collected(self):
         rule = AutoExecutorRule(model_loader=_FixedScorer)
         rule.apply(self.make_context())

@@ -11,6 +11,7 @@ from repro.core.features import (
     featurize_plans,
     project_features,
 )
+from repro.core.parameter_model import ParameterModel
 from repro.engine.optimizer import Optimizer
 from repro.engine.plan import (
     OPERATOR_KINDS,
@@ -19,6 +20,9 @@ from repro.engine.plan import (
     OperatorKind,
     PlanNode,
 )
+from repro.export.format import save_parameter_model
+from repro.export.runtime import PortableModelRuntime, PortablePPMScorer
+from repro.ml.forest import RandomForestRegressor
 from repro.workloads.tpcds import QUERY_IDS, build_query
 
 
@@ -93,6 +97,34 @@ class TestFromPlan:
         assert subset.shape == (1, 2)
         assert subset[0, 0] == features["TotalInputBytes"]
         assert subset[0, 1] == features["MaxDepth"]
+
+    def test_full_width_projection_follows_name_order(self):
+        # All 19 names in another order are a reordering, not a no-op.
+        rows = np.arange(19.0)[None, :]
+        reordered = project_features(rows, tuple(reversed(FEATURE_NAMES)))
+        assert reordered.tolist() == [list(np.arange(18.0, -1.0, -1.0))]
+        assert project_features(rows, FEATURE_NAMES) is rows
+
+    def test_permuted_model_scores_identically_exported(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.random((40, len(FEATURE_NAMES))) * 100.0
+        params = np.column_stack(
+            [-rng.random(40), rng.random(40) * 500 + 1, rng.random(40) * 20]
+        )
+        names = tuple(rng.permutation(FEATURE_NAMES))
+        model = ParameterModel(
+            family="power_law",
+            estimator=RandomForestRegressor(n_estimators=5, random_state=0),
+            feature_names=names,
+        ).fit(X, params)
+        save_parameter_model(model, tmp_path / "permuted.json")
+        scorer = PortablePPMScorer(PortableModelRuntime(tmp_path), "permuted")
+        assert scorer.predict_ppm(X[0]).parameters().tobytes() == (
+            model.predict_ppm(X[0]).parameters().tobytes()
+        )
+        assert [p.parameters().tobytes() for p in scorer.predict_ppm_batch(X)] == [
+            p.parameters().tobytes() for p in model.predict_ppm_batch(X)
+        ]
 
 
 class TestValidation:

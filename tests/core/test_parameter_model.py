@@ -153,7 +153,8 @@ class TestFeatureSubsets:
         ppm = model.predict_ppm(X[0])
         assert isinstance(ppm, AmdahlPPM)
 
-    def test_subset_width_input_accepted(self):
+    def test_subset_width_input_rejected(self):
+        # Rows are always full Table 2 vectors, even for a subset model.
         X, Y = synthetic_dataset()
         cols = [
             FEATURE_NAMES.index("TotalInputBytes"),
@@ -162,8 +163,12 @@ class TestFeatureSubsets:
         model = ParameterModel(
             family="amdahl",
             feature_names=("TotalInputBytes", "TotalRowsProcessed"),
-        ).fit(X[:, cols], Y)
-        assert model.predict_params(X[0, cols]).shape == (2,)
+        )
+        with pytest.raises(ValueError, match="columns"):
+            model.fit(X[:, cols], Y)
+        model.fit(X, Y)
+        with pytest.raises(ValueError, match="columns"):
+            model.predict_params(X[0, cols])
 
     def test_wrong_width_rejected(self):
         X, Y = synthetic_dataset()

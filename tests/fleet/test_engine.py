@@ -371,6 +371,16 @@ class TestMetrics:
             ).serve([])
 
 
+class TestStaticAllocatorValidation:
+    """``static_allocator(2.5)`` used to allocate 2.5 executors and
+    ``static_allocator(True)`` allocated ``True``."""
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, True])
+    def test_non_positive_integer_budget_rejected(self, n):
+        with pytest.raises(ValueError, match="n must"):
+            static_allocator(n)
+
+
 class TestTickIntervalValidation:
     """A zero or negative tick period spins the serve's tick chain in
     place forever; NaN fails deep in the serve.  The fleet's one tick

@@ -87,6 +87,19 @@ class TestMemoCache:
                 CountingScorer(), min_executors=8, max_executors=4
             )
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"min_executors": 1.5},
+            {"max_executors": 3.7},
+            {"min_executors": True},
+            {"max_executors": 8.0},
+        ],
+    )
+    def test_non_integer_clamp_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PredictionService(CountingScorer(), **bounds)
+
 
 class TestAllocateFeaturizationMemo:
     def test_recurring_query_id_skips_plan_walk(self):

@@ -2,15 +2,18 @@
 that make tracing safe to ship — the no-op default changes nothing, and a
 traced run is deterministic down to the serialized byte."""
 
+import hashlib
+import io
 import json
 
 import pytest
 
 from repro.engine.allocation import BudgetAllocation
 from repro.engine.cluster import Cluster
-from repro.engine.faults import FaultPlan
+from repro.engine.faults import FaultPlan, SpotMarket
 from repro.engine.scheduler import simulate_query
 from repro.fleet import (
+    AutoscalerConfig,
     FleetConfig,
     FleetEngine,
     PoolSpec,
@@ -66,6 +69,11 @@ class TestSinks:
             tracer.emit(TraceEvent(float(i), "tick-test", data={"i": i}))
         assert [e.time for e in tracer.events] == [7.0, 8.0, 9.0]
 
+    @pytest.mark.parametrize("capacity", [0, -3, 2.5, True])
+    def test_ring_buffer_rejects_bad_capacity(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            RingBufferTracer(capacity=capacity)
+
     def test_jsonl_round_trip(self, tmp_path, workload_small, arrivals):
         path = tmp_path / "trace.jsonl"
         with JsonlTracer(path) as tracer:
@@ -95,7 +103,7 @@ class TestTaxonomy:
             tracer,
             faults=FaultPlan(seed=3, crash_rate=0.0004),
         )
-        assert set(tracer.counts()) <= EVENT_KINDS
+        assert set(tracer.counts()) <= EVENT_KINDS.keys()
 
     def test_lifecycle_kinds_present(self, workload_small, arrivals):
         tracer = RingBufferTracer()
@@ -172,3 +180,44 @@ class TestDeterminism:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[0].stat().st_size > 0
+
+
+class TestPinnedBytes:
+    """One fixed traced serve, hashed: crashes, spot reclaims, an
+    autoscaled pool and idle release all reach the log.  Any change to
+    what is emitted or how it serializes moves the digest; a deliberate
+    format change re-records it."""
+
+    DIGEST = "e1d64302cee5ff46ba151ef8c7653e16bc2e3f4a803477bbe8150c69f98fc874"
+
+    def test_jsonl_digest(self, workload_small):
+        arrivals = poisson_arrivals(
+            workload_small.query_ids[:6], n_queries=30, rate_qps=1.2, seed=11
+        )
+        pools = [
+            PoolSpec(
+                capacity=10,
+                autoscaler=AutoscalerConfig(min_capacity=10, max_capacity=16),
+            ),
+            PoolSpec(capacity=10),
+        ]
+        faults = FaultPlan(
+            seed=3,
+            crash_rate=1 / 600.0,
+            spot=SpotMarket(fraction=0.5, reclaim_rate=1 / 100.0),
+        )
+        log = io.StringIO()
+        ShardedFleet(
+            workload_small,
+            pools,
+            static_allocator(4),
+            config=FleetConfig(idle_release_timeout=10.0, faults=faults),
+            tracer=JsonlTracer(log),
+        ).serve(arrivals)
+        text = log.getvalue()
+        events = read_jsonl(text.splitlines())
+        kinds = {e.kind for e in events}
+        assert {"autoscale_up", "exec_remove", "task_kill"} <= kinds
+        causes = {e.data["cause"] for e in events if e.kind == "exec_fail"}
+        assert causes == {"crash", "reclaim"}
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
